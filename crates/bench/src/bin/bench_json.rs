@@ -1,6 +1,6 @@
-//! Machine-readable campaign throughput: the `coverage_campaign` rows as
-//! JSON, so the perf trajectory is tracked per PR instead of scraped from
-//! Criterion's plain-text output.
+//! Machine-readable campaign throughput: one JSON row per campaign,
+//! diagnosis and service measurement, so the perf trajectory is tracked
+//! as data instead of scraped from plain-text bench output.
 //!
 //! Run: `cargo run --release -p prt-bench --bin bench_json [out.json]`
 //!

@@ -5,10 +5,10 @@
 //! The classical answer is a **fault dictionary**: simulate every fault of
 //! the universe once at configuration time, record each one's signature,
 //! and invert the map. This module builds that dictionary on `prt-sim`'s
-//! pooled parallel engine ([`prt_sim::map_trials`] — one compiled-program
-//! interpreter pass plus one MISR per trial, no per-trial allocation
-//! beyond the observation record), and measures what analytic formulas
-//! only bound:
+//! pooled parallel engine ([`prt_sim::try_map_trials_batched`] — one
+//! compiled-program interpreter pass per lane chunk plus one MISR per
+//! trial, no per-trial allocation beyond the observation record), and
+//! measures what analytic formulas only bound:
 //!
 //! * **aliasing** — faults whose response stream differs from the
 //!   fault-free one but whose compacted signature collides with the
@@ -33,10 +33,7 @@ use crate::{DiagError, Observation, SignatureCollector};
 use prt_gf::Poly2;
 use prt_ram::{FaultKind, FaultUniverse, Geometry, TestProgram, Topology};
 use prt_sim::checkpoint::{self, FingerprintBuilder};
-use prt_sim::{
-    map_trials, map_trials_batched, try_map_trials, try_map_trials_batched, CampaignError,
-    LaneWidth, Parallelism,
-};
+use prt_sim::{try_map_trials, try_map_trials_batched, CampaignError, LaneWidth, Parallelism};
 
 /// Aggregate dictionary statistics.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -212,48 +209,33 @@ fn index_observations(
     (buckets, stats)
 }
 
-/// The escape observation substituted when a scalar trial's device
-/// errors out: the reference signature with a default execution.
-fn escape_observation(collector: &SignatureCollector) -> Observation {
-    Observation { signature: collector.reference(), exec: Default::default() }
-}
-
-/// One lane-batched measurement sweep at chunk width `K` — the
-/// monomorphised body [`FaultDictionary::build_with_batching`] dispatches
-/// to per [`LaneWidth`].
-fn batched_observations<const K: usize>(
+/// Measures one segment of the universe at lane-chunk width `K` — the
+/// monomorphised body the build loop dispatches to per [`LaneWidth`].
+/// With `lane_batching` off the segment runs on the scalar engine (the
+/// differential oracle). A trial whose device errors out records the
+/// escape observation: the reference signature with a default execution.
+fn observe_segment<const K: usize>(
     collector: &SignatureCollector,
     program: &TestProgram,
-    geom: Geometry,
     faults: &[FaultKind],
     parallelism: Parallelism,
-) -> Vec<Observation> {
-    map_trials_batched::<K, _, _, _>(
-        geom,
-        program.ports(),
-        faults,
-        parallelism,
-        |lanes, out| collector.collect_batch(program, lanes, out),
-        |_, ram| collector.collect(program, ram).unwrap_or_else(|_| escape_observation(collector)),
-    )
-}
-
-/// The fallible form of [`batched_observations`], for the checkpointed
-/// build.
-fn try_batched_observations<const K: usize>(
-    collector: &SignatureCollector,
-    program: &TestProgram,
-    geom: Geometry,
-    faults: &[FaultKind],
-    parallelism: Parallelism,
+    lane_batching: bool,
 ) -> Result<Vec<Observation>, CampaignError> {
+    let (geom, ports) = (program.geometry(), program.ports());
+    let escape = || Observation { signature: collector.reference(), exec: Default::default() };
+    if !lane_batching {
+        return try_map_trials(geom, ports, faults.len(), parallelism, |i, ram| {
+            ram.inject(faults[i].clone()).expect("enumerated faults are valid");
+            collector.collect(program, ram).unwrap_or_else(|_| escape())
+        });
+    }
     try_map_trials_batched::<K, _, _, _>(
         geom,
-        program.ports(),
+        ports,
         faults,
         parallelism,
         |lanes, out| collector.collect_batch(program, lanes, out),
-        |_, ram| collector.collect(program, ram).unwrap_or_else(|_| escape_observation(collector)),
+        |_, ram| collector.collect(program, ram).unwrap_or_else(|_| escape()),
     )
     .map(|(values, _degraded)| values)
 }
@@ -268,7 +250,7 @@ impl FaultDictionary {
     ///
     /// Every program — single- or multi-port — runs **lane-batched**: one
     /// interpreter pass simulates a whole lane chunk of trials
-    /// ([`prt_sim::map_trials_batched`] +
+    /// ([`prt_sim::try_map_trials_batched`] +
     /// [`SignatureCollector::collect_batch`] at the default
     /// [`LaneWidth`]), with per-fault signatures and statistics identical
     /// to the scalar build ([`FaultDictionary::build_with_batching`] pins
@@ -307,64 +289,7 @@ impl FaultDictionary {
         parallelism: Parallelism,
         lane_batching: bool,
     ) -> Result<FaultDictionary, DiagError> {
-        assert_eq!(
-            universe.geometry(),
-            program.geometry(),
-            "dictionary universe and program geometries differ"
-        );
-        let collector = SignatureCollector::new(program, poly)?;
-        let geom = universe.geometry();
-        let escape = |collector: &SignatureCollector| Observation {
-            signature: collector.reference(),
-            exec: Default::default(),
-        };
-        let observations: Vec<Observation> = if lane_batching && program.lane_batchable() {
-            match LaneWidth::default() {
-                LaneWidth::X64 => batched_observations::<1>(
-                    &collector,
-                    program,
-                    geom,
-                    universe.faults(),
-                    parallelism,
-                ),
-                LaneWidth::X256 => batched_observations::<4>(
-                    &collector,
-                    program,
-                    geom,
-                    universe.faults(),
-                    parallelism,
-                ),
-                LaneWidth::X512 => batched_observations::<8>(
-                    &collector,
-                    program,
-                    geom,
-                    universe.faults(),
-                    parallelism,
-                ),
-            }
-        } else {
-            map_trials(geom, program.ports(), universe.len(), parallelism, |i, ram| {
-                ram.inject(universe.faults()[i].clone()).expect("enumerated faults are valid");
-                collector.collect(program, ram).unwrap_or(escape(&collector))
-            })
-        };
-        let (buckets, stats) = index_observations(
-            &observations,
-            collector.reference(),
-            collector.aliasing_bound(),
-            |sig| sig,
-        );
-        Ok(FaultDictionary {
-            geom,
-            topology: universe.topology().clone(),
-            program: Arc::new(program.clone()),
-            collector,
-            faults: Arc::new(universe.faults().to_vec()),
-            observations: Arc::new(observations),
-            buckets,
-            stats,
-            prefix_bits: None,
-        })
+        FaultDictionary::build_segments(universe, program, poly, parallelism, lane_batching, None)
     }
 
     /// [`FaultDictionary::build`] with progress checkpointed to `path`
@@ -397,75 +322,87 @@ impl FaultDictionary {
         path: impl AsRef<Path>,
         every: usize,
     ) -> Result<FaultDictionary, DiagError> {
+        let spool = Some((path.as_ref(), every.max(1)));
+        FaultDictionary::build_segments(universe, program, poly, parallelism, true, spool)
+    }
+
+    /// The one build loop behind [`FaultDictionary::build_with_batching`]
+    /// and [`FaultDictionary::build_with_checkpoint`]: sweeps the universe
+    /// in segments of `every` faults, resuming from and saving to `path`
+    /// when `spool = Some((path, every))` — without one, the whole
+    /// universe is a single segment and no file is touched.
+    fn build_segments(
+        universe: &FaultUniverse,
+        program: &TestProgram,
+        poly: Poly2,
+        parallelism: Parallelism,
+        lane_batching: bool,
+        spool: Option<(&Path, usize)>,
+    ) -> Result<FaultDictionary, DiagError> {
         assert_eq!(
             universe.geometry(),
             program.geometry(),
             "dictionary universe and program geometries differ"
         );
         let collector = SignatureCollector::new(program, poly)?;
-        let geom = universe.geometry();
         let total = universe.len();
-        let every = every.max(1);
-        let path = path.as_ref();
-        let fingerprint = dictionary_fingerprint(universe, program, poly);
-        let escape = |collector: &SignatureCollector| Observation {
-            signature: collector.reference(),
-            exec: Default::default(),
+        let spool = spool
+            .map(|(path, every)| (path, every, dictionary_fingerprint(universe, program, poly)));
+        let (mut observations, step) = match spool {
+            Some((path, every, fp)) => {
+                (checkpoint::load_records(path, fp, total)?.unwrap_or_default(), every)
+            }
+            None => (Vec::new(), usize::MAX),
         };
-        let mut observations: Vec<Observation> =
-            checkpoint::load_records(path, fingerprint, total)?.unwrap_or_default();
+        // Persists the completed prefix when a checkpoint is armed.
+        let save = |observations: &[Observation]| match spool {
+            Some((path, _, fp)) => checkpoint::save_records(path, fp, total, observations),
+            None => Ok(()),
+        };
         while observations.len() < total {
-            let end = (observations.len() + every).min(total);
+            let end = observations.len().saturating_add(step).min(total);
             let segment = &universe.faults()[observations.len()..end];
-            let attempt = if program.lane_batchable() {
-                match LaneWidth::default() {
-                    LaneWidth::X64 => try_batched_observations::<1>(
-                        &collector,
-                        program,
-                        geom,
-                        segment,
-                        parallelism,
-                    ),
-                    LaneWidth::X256 => try_batched_observations::<4>(
-                        &collector,
-                        program,
-                        geom,
-                        segment,
-                        parallelism,
-                    ),
-                    LaneWidth::X512 => try_batched_observations::<8>(
-                        &collector,
-                        program,
-                        geom,
-                        segment,
-                        parallelism,
-                    ),
+            let attempt = match LaneWidth::default() {
+                LaneWidth::X64 => {
+                    observe_segment::<1>(&collector, program, segment, parallelism, lane_batching)
                 }
-            } else {
-                try_map_trials(geom, program.ports(), segment.len(), parallelism, |k, ram| {
-                    ram.inject(segment[k].clone()).expect("enumerated faults are valid");
-                    collector.collect(program, ram).unwrap_or(escape(&collector))
-                })
+                LaneWidth::X256 => {
+                    observe_segment::<4>(&collector, program, segment, parallelism, lane_batching)
+                }
+                LaneWidth::X512 => {
+                    observe_segment::<8>(&collector, program, segment, parallelism, lane_batching)
+                }
             };
             match attempt {
                 Ok(segment_obs) => observations.extend(segment_obs),
                 Err(e) => {
                     // The completed prefix survives the failure: save it
                     // before surfacing, so a restart resumes here.
-                    checkpoint::save_records(path, fingerprint, total, &observations)?;
+                    save(&observations)?;
                     return Err(surface_campaign_error(e));
                 }
             }
-            checkpoint::save_records(path, fingerprint, total, &observations)?;
+            save(&observations)?;
         }
+        Ok(FaultDictionary::from_observations(universe, program, collector, observations))
+    }
+
+    /// Indexes simulated `observations` of `universe` under `program`
+    /// into a full-signature dictionary.
+    fn from_observations(
+        universe: &FaultUniverse,
+        program: &TestProgram,
+        collector: SignatureCollector,
+        observations: Vec<Observation>,
+    ) -> FaultDictionary {
         let (buckets, stats) = index_observations(
             &observations,
             collector.reference(),
             collector.aliasing_bound(),
             |sig| sig,
         );
-        Ok(FaultDictionary {
-            geom,
+        FaultDictionary {
+            geom: universe.geometry(),
             topology: universe.topology().clone(),
             program: Arc::new(program.clone()),
             collector,
@@ -474,7 +411,7 @@ impl FaultDictionary {
             buckets,
             stats,
             prefix_bits: None,
-        })
+        }
     }
 
     /// Fingerprint of everything that determines a dictionary's
@@ -563,23 +500,7 @@ impl FaultDictionary {
         if observations.len() < universe.len() {
             return Ok(None);
         }
-        let (buckets, stats) = index_observations(
-            &observations,
-            collector.reference(),
-            collector.aliasing_bound(),
-            |sig| sig,
-        );
-        Ok(Some(FaultDictionary {
-            geom: universe.geometry(),
-            topology: universe.topology().clone(),
-            program: Arc::new(program.clone()),
-            collector,
-            faults: Arc::new(universe.faults().to_vec()),
-            observations: Arc::new(observations),
-            buckets,
-            stats,
-            prefix_bits: None,
-        }))
+        Ok(Some(FaultDictionary::from_observations(universe, program, collector, observations)))
     }
 
     /// Rebuilds this dictionary on **`bits`-bit signature prefixes** (the

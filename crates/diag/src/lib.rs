@@ -15,7 +15,7 @@
 //! 2. **Diagnosis**: a failing signature must become a repairable
 //!    address. [`FaultDictionary`] inverts `fault → signature` over an
 //!    enumerated universe on the parallel campaign engine
-//!    ([`prt_sim::map_trials`]), with *measured* aliasing and ambiguity
+//!    ([`prt_sim::try_map_trials_batched`]), with *measured* aliasing and ambiguity
 //!    statistics next to the analytic `2⁻ʷ` bound; [`Localizer`] then
 //!    narrows a live failing device to the victim cell, fault family and
 //!    (for two-cell faults) the aggressor, with `O(log n)` adaptively

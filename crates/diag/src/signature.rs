@@ -200,8 +200,8 @@ impl SignatureCollector {
 
     /// The lane-batched form of [`SignatureCollector::collect`]: runs
     /// `program` once against every trial of a prepared [`LaneRam`]
-    /// (lanes `0..k` injected, as `prt_sim::map_trials_batched` hands it
-    /// over) and pushes one [`Observation`] per lane, in lane order. One
+    /// (lanes `0..k` injected, as `prt_sim::try_map_trials_batched` hands
+    /// it over) and pushes one [`Observation`] per lane, in lane order. One
     /// MISR per lane absorbs that lane's slice of the observed planes, so
     /// each signature — and each execution summary — is **identical** to
     /// what [`SignatureCollector::collect`] returns for a scalar run of
@@ -217,9 +217,10 @@ impl SignatureCollector {
     /// # Panics
     ///
     /// Panics when the active lanes are not the contiguous `0..k` prefix
-    /// the batched campaign engine guarantees, and propagates the loud
-    /// [`TestProgram::execute_batch_observed`] configuration errors
-    /// (port shortfall, geometry mismatch).
+    /// the batched campaign engine guarantees, or on a configuration
+    /// error [`TestProgram::try_execute_batch_observed`] refuses (port
+    /// shortfall, geometry mismatch — a dictionary build rules both out
+    /// upfront).
     pub fn collect_batch<const K: usize>(
         &self,
         program: &TestProgram,
@@ -241,7 +242,7 @@ impl SignatureCollector {
                 misr.absorb(lane_word(planes, lane));
             }
         };
-        if self.index.matches(program) {
+        let pass = if self.index.matches(program) {
             // Activity slicing: only the ops whose address intersects the
             // chunk's span union run on the device; skipped checked reads
             // absorb their precomputed fault-free responses — the
@@ -251,15 +252,18 @@ impl SignatureCollector {
                 active.insert_fault(fault);
             }
             active.finalize(&self.index);
-            let _ = program.execute_batch_observed_sliced(
+            program.try_execute_batch_observed_sliced(
                 ram,
                 &self.index,
                 &active,
                 &mut execs,
                 &mut observer,
-            );
+            )
         } else {
-            let _ = program.execute_batch_observed(ram, &mut execs, &mut observer);
+            program.try_execute_batch_observed(ram, &mut execs, &mut observer)
+        };
+        if let Err(e) = pass {
+            panic!("program '{}' cannot run on this lane batch: {e}", program.name());
         }
         let errored = ram.errored_lanes();
         for (lane, misr) in misrs.iter().enumerate() {

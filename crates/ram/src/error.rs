@@ -55,14 +55,6 @@ pub enum RamError {
         /// Cells/width of the device it was run on.
         device: crate::Geometry,
     },
-    /// A multi-port program was asked to drive a lane-sliced batch run
-    /// ([`crate::batch::LaneRam`] has no port or decoder model).
-    ProgramNotBatchable {
-        /// Name of the offending program.
-        program: String,
-        /// Ports the program needs.
-        ports: usize,
-    },
 }
 
 impl fmt::Display for RamError {
@@ -98,9 +90,6 @@ impl fmt::Display for RamError {
                     device.cells(),
                     device.width()
                 )
-            }
-            RamError::ProgramNotBatchable { program, ports } => {
-                write!(f, "multi-port program '{program}' ({ports} ports) cannot run lane-batched")
             }
         }
     }

@@ -437,16 +437,6 @@ impl TestProgram {
         self.run(ram, true, None, None).map(|e| e.detected()).unwrap_or(false)
     }
 
-    /// `true` when this program can drive a lane-sliced batch run.
-    ///
-    /// Since the multi-port `CycleN` interpreter arm was batched, every
-    /// compiled program batches — the predicate is kept only as the
-    /// partition seam campaign engines query, so a future scalar-only
-    /// program variant has somewhere to opt out.
-    pub fn lane_batchable(&self) -> bool {
-        true
-    }
-
     /// Runs the program against up to [`LaneRam::<K>::LANES`] fault
     /// trials **simultaneously** on a lane-sliced [`LaneRam`], and
     /// returns the mask of lanes whose trial was flagged (either channel
@@ -475,38 +465,33 @@ impl TestProgram {
     /// error-as-escape convention) and later reads on them can neither
     /// set nor clear detection.
     ///
-    /// # Panics
-    ///
-    /// Panics when the program needs more ports than `ram` was built
-    /// with, or when `ram`'s geometry differs from the one the program
-    /// was compiled for. A whole *batch* on the wrong device would
-    /// silently report every lane as an escape (0% coverage), so unlike
-    /// the scalar per-trial error-as-escape convention these
-    /// configuration errors are surfaced loudly. Resilient campaign
-    /// runtimes that must not abort use [`TestProgram::try_detect_batch`],
-    /// which this is a thin wrapper over.
-    pub fn detect_batch<const K: usize>(&self, ram: &mut LaneRam<K>) -> LaneChunk<K> {
-        self.try_detect_batch(ram).unwrap_or_else(|e| self.panic_batch_config(e))
-    }
-
-    /// The fallible form of [`TestProgram::detect_batch`]: the same batch
-    /// interpreter pass, with the two whole-batch configuration errors
-    /// surfaced as typed [`RamError`]s instead of panics — the entry point
-    /// fault-tolerant campaign services dispatch through.
-    ///
     /// # Errors
     ///
     /// [`RamError::TooManyPortOps`] when the program needs more ports
     /// than `ram` was built with (construct the pool with
     /// [`LaneRam::with_ports`]); [`RamError::ProgramGeometryMismatch`]
     /// when `ram` was built for a different geometry than the program
-    /// was compiled for.
+    /// was compiled for. A whole *batch* on the wrong device would
+    /// silently report every lane as an escape (0% coverage), so unlike
+    /// the scalar per-trial error-as-escape convention these
+    /// configuration errors are refused before any lane is touched.
     pub fn try_detect_batch<const K: usize>(
         &self,
         ram: &mut LaneRam<K>,
     ) -> Result<LaneChunk<K>, RamError> {
         self.check_batch_config(ram)?;
-        Ok(self.detect_batch_unchecked(ram))
+        let full = ram.active_lanes();
+        let mut acc = [[LaneChunk::<K>::ZERO; Geometry::MAX_WIDTH as usize]; ACC_LANES];
+        let mut reads = [[LaneChunk::<K>::ZERO; Geometry::MAX_WIDTH as usize]; MAX_PORTS];
+        let mut detected = LaneChunk::<K>::ZERO;
+        let mut errored = LaneChunk::<K>::ZERO;
+        for op in &self.ops {
+            self.detect_step(ram, op, &mut acc, &mut reads, &mut detected, &mut errored);
+            if (detected | errored) & full == full {
+                break;
+            }
+        }
+        Ok(detected & full)
     }
 
     /// Rejects the whole-batch configuration errors (validated before any
@@ -524,41 +509,9 @@ impl TestProgram {
         Ok(())
     }
 
-    /// Maps a batch configuration error back onto the exact panic message
-    /// the panicking wrappers have always used (regression-tested since
-    /// the silent-zero-coverage fix).
-    fn panic_batch_config(&self, e: RamError) -> ! {
-        match e {
-            RamError::TooManyPortOps { submitted, ports } => panic!(
-                "program '{}' needs {} ports but the LaneRam was built with {}",
-                self.name, submitted, ports
-            ),
-            RamError::ProgramGeometryMismatch { .. } => panic!(
-                "program '{}' was compiled for a different geometry than the LaneRam",
-                self.name
-            ),
-            e => panic!("{e}"),
-        }
-    }
-
-    fn detect_batch_unchecked<const K: usize>(&self, ram: &mut LaneRam<K>) -> LaneChunk<K> {
-        let full = ram.active_lanes();
-        let mut acc = [[LaneChunk::<K>::ZERO; Geometry::MAX_WIDTH as usize]; ACC_LANES];
-        let mut reads = [[LaneChunk::<K>::ZERO; Geometry::MAX_WIDTH as usize]; MAX_PORTS];
-        let mut detected = LaneChunk::<K>::ZERO;
-        let mut errored = LaneChunk::<K>::ZERO;
-        for op in &self.ops {
-            self.detect_step(ram, op, &mut acc, &mut reads, &mut detected, &mut errored);
-            if (detected | errored) & full == full {
-                break;
-            }
-        }
-        detected & full
-    }
-
     /// One op of the detection batch interpreter — the body shared by the
-    /// full pass ([`TestProgram::detect_batch`]) and the sliced pass
-    /// ([`TestProgram::detect_batch_sliced`]), so the two modes cannot
+    /// full pass ([`TestProgram::try_detect_batch`]) and the sliced pass
+    /// ([`TestProgram::try_detect_batch_sliced`]), so the two modes cannot
     /// drift apart semantically.
     #[inline]
     fn detect_step<const K: usize>(
@@ -640,40 +593,28 @@ impl TestProgram {
         }
     }
 
-    /// [`TestProgram::detect_batch`] in **sliced execution mode**: only
-    /// the ops in `active` (the chunk's span-union activity set resolved
-    /// against `index`) execute on the device; the fault-free effect of
-    /// every skipped gap is spliced in from the precomputed reference —
-    /// the operation clock jumps, out-of-union cells an active op reads
-    /// are poked to their pre-op reference value, and stuck-open sense
-    /// amplifiers are restored from the per-port read history.
+    /// [`TestProgram::try_detect_batch`] in **sliced execution mode**:
+    /// only the ops in `active` (the chunk's span-union activity set
+    /// resolved against `index`) execute on the device; the fault-free
+    /// effect of every skipped gap is spliced in from the precomputed
+    /// reference — the operation clock jumps, out-of-union cells an
+    /// active op reads are poked to their pre-op reference value, and
+    /// stuck-open sense amplifiers are restored from the per-port read
+    /// history.
     ///
-    /// Per lane, the verdict is **bit-identical** to
-    /// [`TestProgram::detect_batch`] (property-tested in
-    /// `tests/slicing.rs`): outside the span union the device state
-    /// equals the fault-free reference on every lane, so a skipped op
-    /// can neither flag a lane nor change any state an active op
-    /// observes.
-    ///
-    /// # Panics
-    ///
-    /// As [`TestProgram::detect_batch`], plus when `index` was not built
-    /// for this program.
-    pub fn detect_batch_sliced<const K: usize>(
-        &self,
-        ram: &mut LaneRam<K>,
-        index: &ActivityIndex,
-        active: &ActiveSet,
-    ) -> LaneChunk<K> {
-        self.try_detect_batch_sliced(ram, index, active)
-            .unwrap_or_else(|e| self.panic_batch_config(e))
-    }
-
-    /// The fallible form of [`TestProgram::detect_batch_sliced`].
+    /// Per lane, the verdict is **bit-identical** to the full pass
+    /// (property-tested in `tests/slicing.rs`): outside the span union
+    /// the device state equals the fault-free reference on every lane,
+    /// so a skipped op can neither flag a lane nor change any state an
+    /// active op observes.
     ///
     /// # Errors
     ///
     /// As [`TestProgram::try_detect_batch`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index` was not built for this program.
     pub fn try_detect_batch_sliced<const K: usize>(
         &self,
         ram: &mut LaneRam<K>,
@@ -813,30 +754,15 @@ impl TestProgram {
     /// Compactors consuming the observed stream substitute the reference
     /// observation for lanes in [`LaneRam::errored_lanes`].
     ///
-    /// # Panics
-    ///
-    /// As [`TestProgram::detect_batch`]: a port shortfall and a
-    /// geometry-mismatched `ram` are loud configuration errors
-    /// ([`TestProgram::try_execute_batch_observed`] is the fallible form
-    /// this is a thin wrapper over). Also panics unless
-    /// `execs.len() == LaneRam::<K>::LANES`.
-    pub fn execute_batch_observed<const K: usize>(
-        &self,
-        ram: &mut LaneRam<K>,
-        execs: &mut [Execution],
-        observer: &mut dyn FnMut(&[LaneChunk<K>]),
-    ) -> LaneChunk<K> {
-        self.try_execute_batch_observed(ram, execs, observer)
-            .unwrap_or_else(|e| self.panic_batch_config(e))
-    }
-
-    /// The fallible form of [`TestProgram::execute_batch_observed`]: the
-    /// same full-counts batch pass, with the whole-batch configuration
-    /// errors surfaced as typed [`RamError`]s instead of panics.
-    ///
     /// # Errors
     ///
-    /// As [`TestProgram::try_detect_batch`].
+    /// As [`TestProgram::try_detect_batch`]: a port shortfall and a
+    /// geometry-mismatched `ram` are refused as typed configuration
+    /// errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `execs.len() == LaneRam::<K>::LANES`.
     pub fn try_execute_batch_observed<const K: usize>(
         &self,
         ram: &mut LaneRam<K>,
@@ -882,9 +808,9 @@ impl TestProgram {
     }
 
     /// One op of the observed batch interpreter — the body shared by the
-    /// full pass ([`TestProgram::execute_batch_observed`]) and the sliced
-    /// pass ([`TestProgram::execute_batch_observed_sliced`]), so the two
-    /// modes cannot drift apart semantically.
+    /// full pass ([`TestProgram::try_execute_batch_observed`]) and the
+    /// sliced pass ([`TestProgram::try_execute_batch_observed_sliced`]), so
+    /// the two modes cannot drift apart semantically.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn observed_step<const K: usize>(
@@ -1006,9 +932,9 @@ impl TestProgram {
         }
     }
 
-    /// [`TestProgram::execute_batch_observed`] in **sliced execution
-    /// mode** (see [`TestProgram::detect_batch_sliced`]): only the active
-    /// ops execute; every *skipped* checked read feeds `observer` the
+    /// [`TestProgram::try_execute_batch_observed`] in **sliced execution
+    /// mode** (see [`TestProgram::try_detect_batch_sliced`]): only the
+    /// active ops execute; every *skipped* checked read feeds `observer` the
     /// broadcast of its expected word — exactly the fault-free response
     /// every unfrozen lane would have produced, per the
     /// [`TestProgram::expected_responses`] contract — so the observed
@@ -1021,28 +947,14 @@ impl TestProgram {
     /// totals, and first-mismatch records keep their original op indices:
     /// a skipped checked read cannot mismatch on an unfrozen lane.
     ///
-    /// # Panics
-    ///
-    /// As [`TestProgram::execute_batch_observed`], plus when `index` was
-    /// not built for this program.
-    pub fn execute_batch_observed_sliced<const K: usize>(
-        &self,
-        ram: &mut LaneRam<K>,
-        index: &ActivityIndex,
-        active: &ActiveSet,
-        execs: &mut [Execution],
-        observer: &mut dyn FnMut(&[LaneChunk<K>]),
-    ) -> LaneChunk<K> {
-        self.try_execute_batch_observed_sliced(ram, index, active, execs, observer)
-            .unwrap_or_else(|e| self.panic_batch_config(e))
-    }
-
-    /// The fallible form of
-    /// [`TestProgram::execute_batch_observed_sliced`].
-    ///
     /// # Errors
     ///
     /// As [`TestProgram::try_detect_batch`].
+    ///
+    /// # Panics
+    ///
+    /// As [`TestProgram::try_execute_batch_observed`], plus when `index`
+    /// was not built for this program.
     pub fn try_execute_batch_observed_sliced<const K: usize>(
         &self,
         ram: &mut LaneRam<K>,
@@ -2032,7 +1944,6 @@ mod tests {
             b.write(a, 0);
         }
         let prog = b.build();
-        assert!(prog.lane_batchable());
         let mut faults = Vec::new();
         for cell in 0..8 {
             faults.push(FaultKind::StuckAt { cell, bit: 0, value: 0 });
@@ -2057,7 +1968,7 @@ mod tests {
         for (lane, fault) in faults.iter().enumerate() {
             lanes.inject(fault.clone(), lane).unwrap();
         }
-        let got = prog.detect_batch(&mut lanes);
+        let got = prog.try_detect_batch(&mut lanes).unwrap();
         for (lane, fault) in faults.iter().enumerate() {
             let mut ram = Ram::new(geom);
             ram.inject(fault.clone()).unwrap();
@@ -2097,7 +2008,7 @@ mod tests {
         for (lane, fault) in faults.iter().enumerate() {
             lanes.inject(fault.clone(), lane).unwrap();
         }
-        let got = prog.detect_batch(&mut lanes);
+        let got = prog.try_detect_batch(&mut lanes).unwrap();
         for (lane, fault) in faults.iter().enumerate() {
             let mut ram = Ram::new(geom);
             ram.inject(fault.clone()).unwrap();
@@ -2106,7 +2017,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different geometry")]
     fn detect_batch_geometry_mismatch_is_loud() {
         // Regression: this used to return 0 ("all 64 lanes escaped"),
         // silently reporting 0% coverage for a mis-sized program, where
@@ -2116,18 +2026,23 @@ mod tests {
         let prog = b.build();
         let mut lanes: crate::LaneRam = crate::LaneRam::new(Geometry::bom(4));
         lanes.inject(FaultKind::StuckAt { cell: 0, bit: 0, value: 0 }, 0).unwrap();
-        let _ = prog.detect_batch(&mut lanes);
+        assert!(matches!(
+            prog.try_detect_batch(&mut lanes),
+            Err(RamError::ProgramGeometryMismatch { .. })
+        ));
     }
 
     #[test]
-    #[should_panic(expected = "different geometry")]
     fn execute_batch_observed_geometry_mismatch_is_loud() {
         let mut b = ProgramBuilder::new(Geometry::bom(8));
         b.read_expect(0, 1);
         let prog = b.build();
         let mut lanes: crate::LaneRam = crate::LaneRam::new(Geometry::bom(4));
         let mut execs = [Execution::default(); crate::LANES];
-        let _ = prog.execute_batch_observed(&mut lanes, &mut execs, &mut |_| {});
+        assert!(matches!(
+            prog.try_execute_batch_observed(&mut lanes, &mut execs, &mut |_| {}),
+            Err(RamError::ProgramGeometryMismatch { .. })
+        ));
     }
 
     #[test]
@@ -2173,11 +2088,13 @@ mod tests {
         }
         let mut execs = [Execution::default(); crate::LANES];
         let mut streams: Vec<Vec<u64>> = vec![Vec::new(); crate::LANES];
-        let flagged = prog.execute_batch_observed(&mut lanes, &mut execs, &mut |planes| {
-            for (lane, stream) in streams.iter_mut().enumerate() {
-                stream.push(crate::batch::lane_word(planes, lane));
-            }
-        });
+        let flagged = prog
+            .try_execute_batch_observed(&mut lanes, &mut execs, &mut |planes| {
+                for (lane, stream) in streams.iter_mut().enumerate() {
+                    stream.push(crate::batch::lane_word(planes, lane));
+                }
+            })
+            .unwrap();
         for (i, fault) in faults.iter().enumerate() {
             let lane = lane_of(i);
             let mut ram = Ram::new(geom);
@@ -2237,7 +2154,6 @@ mod tests {
         // run for faults across the taxonomy, decoder families included.
         let geom = Geometry::bom(8);
         let prog = dual_port_march(geom);
-        assert!(prog.lane_batchable(), "multi-port programs batch since the CycleN arm landed");
         let faults = [
             FaultKind::StuckAt { cell: 5, bit: 0, value: 1 },
             FaultKind::StuckAt { cell: 1, bit: 0, value: 0 },
@@ -2258,11 +2174,13 @@ mod tests {
         }
         let mut execs = [Execution::default(); crate::LANES];
         let mut streams: Vec<Vec<u64>> = vec![Vec::new(); crate::LANES];
-        let flagged = prog.execute_batch_observed(&mut lanes, &mut execs, &mut |planes| {
-            for (lane, stream) in streams.iter_mut().enumerate() {
-                stream.push(crate::batch::lane_word(planes, lane));
-            }
-        });
+        let flagged = prog
+            .try_execute_batch_observed(&mut lanes, &mut execs, &mut |planes| {
+                for (lane, stream) in streams.iter_mut().enumerate() {
+                    stream.push(crate::batch::lane_word(planes, lane));
+                }
+            })
+            .unwrap();
         for (i, fault) in faults.iter().enumerate() {
             let lane = lane_of(i);
             let mut ram = Ram::with_ports(geom, 2).unwrap();
@@ -2280,7 +2198,7 @@ mod tests {
         for (i, fault) in faults.iter().enumerate() {
             lanes.inject(fault.clone(), lane_of(i)).unwrap();
         }
-        let got = prog.detect_batch(&mut lanes);
+        let got = prog.try_detect_batch(&mut lanes).unwrap();
         for (i, fault) in faults.iter().enumerate() {
             let mut ram = Ram::with_ports(geom, 2).unwrap();
             ram.inject(fault.clone()).unwrap();
@@ -2306,7 +2224,7 @@ mod tests {
         let mut lanes = crate::LaneRam::<1>::with_ports(geom, 2).unwrap();
         lanes.inject(shadow.clone(), 9).unwrap();
         lanes.inject(stuck.clone(), 20).unwrap();
-        let got = prog.detect_batch(&mut lanes);
+        let got = prog.try_detect_batch(&mut lanes).unwrap();
         let scalar = |fault: &FaultKind| {
             let mut ram = Ram::with_ports(geom, 2).unwrap();
             ram.inject(fault.clone()).unwrap();
@@ -2323,7 +2241,7 @@ mod tests {
         lanes.inject(shadow, 9).unwrap();
         lanes.inject(stuck, 20).unwrap();
         let mut execs = [Execution::default(); crate::LANES];
-        let flagged = prog.execute_batch_observed(&mut lanes, &mut execs, &mut |_| {});
+        let flagged = prog.try_execute_batch_observed(&mut lanes, &mut execs, &mut |_| {}).unwrap();
         assert!(!flagged.get(9));
         assert!(flagged.get(20));
         assert_eq!(execs[9], Execution::default());
@@ -2331,18 +2249,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "needs 2 ports")]
     fn detect_batch_port_shortfall_is_loud() {
         // A whole batch on an under-ported pool is a configuration error,
-        // surfaced loudly like the geometry mismatch (the scalar path
-        // treats TooManyPortOps per trial as an escape; a batch would
-        // silently report 0% coverage).
+        // refused like the geometry mismatch (the scalar path treats
+        // TooManyPortOps per trial as an escape; a batch would silently
+        // report 0% coverage).
         let geom = Geometry::bom(4);
         let mut b = ProgramBuilder::new(geom);
         b.cycle2(SlotOp::ReadExpect { addr: 0, expect: 0 }, SlotOp::Idle);
         let prog = b.build();
-        assert!(prog.lane_batchable());
-        let _ = prog.detect_batch::<1>(&mut crate::LaneRam::new(geom));
+        assert_eq!(
+            prog.try_detect_batch::<1>(&mut crate::LaneRam::new(geom)),
+            Err(RamError::TooManyPortOps { submitted: 2, ports: 1 })
+        );
     }
 
     #[test]

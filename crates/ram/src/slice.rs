@@ -570,14 +570,14 @@ mod tests {
             for (lane, f) in chunk.iter().enumerate() {
                 ram.inject(f.clone(), lane).unwrap();
             }
-            let full = p.detect_batch(&mut ram);
+            let full = p.try_detect_batch(&mut ram).unwrap();
             ram.reset_to(0);
             set.clear();
             for f in chunk {
                 set.insert_fault(f);
             }
             set.finalize(&idx);
-            let sliced = p.detect_batch_sliced(&mut ram, &idx, &set);
+            let sliced = p.try_detect_batch_sliced(&mut ram, &idx, &set).unwrap();
             assert_eq!(sliced, full, "sliced and full verdicts diverged");
         }
     }

@@ -60,11 +60,6 @@ pub enum CampaignError {
         /// Human-readable reason.
         reason: String,
     },
-    /// A scalar-only fault family was routed at a lane-sliced engine.
-    UnbatchableFault {
-        /// The family's mnemonic (`AF`, `SOF`, …).
-        mnemonic: &'static str,
-    },
     /// Saving or loading a checkpoint failed.
     Checkpoint(CheckpointError),
     /// The [`crate::Campaign::with_deadline`] budget ran out before the
@@ -125,9 +120,6 @@ impl fmt::Display for CampaignError {
                 write!(f, "no program compiled for background {background:#x}")
             }
             CampaignError::BadConfiguration { reason } => write!(f, "{reason}"),
-            CampaignError::UnbatchableFault { mnemonic } => {
-                write!(f, "{mnemonic} faults cannot run lane-batched — use the scalar path")
-            }
             CampaignError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
             CampaignError::DeadlineExceeded { elapsed, deadline, completed, total } => write!(
                 f,

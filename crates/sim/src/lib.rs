@@ -12,10 +12,11 @@
 //!   campaign performs **zero heap allocation per fault** instead of two
 //!   `Vec` allocations plus fault-bank rebuilds per trial.
 //! * **Parallel fan-out** — fault instances are independent, so workers
-//!   self-schedule over chunks of the instance index space (chunked
-//!   work-stealing on `std::thread::scope`; the environment this workspace
-//!   builds in has no registry access, so the fan-out is built on `std`
-//!   instead of rayon — the scheduling discipline is the same).
+//!   self-schedule over chunks of the instance index space: one private
+//!   scheduler (chunked work-stealing on scoped `std` threads — the
+//!   environment this workspace builds in has no registry access, so the
+//!   fan-out is built on `std` instead of rayon) runs every sweep, and one
+//!   lane-batch runner packs, runs and degrades every lane batch.
 //! * **Early exit** — a fault detected under one data background skips the
 //!   remaining backgrounds, exactly like the sequential reference.
 //! * **Deterministic aggregation** — workers only fill a per-fault verdict
@@ -103,29 +104,167 @@ pub use report::{ClassTally, CoverageReport, CoverageRow, PartialCoverage};
 use checkpoint::FingerprintBuilder;
 use control::RunControl;
 
-/// First worker panic of a fan-out: the poisoned chunk plus the payload.
-type PanicSlot = Mutex<Option<((usize, usize), String)>>;
-
-/// Stringifies a caught panic payload and stores the first one.
-fn record_panic(slot: &PanicSlot, chunk: (usize, usize), payload: Box<dyn std::any::Any + Send>) {
-    let message = match payload.downcast::<String>() {
+/// A caught panic as a [`CampaignError::WorkerPanic`] over the fault-index
+/// range `chunk`, with the payload stringified.
+fn worker_panic(chunk: (usize, usize), payload: Box<dyn std::any::Any + Send>) -> CampaignError {
+    let payload = match payload.downcast::<String>() {
         Ok(s) => *s,
         Err(p) => match p.downcast::<&'static str>() {
             Ok(s) => (*s).to_string(),
             Err(_) => "worker panicked with a non-string payload".to_string(),
         },
     };
-    let mut slot = slot.lock().expect("panic slot lock");
-    if slot.is_none() {
-        *slot = Some((chunk, message));
+    CampaignError::WorkerPanic { chunk, payload }
+}
+
+/// The one scheduler every fault sweep runs on: campaign segments (scalar
+/// and lane-batched), [`Campaign::first_escape`], [`try_map_trials`] and
+/// [`try_map_trials_batched`].
+///
+/// Up to `workers` workers (never more than there are units) claim the
+/// `units` work units (trial chunks or lane batches) in order from one
+/// atomic counter; each worker owns the state `init` builds (its pooled
+/// device), and a single worker runs on the calling thread. A claimed
+/// unit is dropped, ending that worker, once
+/// `cut` holds for it — the fail-fast early exit, sound because claims
+/// are monotone — or once `control` reports a stop. Every unit runs
+/// under `catch_unwind`: a panic poisons only its own unit and is
+/// reported with the unit's fault-index range (`span`). The first
+/// failure stops further claims; a contract error (`unit` returning
+/// `Err`) outranks a trial panic.
+///
+/// Returns the stop cause when `control` ended the sweep early.
+fn sweep<S>(
+    units: usize,
+    workers: usize,
+    control: Option<&RunControl>,
+    span: impl Fn(usize) -> (usize, usize) + Sync,
+    cut: impl Fn(usize) -> bool + Sync,
+    init: impl Fn() -> S + Sync,
+    unit: impl Fn(usize, &mut S) -> Result<(), CampaignError> + Sync,
+) -> Result<Option<StopCause>, CampaignError> {
+    let next = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let failure: Mutex<Option<CampaignError>> = Mutex::new(None);
+    let stopped: OnceLock<StopCause> = OnceLock::new();
+    let worker = || {
+        let mut state = init();
+        while !failed.load(Ordering::Relaxed) {
+            let u = next.fetch_add(1, Ordering::Relaxed);
+            if u >= units || cut(u) {
+                break;
+            }
+            if let Some(cause) = control.and_then(RunControl::stop_cause) {
+                let _ = stopped.set(cause);
+                break;
+            }
+            let outcome = catch_unwind(AssertUnwindSafe(|| unit(u, &mut state)))
+                .unwrap_or_else(|payload| Err(worker_panic(span(u), payload)));
+            if let Err(e) = outcome {
+                let is_panic = |e: &CampaignError| matches!(e, CampaignError::WorkerPanic { .. });
+                let mut slot = failure.lock().expect("failure slot lock");
+                if slot.as_ref().is_none_or(|held| is_panic(held) && !is_panic(&e)) {
+                    *slot = Some(e);
+                }
+                failed.store(true, Ordering::Relaxed);
+            }
+        }
+    };
+    let workers = workers.min(units.max(1));
+    if workers <= 1 {
+        worker();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(worker);
+            }
+        });
+    }
+    match failure.into_inner().expect("failure slot lock") {
+        Some(e) => Err(e),
+        None => Ok(stopped.into_inner()),
     }
 }
 
-/// Stores the first stop cause a worker observed.
-fn record_stop(slot: &Mutex<Option<StopCause>>, cause: StopCause) {
-    let mut slot = slot.lock().expect("stop slot lock");
-    if slot.is_none() {
-        *slot = Some(cause);
+/// The one lane-batch runner behind every batched sweep (campaign
+/// segments and [`try_map_trials_batched`]): everything one lane batch
+/// needs besides the batch itself.
+struct LaneRunner<'r, FS, ST> {
+    geom: Geometry,
+    ports: usize,
+    faults: &'r [FaultKind],
+    /// Lane batches degraded to the scalar oracle so far.
+    degraded: &'r AtomicUsize,
+    /// Measures one fault on a healed scalar device that already carries
+    /// it — the degradation oracle.
+    scalar_trial: FS,
+    /// Stores one result by fault index.
+    store: ST,
+}
+
+impl<FS, ST> LaneRunner<'_, FS, ST> {
+    /// Heals `ram`, injects `batch` (fault indices) into lanes `0..k` in
+    /// the given order, runs `batch_trial` — which must push one result
+    /// per lane, in lane order (checked) — and stores the results by
+    /// fault index. A panicking batch **degrades**: each of its faults
+    /// is retried on `scalar_trial` and the batch is counted; only a
+    /// retry that also panics fails, as a [`CampaignError::WorkerPanic`]
+    /// over that one fault.
+    fn run<const K: usize, T>(
+        &self,
+        ram: &mut LaneRam<K>,
+        out: &mut Vec<T>,
+        batch: &[u32],
+        batch_trial: impl FnOnce(&mut LaneRam<K>, &mut Vec<T>),
+    ) -> Result<(), CampaignError>
+    where
+        FS: Fn(usize, &mut Ram) -> T,
+        ST: Fn(usize, T),
+    {
+        out.clear();
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            ram.eject_faults();
+            ram.reset_to(0);
+            for (lane, &fi) in batch.iter().enumerate() {
+                ram.inject(self.faults[fi as usize].clone(), lane)
+                    .expect("campaign faults are valid");
+            }
+            batch_trial(ram, out);
+        }));
+        if attempt.is_ok() {
+            if out.len() != batch.len() {
+                return Err(CampaignError::BadConfiguration {
+                    reason: format!(
+                        "batch trial must yield one result per injected lane — got {} results \
+                         for {} lanes",
+                        out.len(),
+                        batch.len()
+                    ),
+                });
+            }
+            for (&fi, v) in batch.iter().zip(out.drain(..)) {
+                (self.store)(fi as usize, v);
+            }
+            return Ok(());
+        }
+        // Graceful degradation: the whole batch retries on the scalar
+        // oracle, which measures the same thing fault by fault.
+        self.degraded.fetch_add(1, Ordering::Relaxed);
+        let mut scalar = pooled_ram(self.geom, self.ports);
+        for &fi in batch {
+            let fi = fi as usize;
+            scalar.eject_faults();
+            scalar.reset_to(0);
+            let retry = catch_unwind(AssertUnwindSafe(|| {
+                scalar.inject(self.faults[fi].clone()).expect("campaign faults are valid");
+                (self.scalar_trial)(fi, &mut scalar)
+            }));
+            match retry {
+                Ok(v) => (self.store)(fi, v),
+                Err(payload) => return Err(worker_panic((fi, fi + 1), payload)),
+            }
+        }
+        Ok(())
     }
 }
 
@@ -137,6 +276,19 @@ const AUTO_PARALLEL_THRESHOLD: usize = 512;
 /// costs (early-exit makes detected faults much cheaper than escapes),
 /// large enough to amortise the shared-counter traffic.
 const MAX_CHUNK: usize = 64;
+
+/// Trials per scalar work unit when `count` trials are spread over
+/// `workers` workers: about eight units per worker, within
+/// `1..=MAX_CHUNK`.
+fn chunk_len(count: usize, workers: usize) -> usize {
+    (count / (workers * 8)).clamp(1, MAX_CHUNK)
+}
+
+/// A pooled scalar device. Drivers validate the port count upfront
+/// ([`validate_ports`]), so construction cannot fail here.
+fn pooled_ram(geom: Geometry, ports: usize) -> Ram {
+    Ram::with_ports(geom, ports).expect("valid port count")
+}
 
 /// How many trial lanes one batched interpreter pass carries — the
 /// campaign-facing selector for the const-generic [`LaneRam`] chunk
@@ -497,35 +649,13 @@ where
     map_trials(geom, ports, count, parallelism, trial)
 }
 
-/// The fallible form of [`run_trials`]: configuration errors and caught
-/// worker panics come back as a typed [`CampaignError`] instead of
-/// aborting the process.
-///
-/// # Errors
-///
-/// [`CampaignError::BadConfiguration`] for an invalid port count,
-/// [`CampaignError::WorkerPanic`] when `trial` panicked (the panic is
-/// caught at the fan-out join and poisons only its chunk).
-pub fn try_run_trials<F>(
-    geom: Geometry,
-    ports: usize,
-    count: usize,
-    parallelism: Parallelism,
-    trial: F,
-) -> Result<Vec<bool>, CampaignError>
-where
-    F: Fn(usize, &mut Ram) -> bool + Sync,
-{
-    try_map_trials(geom, ports, count, parallelism, trial)
-}
-
 /// Runs `count` independent trials against pooled memories and collects
 /// each trial's **result value** in trial order — the generic campaign
 /// mode that per-fault *measurements* (MISR signatures for fault
 /// dictionaries, observed response streams, per-trial statistics) build
 /// on, where [`run_trials`] only records a verdict bit. See
-/// [`map_trials_batched`] for the lane-sliced form measurement campaigns
-/// over an explicit fault list use.
+/// [`try_map_trials_batched`] for the lane-sliced form measurement
+/// campaigns over an explicit fault list use.
 ///
 /// This is the engine's lowest-level primitive (Monte-Carlo campaigns use
 /// it directly; [`Campaign`] builds fault-universe sweeps on top). Each
@@ -579,64 +709,33 @@ where
 {
     validate_ports(geom, ports)?;
     let workers = parallelism.workers(count);
-    let chunk = (count / (workers * 8)).clamp(1, MAX_CHUNK);
-    let n_chunks = count.div_ceil(chunk);
+    let chunk = chunk_len(count, workers);
+    let range = |c: usize| (c * chunk, ((c + 1) * chunk).min(count));
     let results: Vec<OnceLock<T>> = (0..count).map(|_| OnceLock::new()).collect();
-    let panicked = AtomicBool::new(false);
-    let panic_slot: PanicSlot = Mutex::new(None);
-    let run_chunk = |c: usize, ram: &mut Ram| {
-        let (lo, hi) = (c * chunk, ((c + 1) * chunk).min(count));
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
+    sweep(
+        count.div_ceil(chunk),
+        workers,
+        None,
+        range,
+        |_| false,
+        || pooled_ram(geom, ports),
+        |c, ram| {
+            let (lo, hi) = range(c);
             for (i, slot) in results.iter().enumerate().take(hi).skip(lo) {
                 ram.eject_faults();
                 ram.reset_to(0);
                 // Chunks never overlap, so each slot is set once.
                 let _ = slot.set(trial(i, ram));
             }
-        }));
-        if let Err(payload) = attempt {
-            record_panic(&panic_slot, (lo, hi), payload);
-            panicked.store(true, Ordering::Relaxed);
-        }
-    };
-    if workers <= 1 {
-        // Single-thread fast path: chunks run in order on the calling
-        // thread, with no claim counter.
-        let mut ram = Ram::with_ports(geom, ports).expect("valid port count");
-        for c in 0..n_chunks {
-            if panicked.load(Ordering::Relaxed) {
-                break;
-            }
-            run_chunk(c, &mut ram);
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let worker = || {
-            let mut ram = Ram::with_ports(geom, ports).expect("valid port count");
-            loop {
-                if panicked.load(Ordering::Relaxed) {
-                    break;
-                }
-                let c = next.fetch_add(1, Ordering::Relaxed);
-                if c >= n_chunks {
-                    break;
-                }
-                run_chunk(c, &mut ram);
-            }
-        };
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(worker);
-            }
-        });
-    }
-    if let Some((chunk, payload)) = panic_slot.into_inner().expect("panic slot lock") {
-        return Err(CampaignError::WorkerPanic { chunk, payload });
-    }
-    Ok(results
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every trial index was dispatched"))
-        .collect())
+            Ok(())
+        },
+    )?;
+    Ok(filled(results))
+}
+
+/// The values of write-once result slots, in index order.
+fn filled<T>(slots: Vec<OnceLock<T>>) -> Vec<T> {
+    slots.into_iter().map(|slot| slot.into_inner().expect("every index was dispatched")).collect()
 }
 
 /// Validates the pooled-device configuration once, upfront, so workers
@@ -647,7 +746,7 @@ fn validate_ports(geom: Geometry, ports: usize) -> Result<(), CampaignError> {
     })
 }
 
-/// The lane-sliced form of [`map_trials`] for per-fault measurement
+/// The lane-sliced form of [`try_map_trials`] for per-fault measurement
 /// campaigns: faults are packed `LaneRam::<K>::LANES` per [`LaneRam`]
 /// chunk and measured by one `batch_trial` pass per batch — every fault
 /// family lane-batches, so there is no scalar remainder and
@@ -666,38 +765,10 @@ fn validate_ports(geom: Geometry, ports: usize) -> Result<(), CampaignError> {
 /// memory with the fault **already injected** (unlike the raw
 /// [`map_trials`], which hands the closure a pristine device).
 ///
-/// # Panics
-///
-/// Re-raises whatever [`try_map_trials_batched`] reports: an invalid
-/// port count or a wrong `batch_trial` result count panics with its
-/// configuration message (containing the historical "one result per
-/// injected lane" phrase), a caught scalar panic resumes with its
-/// original payload. A *batch* panic does not surface here at all — it
-/// degrades to the scalar oracle (see the fallible form).
-pub fn map_trials_batched<const K: usize, T, FB, FS>(
-    geom: Geometry,
-    ports: usize,
-    faults: &[FaultKind],
-    parallelism: Parallelism,
-    batch_trial: FB,
-    scalar_trial: FS,
-) -> Vec<T>
-where
-    T: Send + Sync,
-    FB: Fn(&mut LaneRam<K>, &mut Vec<T>) + Sync,
-    FS: Fn(usize, &mut Ram) -> T + Sync,
-{
-    try_map_trials_batched(geom, ports, faults, parallelism, batch_trial, scalar_trial)
-        .unwrap_or_else(|e| e.raise())
-        .0
-}
-
-/// The fallible form of [`map_trials_batched`]. Returns the per-fault
-/// results plus the number of **degraded batches**: a lane batch whose
-/// `batch_trial` panicked is retried fault-by-fault on the scalar oracle
-/// (`scalar_trial`) instead of killing the run, and counted. Because the
-/// scalar trial measures the same thing (the contract callers are
-/// property-tested against), a degraded run's results are still exact.
+/// Returns the per-fault results plus the number of **degraded
+/// batches**: a lane batch whose `batch_trial` panicked is retried
+/// fault-by-fault on `scalar_trial` instead of killing the run, and
+/// counted — so a degraded run's results are still exact.
 ///
 /// # Errors
 ///
@@ -720,122 +791,38 @@ where
     FS: Fn(usize, &mut Ram) -> T + Sync,
 {
     validate_ports(geom, ports)?;
-    let lanes_per = LaneRam::<K>::LANES;
-    // Every fault family lane-batches (the scalar remainder seam was
-    // retired once it proved permanently empty), so batch membership is
-    // plain index arithmetic: batch `b` owns fault indices
-    // `b*lanes_per .. (b+1)*lanes_per`.
-    let n_batches = faults.len().div_ceil(lanes_per);
+    let lanes = LaneRam::<K>::LANES;
+    // Every fault family lane-batches, so batch `b` is plain index
+    // arithmetic: fault indices `b*lanes .. (b+1)*lanes`.
+    let order: Vec<u32> = (0..faults.len() as u32).collect();
+    let range = |b: usize| (b * lanes, ((b + 1) * lanes).min(faults.len()));
+    let n_batches = faults.len().div_ceil(lanes);
     let results: Vec<OnceLock<T>> = (0..faults.len()).map(|_| OnceLock::new()).collect();
     let degraded = AtomicUsize::new(0);
-    let panic_slot: PanicSlot = Mutex::new(None);
-    let error_slot: Mutex<Option<CampaignError>> = Mutex::new(None);
-    let failed = AtomicBool::new(false);
-    let run_batch = |b: usize, ram: &mut LaneRam<K>, out: &mut Vec<T>| {
-        let lanes = (b * lanes_per)..((b + 1) * lanes_per).min(faults.len());
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            ram.eject_faults();
-            ram.reset_to(0);
-            for (lane, fi) in lanes.clone().enumerate() {
-                ram.inject(faults[fi].clone(), lane).expect("campaign faults are valid");
-            }
-            out.clear();
-            batch_trial(ram, out);
-        }));
-        match attempt {
-            Ok(()) => {
-                if out.len() != lanes.len() {
-                    let mut slot = error_slot.lock().expect("error slot lock");
-                    if slot.is_none() {
-                        *slot = Some(CampaignError::BadConfiguration {
-                            reason: format!(
-                                "batch trial must yield one result per injected lane — got {} \
-                                 results for {} lanes",
-                                out.len(),
-                                lanes.len()
-                            ),
-                        });
-                    }
-                    failed.store(true, Ordering::Relaxed);
-                    return;
-                }
-                for (fi, v) in lanes.zip(out.drain(..)) {
-                    // Batch indices are claimed uniquely, so each slot is
-                    // set once.
-                    let _ = results[fi].set(v);
-                }
-            }
-            Err(_) => {
-                // Graceful degradation: the whole batch retries on the
-                // scalar oracle; only a retry that *also* fails is fatal.
-                degraded.fetch_add(1, Ordering::Relaxed);
-                let mut scalar = Ram::with_ports(geom, ports).expect("valid port count");
-                for fi in lanes {
-                    scalar.eject_faults();
-                    scalar.reset_to(0);
-                    let retry = catch_unwind(AssertUnwindSafe(|| {
-                        scalar.inject(faults[fi].clone()).expect("campaign faults are valid");
-                        scalar_trial(fi, &mut scalar)
-                    }));
-                    match retry {
-                        Ok(v) => {
-                            let _ = results[fi].set(v);
-                        }
-                        Err(payload) => {
-                            record_panic(&panic_slot, (fi, fi + 1), payload);
-                            failed.store(true, Ordering::Relaxed);
-                            return;
-                        }
-                    }
-                }
-            }
-        }
+    let runner = LaneRunner {
+        geom,
+        ports,
+        faults,
+        degraded: &degraded,
+        scalar_trial,
+        // Batches never overlap, so each slot is set once.
+        store: |fi: usize, v: T| {
+            let _ = results[fi].set(v);
+        },
     };
-    let workers = parallelism.workers(faults.len()).min(n_batches.max(1));
-    if workers <= 1 {
-        // Single-thread fast path: batches run in order on the calling
-        // thread, with no claim counter.
-        let mut ram = LaneRam::<K>::with_ports(geom, ports).expect("valid port count");
-        let mut out = Vec::new();
-        for b in 0..n_batches {
-            if failed.load(Ordering::Relaxed) {
-                break;
-            }
-            run_batch(b, &mut ram, &mut out);
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let batch_worker = || {
-            let mut ram = LaneRam::<K>::with_ports(geom, ports).expect("valid port count");
-            let mut out = Vec::new();
-            loop {
-                if failed.load(Ordering::Relaxed) {
-                    break;
-                }
-                let b = next.fetch_add(1, Ordering::Relaxed);
-                if b >= n_batches {
-                    break;
-                }
-                run_batch(b, &mut ram, &mut out);
-            }
-        };
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(batch_worker);
-            }
-        });
-    }
-    if let Some(e) = error_slot.into_inner().expect("error slot lock") {
-        return Err(e);
-    }
-    if let Some((chunk, payload)) = panic_slot.into_inner().expect("panic slot lock") {
-        return Err(CampaignError::WorkerPanic { chunk, payload });
-    }
-    let values = results
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every fault index was dispatched"))
-        .collect();
-    Ok((values, degraded.load(Ordering::Relaxed)))
+    sweep(
+        n_batches,
+        parallelism.workers(faults.len()),
+        None,
+        range,
+        |_| false,
+        || (LaneRam::<K>::with_ports(geom, ports).expect("valid port count"), Vec::new()),
+        |b, (ram, out)| {
+            let (lo, hi) = range(b);
+            runner.run(ram, out, &order[lo..hi], &batch_trial)
+        },
+    )?;
+    Ok((filled(results), degraded.into_inner()))
 }
 
 /// A configured fault-simulation campaign: a fault set × a runner × data
@@ -909,16 +896,6 @@ struct Progress {
     elapsed: Duration,
 }
 
-/// How one segment's fan-out ended.
-enum SegmentOutcome {
-    /// Every trial of the segment completed.
-    Done,
-    /// The deadline or a cancellation stopped the fan-out mid-segment.
-    Stopped(StopCause),
-    /// A worker panic poisoned a chunk; everything else drained.
-    Panicked { chunk: (usize, usize), payload: String },
-}
-
 /// The shared per-run state the segment drivers write into.
 struct DriveCtx<'t> {
     /// Per-fault verdicts, keyed by universe index.
@@ -930,6 +907,14 @@ struct DriveCtx<'t> {
     control: &'t RunControl,
     /// Lane batches degraded to the scalar oracle so far.
     degraded: &'t AtomicUsize,
+}
+
+impl DriveCtx<'_> {
+    /// Records the final verdict of universe index `i`.
+    fn record(&self, i: usize, verdict: bool) {
+        self.table[i].store(verdict, Ordering::Relaxed);
+        self.done[i].store(true, Ordering::Relaxed);
+    }
 }
 
 impl<'a, R: FaultRunner> Campaign<'a, R> {
@@ -1159,6 +1144,12 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
 
     fn run_fault(&self, i: usize, ram: &mut Ram) -> bool {
         ram.inject(self.faults[i].clone()).expect("campaign faults are valid");
+        self.detect_injected(ram)
+    }
+
+    /// Runs every background on a device that already carries its fault,
+    /// stopping at the first detection.
+    fn detect_injected(&self, ram: &mut Ram) -> bool {
         for (bi, &bg) in self.backgrounds.iter().enumerate() {
             if bi > 0 {
                 ram.reset_to(0);
@@ -1201,16 +1192,23 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         let progress = self.try_progress()?;
         match progress.stopped {
             None => Ok(progress.verdicts),
-            Some(StopCause::DeadlineExceeded) => Err(CampaignError::DeadlineExceeded {
-                elapsed: progress.elapsed,
+            Some(cause) => Err(self.stop_error(cause, progress.evaluated, progress.elapsed)),
+        }
+    }
+
+    /// The typed error a driver that cannot return partial results
+    /// reports when `cause` stopped it after `completed` trials (the
+    /// contiguous evaluated prefix).
+    fn stop_error(&self, cause: StopCause, completed: usize, elapsed: Duration) -> CampaignError {
+        let total = self.faults.len();
+        match cause {
+            StopCause::DeadlineExceeded => CampaignError::DeadlineExceeded {
+                elapsed,
                 deadline: self.deadline.unwrap_or_default(),
-                completed: progress.evaluated,
-                total: self.faults.len(),
-            }),
-            Some(StopCause::Cancelled) => Err(CampaignError::Cancelled {
-                completed: progress.evaluated,
-                total: self.faults.len(),
-            }),
+                completed,
+                total,
+            },
+            StopCause::Cancelled => CampaignError::Cancelled { completed, total },
         }
     }
 
@@ -1272,6 +1270,7 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         };
         let degraded = AtomicUsize::new(0);
         let control = RunControl::new(self.deadline, self.cancel.clone());
+        let ctx = DriveCtx { table: &table, done: &done, control: &control, degraded: &degraded };
         let mut stopped = None;
         // Segment length: the finer of the checkpoint cadence and the
         // progress cadence (one whole-remainder segment when neither is
@@ -1285,25 +1284,25 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         while cursor < total {
             let seg_start = cursor;
             let seg_end = cursor.saturating_add(step).min(total);
-            let ctx =
-                DriveCtx { table: &table, done: &done, control: &control, degraded: &degraded };
-            let outcome =
-                match &plan {
-                    // The chunk width is a const generic: monomorphise the
-                    // batched driver per width and dispatch on the knob.
-                    Some(programs) => {
-                        let slice = slice_plan.as_deref();
-                        match drive_width {
-                            LaneWidth::X64 => self
-                                .drive_segment_batched::<1>(cursor, seg_end, programs, slice, &ctx),
-                            LaneWidth::X256 => self
-                                .drive_segment_batched::<4>(cursor, seg_end, programs, slice, &ctx),
-                            LaneWidth::X512 => self
-                                .drive_segment_batched::<8>(cursor, seg_end, programs, slice, &ctx),
+            let outcome = match &plan {
+                // The chunk width is a const generic: monomorphise the
+                // batched driver per width and dispatch on the knob.
+                Some(programs) => {
+                    let slice = slice_plan.as_deref();
+                    match drive_width {
+                        LaneWidth::X64 => {
+                            self.drive_batched::<1>(cursor, seg_end, programs, slice, &ctx)
+                        }
+                        LaneWidth::X256 => {
+                            self.drive_batched::<4>(cursor, seg_end, programs, slice, &ctx)
+                        }
+                        LaneWidth::X512 => {
+                            self.drive_batched::<8>(cursor, seg_end, programs, slice, &ctx)
                         }
                     }
-                    None => self.drive_scalar_prefix(cursor, seg_end, &ctx),
-                };
+                }
+                None => self.drive_scalar(cursor, seg_end, &ctx),
+            };
             while cursor < seg_end && done[cursor].load(Ordering::Relaxed) {
                 cursor += 1;
             }
@@ -1325,15 +1324,11 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
                     });
                 }
             }
-            match outcome {
-                SegmentOutcome::Done => {}
-                SegmentOutcome::Stopped(cause) => {
-                    stopped = Some(cause);
-                    break;
-                }
-                SegmentOutcome::Panicked { chunk, payload } => {
-                    return Err(CampaignError::WorkerPanic { chunk, payload });
-                }
+            // A failed segment surfaces only now, after its completed
+            // prefix was checkpointed and streamed.
+            if let Some(cause) = outcome? {
+                stopped = Some(cause);
+                break;
             }
         }
         Ok(Progress {
@@ -1431,124 +1426,61 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         best
     }
 
-    /// Scalar fan-out over the contiguous range `[start, end)`.
-    fn drive_scalar_prefix(&self, start: usize, end: usize, ctx: &DriveCtx<'_>) -> SegmentOutcome {
-        self.drive_scalar(end - start, &|k| start + k, ctx)
-    }
-
-    /// Chunked work-stealing scalar fan-out over `count` trials whose
-    /// universe indices are `map_index(0..count)`. Each worker pools one
-    /// [`Ram`]; chunks are claimed atomically; every chunk body runs
-    /// under [`catch_unwind`], so a panic poisons exactly one chunk (the
-    /// other workers drain and the first panic is reported). The control
-    /// is polled before every claim.
+    /// Scalar segment `[start, end)`: chunks of trials on pooled [`Ram`]s,
+    /// run by the shared scheduler ([`sweep`]) with the control polled
+    /// before every chunk.
     fn drive_scalar(
         &self,
-        count: usize,
-        map_index: &(dyn Fn(usize) -> usize + Sync),
+        start: usize,
+        end: usize,
         ctx: &DriveCtx<'_>,
-    ) -> SegmentOutcome {
+    ) -> Result<Option<StopCause>, CampaignError> {
+        let count = end - start;
         let workers = self.parallelism.workers(count);
-        let chunk = (count / (workers * 8)).clamp(1, MAX_CHUNK);
-        let n_chunks = count.div_ceil(chunk);
-        let panicked = AtomicBool::new(false);
-        let panic_slot: PanicSlot = Mutex::new(None);
-        let stop_slot: Mutex<Option<StopCause>> = Mutex::new(None);
-        let run_chunk = |c: usize, ram: &mut Ram| {
-            let (lo, hi) = (c * chunk, ((c + 1) * chunk).min(count));
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                for k in lo..hi {
-                    let i = map_index(k);
+        let chunk = chunk_len(count, workers);
+        let range = |c: usize| (start + c * chunk, (start + (c + 1) * chunk).min(end));
+        sweep(
+            count.div_ceil(chunk),
+            workers,
+            Some(ctx.control),
+            range,
+            |_| false,
+            || pooled_ram(self.geom, self.ports),
+            |c, ram| {
+                let (lo, hi) = range(c);
+                for i in lo..hi {
                     self.chaos_trial(i);
                     ram.eject_faults();
                     ram.reset_to(0);
-                    let verdict = self.run_fault(i, ram);
-                    ctx.table[i].store(verdict, Ordering::Relaxed);
-                    ctx.done[i].store(true, Ordering::Relaxed);
+                    ctx.record(i, self.run_fault(i, ram));
                 }
-            }));
-            if let Err(payload) = attempt {
-                record_panic(&panic_slot, (map_index(lo), map_index(hi - 1) + 1), payload);
-                panicked.store(true, Ordering::Relaxed);
-            }
-        };
-        if workers <= 1 {
-            // Single-thread fast path: no claim counter, no fan-out —
-            // chunks run in order on the calling thread with the same
-            // per-chunk panic isolation and stop polls as the fan-out.
-            let mut ram = Ram::with_ports(self.geom, self.ports).expect("valid port count");
-            for c in 0..n_chunks {
-                if panicked.load(Ordering::Relaxed) {
-                    break;
-                }
-                if let Some(cause) = ctx.control.stop_cause() {
-                    record_stop(&stop_slot, cause);
-                    break;
-                }
-                run_chunk(c, &mut ram);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let worker = || {
-                let mut ram = Ram::with_ports(self.geom, self.ports).expect("valid port count");
-                loop {
-                    if panicked.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if let Some(cause) = ctx.control.stop_cause() {
-                        record_stop(&stop_slot, cause);
-                        break;
-                    }
-                    let c = next.fetch_add(1, Ordering::Relaxed);
-                    if c >= n_chunks {
-                        break;
-                    }
-                    run_chunk(c, &mut ram);
-                }
-            };
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(worker);
-                }
-            });
-        }
-        if let Some((chunk, payload)) = panic_slot.into_inner().expect("panic slot lock") {
-            return SegmentOutcome::Panicked { chunk, payload };
-        }
-        if let Some(cause) = stop_slot.into_inner().expect("stop slot lock") {
-            return SegmentOutcome::Stopped(cause);
-        }
-        SegmentOutcome::Done
+                Ok(())
+            },
+        )
     }
 
-    /// Lane-batched fan-out over the segment `[start, end)`: faults are
-    /// packed `LaneRam::<K>::LANES` per [`LaneRam`] chunk (one
-    /// interpreter pass per batch per background, with the
-    /// cross-background early exit per lane). Every fault family
-    /// lane-batches, so the segment splits into batches by plain index
-    /// arithmetic — no partition pass, no scalar remainder. Workers
-    /// claim **whole chunks** from a shared counter, so the thread
-    /// fan-out composes
-    /// with the lane width (threads × lanes trials in flight) while
-    /// verdicts stay keyed by fault index — bit-identical at any thread
-    /// count and any width. A batch whose interpreter pass panics
-    /// **degrades**: its faults retry one-by-one on the scalar oracle
-    /// and the degradation counter is bumped — only a retry that also
-    /// fails poisons the run. With an activity-slice plan, batches are
-    /// assembled in fault-locality order and each interpreter pass walks
-    /// only the ops intersecting the batch's span union
-    /// ([`TestProgram::detect_batch_sliced`]) — still bit-identical.
-    fn drive_segment_batched<const K: usize>(
+    /// Lane-batched segment `[start, end)`: faults are packed
+    /// `LaneRam::<K>::LANES` per [`LaneRam`] chunk (one interpreter pass
+    /// per batch per background, with the cross-background early exit per
+    /// lane) and run by the shared scheduler and lane-batch runner, so
+    /// threads × lanes trials are in flight while verdicts stay keyed by
+    /// fault index — bit-identical at any thread count and any width. A
+    /// batch whose pass panics degrades to the scalar oracle. With an
+    /// activity-slice plan, batches are assembled in fault-locality order
+    /// and each pass walks only the ops intersecting the batch's span
+    /// union ([`TestProgram::try_detect_batch_sliced`]) — still
+    /// bit-identical.
+    fn drive_batched<const K: usize>(
         &self,
         start: usize,
         end: usize,
         programs: &[&TestProgram],
         slice: Option<&[Arc<ActivityIndex>]>,
         ctx: &DriveCtx<'_>,
-    ) -> SegmentOutcome {
-        let lanes_per = LaneRam::<K>::LANES;
+    ) -> Result<Option<StopCause>, CampaignError> {
+        let lanes = LaneRam::<K>::LANES;
         let count = end - start;
-        let n_batches = count.div_ceil(lanes_per);
+        let n_batches = count.div_ceil(lanes);
         // Locality-aware chunk assembly: with slicing on, the segment is
         // evaluated in `(locality key, index)` order so the faults sharing
         // a lane batch have tight span unions (coupling faults group by
@@ -1579,142 +1511,86 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         } else {
             (start as u32..end as u32).collect()
         };
-        let panicked = AtomicBool::new(false);
-        let panic_slot: PanicSlot = Mutex::new(None);
-        let stop_slot: Mutex<Option<StopCause>> = Mutex::new(None);
-        let run_batch = |b: usize, ram: &mut LaneRam<K>, active: &mut ActiveSet| {
-            let batch = &order[b * lanes_per..((b + 1) * lanes_per).min(count)];
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                // Chaos keys batches by schedule position (identical to
-                // the first fault index when assembly is unsorted), so
-                // kill targets stay width-based under locality sorting.
-                self.chaos_batch(start + b * lanes_per);
-                ram.eject_faults();
-                ram.reset_to(0);
-                for (lane, &fi) in batch.iter().enumerate() {
-                    ram.inject(self.faults[fi as usize].clone(), lane)
-                        .expect("campaign faults are valid");
-                }
-                let full = ram.active_lanes();
-                let mut detected = LaneChunk::<K>::ZERO;
-                for (bi, program) in programs.iter().enumerate() {
-                    if bi > 0 {
-                        // The per-fault early exit across backgrounds,
-                        // lane style: stop once every lane is flagged.
-                        if detected == full {
-                            break;
-                        }
-                        ram.reset_to(0);
-                    }
-                    detected |= match slice {
-                        Some(indexes) => {
-                            active.clear();
-                            for &fi in batch {
-                                active.insert_fault(&self.faults[fi as usize]);
-                            }
-                            active.finalize(&indexes[bi]);
-                            program.detect_batch_sliced(ram, &indexes[bi], active)
-                        }
-                        None => program.detect_batch(ram),
-                    };
-                }
-                detected
-            }));
-            match attempt {
-                Ok(detected) => {
-                    for (lane, &fi) in batch.iter().enumerate() {
-                        ctx.table[fi as usize].store(detected.get(lane), Ordering::Relaxed);
-                        ctx.done[fi as usize].store(true, Ordering::Relaxed);
-                    }
-                }
-                Err(_) => {
-                    // Graceful degradation: retry the batch on the scalar
-                    // oracle (which produces bit-identical verdicts).
-                    ctx.degraded.fetch_add(1, Ordering::Relaxed);
-                    let mut scalar =
-                        Ram::with_ports(self.geom, self.ports).expect("valid port count");
-                    for &fi in batch {
-                        let fi = fi as usize;
-                        scalar.eject_faults();
-                        scalar.reset_to(0);
-                        let retry =
-                            catch_unwind(AssertUnwindSafe(|| self.run_fault(fi, &mut scalar)));
-                        match retry {
-                            Ok(verdict) => {
-                                ctx.table[fi].store(verdict, Ordering::Relaxed);
-                                ctx.done[fi].store(true, Ordering::Relaxed);
-                            }
-                            Err(payload) => {
-                                record_panic(&panic_slot, (fi, fi + 1), payload);
-                                panicked.store(true, Ordering::Relaxed);
-                                return;
-                            }
-                        }
-                    }
-                }
-            }
+        let range = |b: usize| (b * lanes, ((b + 1) * lanes).min(count));
+        let runner = LaneRunner {
+            geom: self.geom,
+            ports: self.ports,
+            faults: self.faults,
+            degraded: ctx.degraded,
+            scalar_trial: |_, ram: &mut Ram| self.detect_injected(ram),
+            store: |fi, verdict| ctx.record(fi, verdict),
         };
-        let workers = self.parallelism.workers(count).min(n_batches.max(1));
-        if workers <= 1 {
-            // Single-thread fast path: no claim counter, no fan-out —
-            // walk the batches in order on the calling thread. The
-            // per-batch catch_unwind (degradation) and stop polls are
-            // retained, so failure semantics match the fan-out exactly.
-            let mut ram =
-                LaneRam::<K>::with_ports(self.geom, self.ports).expect("valid port count");
-            let mut active = ActiveSet::new();
-            for b in 0..n_batches {
-                if panicked.load(Ordering::Relaxed) {
-                    break;
-                }
-                if let Some(cause) = ctx.control.stop_cause() {
-                    record_stop(&stop_slot, cause);
-                    break;
-                }
-                run_batch(b, &mut ram, &mut active);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let worker = || {
-                let mut ram =
+        sweep(
+            n_batches,
+            self.parallelism.workers(count),
+            Some(ctx.control),
+            |b| {
+                let (lo, hi) = range(b);
+                (start + lo, start + hi)
+            },
+            |_| false,
+            || {
+                let ram =
                     LaneRam::<K>::with_ports(self.geom, self.ports).expect("valid port count");
-                let mut active = ActiveSet::new();
-                loop {
-                    if panicked.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if let Some(cause) = ctx.control.stop_cause() {
-                        record_stop(&stop_slot, cause);
-                        break;
-                    }
-                    let b = next.fetch_add(1, Ordering::Relaxed);
-                    if b >= n_batches {
-                        break;
-                    }
-                    run_batch(b, &mut ram, &mut active);
+                (ram, ActiveSet::new(), Vec::new())
+            },
+            |b, (ram, active, out)| {
+                let (lo, hi) = range(b);
+                let batch = &order[lo..hi];
+                runner.run(ram, out, batch, |ram, out| {
+                    // Chaos keys batches by schedule position (identical to
+                    // the first fault index when assembly is unsorted), so
+                    // kill targets stay width-based under locality sorting.
+                    self.chaos_batch(start + lo);
+                    let detected = self.detect_lanes(ram, programs, slice, batch, active);
+                    out.extend((0..batch.len()).map(|lane| detected.get(lane)));
+                })
+            },
+        )
+    }
+
+    /// One lane batch's verdicts: every background program in turn on
+    /// the injected `ram`, stopping once every lane is flagged (the
+    /// per-fault early exit across backgrounds, lane style).
+    fn detect_lanes<const K: usize>(
+        &self,
+        ram: &mut LaneRam<K>,
+        programs: &[&TestProgram],
+        slice: Option<&[Arc<ActivityIndex>]>,
+        batch: &[u32],
+        active: &mut ActiveSet,
+    ) -> LaneChunk<K> {
+        let full = ram.active_lanes();
+        let mut detected = LaneChunk::<K>::ZERO;
+        for (bi, program) in programs.iter().enumerate() {
+            if bi > 0 {
+                if detected == full {
+                    break;
                 }
-            };
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(worker);
+                ram.reset_to(0);
+            }
+            // The batch plan and `FaultRunner::validate` checked geometry
+            // and ports upfront, so the typed errors cannot fire here.
+            detected |= match slice {
+                Some(indexes) => {
+                    active.clear();
+                    for &fi in batch {
+                        active.insert_fault(&self.faults[fi as usize]);
+                    }
+                    active.finalize(&indexes[bi]);
+                    program.try_detect_batch_sliced(ram, &indexes[bi], active)
                 }
-            });
+                None => program.try_detect_batch(ram),
+            }
+            .expect("batch configuration is validated upfront");
         }
-        if let Some((chunk, payload)) = panic_slot.into_inner().expect("panic slot lock") {
-            return SegmentOutcome::Panicked { chunk, payload };
-        }
-        if let Some(cause) = stop_slot.into_inner().expect("stop slot lock") {
-            return SegmentOutcome::Stopped(cause);
-        }
-        SegmentOutcome::Done
+        detected
     }
 
     /// The compiled programs (one per background) to batch with, when the
     /// campaign is eligible: batching enabled and every background
-    /// resolves to a program on this geometry. Multi-port programs are
-    /// no longer special-cased — the batch interpreter runs `CycleN`
-    /// schedules natively; [`TestProgram::lane_batchable`] is consulted
-    /// only as the opt-out seam (always `true` today).
+    /// resolves to a program on this geometry. Every program batches,
+    /// multi-port `CycleN` schedules included.
     fn batch_plan(&self) -> Option<Vec<&TestProgram>> {
         if !self.lane_batching {
             return None;
@@ -1726,7 +1602,7 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             .collect::<Option<_>>()?;
         // Geometry mismatches fall through to the scalar path, which
         // surfaces them with its usual loud panic.
-        programs.iter().all(|p| p.lane_batchable() && p.geometry() == self.geom).then_some(programs)
+        programs.iter().all(|p| p.geometry() == self.geom).then_some(programs)
     }
 
     /// The seed's original inner loop — a fresh [`Ram`] allocated per
@@ -1766,49 +1642,62 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     /// Always runs the scalar engine — the fail-fast scan visits a prefix
     /// of the universe, where batch packing would mostly evaluate trials
     /// whose verdicts are then discarded.
+    ///
+    /// # Panics
+    ///
+    /// As [`Campaign::detections`]: a trial panic resumes with its
+    /// original payload at any thread count, and a deadline or
+    /// cancellation that stops the scan before the answer is known
+    /// raises [`CampaignError::DeadlineExceeded`] /
+    /// [`CampaignError::Cancelled`].
     pub fn first_escape(&self) -> Option<usize> {
+        validate_ports(self.geom, self.ports).unwrap_or_else(|e| e.raise());
         let count = self.faults.len();
         let workers = self.parallelism.workers(count);
-        if workers <= 1 {
-            let mut ram = Ram::with_ports(self.geom, self.ports).expect("valid port count");
-            return (0..count).find(|&i| {
-                ram.eject_faults();
-                ram.reset_to(0);
-                !self.run_fault(i, &mut ram)
-            });
-        }
+        let chunk = chunk_len(count, workers);
+        let range = |c: usize| (c * chunk, ((c + 1) * chunk).min(count));
         let best = AtomicUsize::new(usize::MAX);
-        let next = AtomicUsize::new(0);
-        let chunk = (count / (workers * 8)).clamp(1, MAX_CHUNK);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut ram = Ram::with_ports(self.geom, self.ports).expect("valid port count");
-                    loop {
-                        let start = next.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= count || start >= best.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        for i in start..(start + chunk).min(count) {
-                            // Indices past a known escape cannot improve the
-                            // minimum; indices below it are all still visited,
-                            // so the final value is the true first escape.
-                            if i >= best.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            ram.eject_faults();
-                            ram.reset_to(0);
-                            if !self.run_fault(i, &mut ram) {
-                                best.fetch_min(i, Ordering::Relaxed);
-                                break;
-                            }
-                        }
+        let done: Vec<AtomicBool> = (0..count).map(|_| AtomicBool::new(false)).collect();
+        let control = RunControl::new(self.deadline, self.cancel.clone());
+        let outcome = sweep(
+            count.div_ceil(chunk),
+            workers,
+            Some(&control),
+            range,
+            // Chunks past a known escape cannot improve the minimum.
+            |c| c * chunk >= best.load(Ordering::Relaxed),
+            || pooled_ram(self.geom, self.ports),
+            |c, ram| {
+                let (lo, hi) = range(c);
+                for (i, done) in done.iter().enumerate().take(hi).skip(lo) {
+                    // Indices below a known escape are all still visited,
+                    // so the final minimum is the true first escape.
+                    if i >= best.load(Ordering::Relaxed) {
+                        break;
                     }
-                });
+                    ram.eject_faults();
+                    ram.reset_to(0);
+                    let detected = self.run_fault(i, ram);
+                    done.store(true, Ordering::Relaxed);
+                    if !detected {
+                        best.fetch_min(i, Ordering::Relaxed);
+                        break;
+                    }
+                }
+                Ok(())
+            },
+        );
+        match outcome {
+            Ok(None) => {
+                let found = best.into_inner();
+                (found != usize::MAX).then_some(found)
             }
-        });
-        let found = best.into_inner();
-        (found != usize::MAX).then_some(found)
+            Ok(Some(cause)) => {
+                let completed = done.iter().take_while(|d| d.load(Ordering::Relaxed)).count();
+                self.stop_error(cause, completed, control.elapsed()).raise()
+            }
+            Err(e) => e.raise(),
+        }
     }
 
     /// Runs the campaign and aggregates per-class coverage. The report is
@@ -1986,6 +1875,54 @@ mod tests {
     }
 
     #[test]
+    fn first_escape_resumes_the_trial_panic_payload() {
+        // A trial panic surfaces with its own message at every thread
+        // count, exactly as `detections()` re-raises it.
+        let u = FaultUniverse::enumerate(Geometry::bom(8), &UniverseSpec::single_cell());
+        let runner = |_ram: &mut Ram, _bg: u64| -> bool { panic!("trial exploded") };
+        for parallelism in [Parallelism::Sequential, Parallelism::Threads(2)] {
+            let c = Campaign::new(&u, runner).with_parallelism(parallelism);
+            let payload = catch_unwind(AssertUnwindSafe(|| c.first_escape())).unwrap_err();
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(message.contains("trial exploded"), "{parallelism:?}: payload {message:?}");
+        }
+    }
+
+    #[test]
+    fn first_escape_honours_cancellation_and_deadline() {
+        // A token fired before the run stops the scan at its first claim
+        // with the same typed error `detections()` raises — no trial runs.
+        let u = FaultUniverse::enumerate(Geometry::bom(8), &UniverseSpec::single_cell());
+        let calls = AtomicUsize::new(0);
+        let runner = |ram: &mut Ram, bg: u64| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            toy_runner(ram, bg)
+        };
+        let token = CancelToken::new();
+        token.cancel();
+        let message = |payload: Box<dyn std::any::Any + Send>| {
+            payload.downcast::<String>().map(|s| *s).unwrap_or_default()
+        };
+        for parallelism in [Parallelism::Sequential, Parallelism::Threads(2)] {
+            let cancelled =
+                Campaign::new(&u, runner).with_parallelism(parallelism).with_cancel(&token);
+            let payload = catch_unwind(AssertUnwindSafe(|| cancelled.first_escape())).unwrap_err();
+            let want = CampaignError::Cancelled { completed: 0, total: u.len() }.to_string();
+            assert_eq!(message(payload), want, "{parallelism:?}");
+            let expired = Campaign::new(&u, runner)
+                .with_parallelism(parallelism)
+                .with_deadline(Duration::ZERO);
+            let payload = catch_unwind(AssertUnwindSafe(|| expired.first_escape())).unwrap_err();
+            assert!(message(payload).starts_with("deadline exceeded"), "{parallelism:?}");
+        }
+        assert_eq!(calls.load(Ordering::Relaxed), 0, "a stopped scan must not run trials");
+    }
+
+    #[test]
     fn complete_campaign_has_no_first_escape() {
         let u = FaultUniverse::enumerate(
             Geometry::bom(8),
@@ -2042,34 +1979,41 @@ mod tests {
                 prog.detect(ram)
             });
         for threads in [1usize, 3, 7] {
-            let batched = map_trials_batched(
+            let (batched, degraded) = try_map_trials_batched(
                 u.geometry(),
                 1,
                 u.faults(),
                 Parallelism::Threads(threads),
                 |lanes: &mut LaneRam, out: &mut Vec<bool>| {
-                    let verdicts = prog.detect_batch(lanes);
+                    let verdicts = prog.try_detect_batch(lanes).expect("valid batch");
                     for lane in 0..lanes.active_lanes().count_ones() as usize {
                         out.push(verdicts.get(lane));
                     }
                 },
                 |_, ram| prog.detect(ram),
-            );
+            )
+            .expect("batched sweep");
             assert_eq!(scalar, batched, "threads={threads}");
+            assert_eq!(degraded, 0);
         }
     }
 
     #[test]
-    #[should_panic(expected = "one result per injected lane")]
     fn map_trials_batched_rejects_wrong_result_count() {
         let u = FaultUniverse::enumerate(Geometry::bom(4), &UniverseSpec::single_cell());
-        let _ = map_trials_batched(
+        let err = try_map_trials_batched(
             u.geometry(),
             1,
             u.faults(),
             Parallelism::Sequential,
             |_lanes: &mut LaneRam, out: &mut Vec<bool>| out.push(true), // too few
             |_, _| true,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, CampaignError::BadConfiguration { reason }
+                if reason.contains("one result per injected lane")),
+            "expected BadConfiguration, got {err:?}"
         );
     }
 

@@ -188,7 +188,7 @@ proptest! {
         ) {
             let mut lanes = LaneRam::<K>::new(program.geometry());
             lanes.inject(fault.clone(), lane).expect("inject");
-            let got = program.detect_batch(&mut lanes);
+            let got = program.try_detect_batch(&mut lanes).expect("valid batch");
             assert_eq!(got.get(lane), want, "{fault} in lane {lane} (K={K})");
             assert_eq!(
                 got & !LaneChunk::single(lane),
@@ -246,7 +246,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// BATCHED MEASUREMENT ≡ SCALAR MEASUREMENT: `map_trials_batched`
+    /// BATCHED MEASUREMENT ≡ SCALAR MEASUREMENT: `try_map_trials_batched`
     /// signature collection must reproduce, per fault index, the exact
     /// MISR signature and execution summary the scalar `collect` path
     /// measures — for random March programs, sizes and thread counts, at
@@ -264,7 +264,7 @@ proptest! {
             program: &TestProgram,
             threads: usize,
         ) -> Vec<Observation> {
-            prt_sim::map_trials_batched::<K, _, _, _>(
+            prt_sim::try_map_trials_batched::<K, _, _, _>(
                 geom,
                 1,
                 u.faults(),
@@ -272,6 +272,8 @@ proptest! {
                 |lanes, out| collector.collect_batch(program, lanes, out),
                 |_, ram| collector.collect(program, ram).expect("single-port run"),
             )
+            .expect("batched sweep")
+            .0
         }
         let geom = Geometry::bom(n);
         let u = mixed_universe(geom);
@@ -382,12 +384,17 @@ fn full_universe_is_entirely_batchable() {
 /// regression guard for the silent-zero-coverage bug, at the integration
 /// level the campaign engine drives.
 #[test]
-#[should_panic(expected = "different geometry")]
 fn geometry_mismatched_detect_batch_is_loud() {
     let program = Executor::new().compile(&march_library::march_c_minus(), Geometry::bom(16));
     let mut lanes: LaneRam = LaneRam::new(Geometry::bom(8));
     lanes.inject(FaultKind::StuckAt { cell: 0, bit: 0, value: 0 }, 0).expect("inject");
-    let _ = program.detect_batch(&mut lanes);
+    assert_eq!(
+        program.try_detect_batch(&mut lanes),
+        Err(RamError::ProgramGeometryMismatch {
+            compiled: Geometry::bom(16),
+            device: Geometry::bom(8)
+        })
+    );
 }
 
 /// BATCHED DICTIONARY ≡ SCALAR DICTIONARY: a `FaultDictionary` built on

@@ -230,21 +230,24 @@ proptest! {
                 let mut sliced_execs = full_execs.clone();
                 let mut full_stream: Vec<Vec<u64>> = Vec::new();
                 let mut sliced_stream: Vec<Vec<u64>> = Vec::new();
-                let full_det =
-                    program.execute_batch_observed(&mut full_ram, &mut full_execs, &mut |p| {
+                let full_det = program
+                    .try_execute_batch_observed(&mut full_ram, &mut full_execs, &mut |p| {
                         full_stream
                             .push((0..LaneRam::<K>::LANES).map(|l| lane_word(p, l)).collect());
-                    });
-                let sliced_det = program.execute_batch_observed_sliced(
-                    &mut sliced_ram,
-                    &index,
-                    &active,
-                    &mut sliced_execs,
-                    &mut |p| {
-                        sliced_stream
-                            .push((0..LaneRam::<K>::LANES).map(|l| lane_word(p, l)).collect());
-                    },
-                );
+                    })
+                    .expect("valid batch");
+                let sliced_det = program
+                    .try_execute_batch_observed_sliced(
+                        &mut sliced_ram,
+                        &index,
+                        &active,
+                        &mut sliced_execs,
+                        &mut |p| {
+                            sliced_stream
+                                .push((0..LaneRam::<K>::LANES).map(|l| lane_word(p, l)).collect());
+                        },
+                    )
+                    .expect("valid batch");
                 assert_eq!(full_det, sliced_det, "detection chunk diverged (K={K})");
                 assert_eq!(full_execs, sliced_execs, "execution summaries diverged (K={K})");
                 assert_eq!(
