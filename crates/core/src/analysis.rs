@@ -178,7 +178,7 @@ pub fn monte_carlo_bom(
         .map(|i| PiTest::new(field.clone(), &[1, 1, 1], &[(i >> 1) & 1, i & 1])?.compile(geom))
         .collect::<Result<_, _>>()?;
     let verdicts =
-        prt_sim::run_trials(geom, 1, trials as usize, prt_sim::Parallelism::Auto, |t, ram| {
+        prt_sim::map_trials(geom, 1, trials as usize, prt_sim::Parallelism::Auto, |t, ram| {
             ram.inject(fault.clone()).expect("validated above");
             let [s0, s1] = inits[t];
             programs[((s0 << 1) | s1) as usize].detect(ram)

@@ -656,6 +656,19 @@ mod tests {
     }
 
     #[test]
+    fn dictionary_fingerprint_is_pinned() {
+        // Stored dictionaries are keyed by this value, which hashes the
+        // program's `Debug` text: a change to it must be deliberate.
+        let geom = Geometry::bom(8);
+        let universe = FaultUniverse::enumerate(geom, &UniverseSpec::paper_claim());
+        let program = Executor::new().compile(&library::march_diag(), geom);
+        assert_eq!(
+            FaultDictionary::fingerprint(&universe, &program, poly8()),
+            0x834c_7bc8_2e07_e4ed
+        );
+    }
+
+    #[test]
     fn stats_are_consistent() {
         let (universe, dict) = build(8);
         let s = dict.stats();

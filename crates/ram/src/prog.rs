@@ -479,118 +479,7 @@ impl TestProgram {
         &self,
         ram: &mut LaneRam<K>,
     ) -> Result<LaneChunk<K>, RamError> {
-        self.check_batch_config(ram)?;
-        let full = ram.active_lanes();
-        let mut acc = [[LaneChunk::<K>::ZERO; Geometry::MAX_WIDTH as usize]; ACC_LANES];
-        let mut reads = [[LaneChunk::<K>::ZERO; Geometry::MAX_WIDTH as usize]; MAX_PORTS];
-        let mut detected = LaneChunk::<K>::ZERO;
-        let mut errored = LaneChunk::<K>::ZERO;
-        for op in &self.ops {
-            self.detect_step(ram, op, &mut acc, &mut reads, &mut detected, &mut errored);
-            if (detected | errored) & full == full {
-                break;
-            }
-        }
-        Ok(detected & full)
-    }
-
-    /// Rejects the whole-batch configuration errors (validated before any
-    /// lane is touched, so a rejected batch has no side effects).
-    fn check_batch_config<const K: usize>(&self, ram: &LaneRam<K>) -> Result<(), RamError> {
-        if self.ports > ram.ports() {
-            return Err(RamError::TooManyPortOps { submitted: self.ports, ports: ram.ports() });
-        }
-        if ram.geometry() != self.geom {
-            return Err(RamError::ProgramGeometryMismatch {
-                compiled: self.geom,
-                device: ram.geometry(),
-            });
-        }
-        Ok(())
-    }
-
-    /// One op of the detection batch interpreter — the body shared by the
-    /// full pass ([`TestProgram::try_detect_batch`]) and the sliced pass
-    /// ([`TestProgram::try_detect_batch_sliced`]), so the two modes cannot
-    /// drift apart semantically.
-    #[inline]
-    fn detect_step<const K: usize>(
-        &self,
-        ram: &mut LaneRam<K>,
-        op: &MemOp,
-        acc: &mut AccPlanes<K>,
-        reads: &mut ReadPlanes<K>,
-        detected: &mut LaneChunk<K>,
-        errored: &mut LaneChunk<K>,
-    ) {
-        let m = self.geom.width() as usize;
-        match *op {
-            MemOp::Write { addr, data } => ram.write_broadcast(addr as usize, data),
-            MemOp::ReadExpect { addr, expect }
-            | MemOp::ReadStale { addr, expect }
-            | MemOp::ReadCapture { addr, expect } => {
-                let planes = ram.read(addr as usize);
-                let mut diff = LaneChunk::<K>::ZERO;
-                for (j, &p) in planes.iter().enumerate() {
-                    diff |= p ^ LaneChunk::broadcast(expect, j as u32);
-                }
-                *detected |= diff & !*errored;
-            }
-            MemOp::ReadAny { addr } => {
-                let _ = ram.read(addr as usize);
-            }
-            MemOp::AccSet { lane, value } => {
-                for (j, plane) in acc[lane as usize][..m].iter_mut().enumerate() {
-                    *plane = LaneChunk::broadcast(value, j as u32);
-                }
-            }
-            MemOp::ReadAcc { addr, map, lane } => {
-                let planes = ram.read(addr as usize);
-                let masks = &self.maps[map as usize];
-                let a = &mut acc[lane as usize];
-                for (j, &p) in planes.iter().enumerate() {
-                    let mut img = masks[j];
-                    while img != 0 {
-                        let i = img.trailing_zeros() as usize;
-                        a[i] ^= p;
-                        img &= img - 1;
-                    }
-                }
-            }
-            MemOp::WriteAcc { addr, lane } => {
-                ram.write_planes(addr as usize, &acc[lane as usize][..m]);
-            }
-            MemOp::CycleN { start, len } => {
-                let slots = &self.slots[start as usize..start as usize + len as usize];
-                *errored = self.cycle_batch_ram_phase(ram, slots, acc, reads);
-                for (port, &slot) in slots.iter().enumerate() {
-                    match slot {
-                        SlotOp::Idle | SlotOp::Write { .. } | SlotOp::WriteAcc { .. } => {}
-                        SlotOp::ReadAcc { map, lane, .. } => {
-                            let masks = &self.maps[map as usize];
-                            let a = &mut acc[lane as usize];
-                            for (j, &p) in reads[port][..m].iter().enumerate() {
-                                let mut img = masks[j];
-                                while img != 0 {
-                                    let i = img.trailing_zeros() as usize;
-                                    a[i] ^= p;
-                                    img &= img - 1;
-                                }
-                            }
-                        }
-                        SlotOp::ReadExpect { expect, .. }
-                        | SlotOp::ReadStale { expect, .. }
-                        | SlotOp::ReadCapture { expect, .. } => {
-                            let mut diff = LaneChunk::<K>::ZERO;
-                            for (j, &p) in reads[port][..m].iter().enumerate() {
-                                diff |= p ^ LaneChunk::broadcast(expect, j as u32);
-                            }
-                            *detected |= diff & !*errored;
-                        }
-                    }
-                }
-            }
-        }
+        self.lane_pass(ram, None, Detect)
     }
 
     /// [`TestProgram::try_detect_batch`] in **sliced execution mode**:
@@ -621,112 +510,7 @@ impl TestProgram {
         index: &ActivityIndex,
         active: &ActiveSet,
     ) -> Result<LaneChunk<K>, RamError> {
-        self.check_batch_config(ram)?;
-        assert!(index.matches(self), "activity index was built for a different program");
-        let full = ram.active_lanes();
-        let base_time = ram.op_time();
-        let sof = ram.has_sof();
-        let mut acc = [[LaneChunk::<K>::ZERO; Geometry::MAX_WIDTH as usize]; ACC_LANES];
-        let mut reads = [[LaneChunk::<K>::ZERO; Geometry::MAX_WIDTH as usize]; MAX_PORTS];
-        let mut detected = LaneChunk::<K>::ZERO;
-        let mut errored = LaneChunk::<K>::ZERO;
-        let mut next = 0u32;
-        for &opi in active.ops() {
-            self.splice_gap(ram, index, active, base_time, sof, next..opi);
-            self.detect_step(
-                ram,
-                &self.ops[opi as usize],
-                &mut acc,
-                &mut reads,
-                &mut detected,
-                &mut errored,
-            );
-            if (detected | errored) & full == full {
-                break;
-            }
-            next = opi + 1;
-        }
-        Ok(detected & full)
-    }
-
-    /// Splices the fault-free reference effects of the skipped gap
-    /// `[next, opi)` and preps active op `opi`: sense restores on
-    /// stuck-open banks (the last skipped read's reference value, per
-    /// port), device-clock re-sync, and reference pokes for every
-    /// out-of-union cell the op is about to read (skipped writes to
-    /// those cells never materialised — on every lane they would have
-    /// stored exactly the reference value).
-    fn splice_gap<const K: usize>(
-        &self,
-        ram: &mut LaneRam<K>,
-        index: &ActivityIndex,
-        active: &ActiveSet,
-        base_time: u64,
-        sof: bool,
-        gap: std::ops::Range<u32>,
-    ) {
-        let (next, opi) = (gap.start, gap.end);
-        let j = opi as usize;
-        if sof && opi > next {
-            for (port, &(ri, rv)) in index.last_read_before[j][..self.ports].iter().enumerate() {
-                if ri != NO_READ && ri >= next {
-                    ram.force_sense_broadcast(port, rv);
-                }
-            }
-        }
-        ram.set_op_time(base_time + index.time_before[j]);
-        for &(a, v) in index.read_refs_for(j) {
-            if !active.contains(a as usize) {
-                ram.poke_broadcast(a as usize, v);
-            }
-        }
-    }
-
-    /// The ram half of one batched multi-port cycle, mirroring the scalar
-    /// [`crate::Ram::cycle_ref`] sequencing exactly: stage every write
-    /// slot's decoder claims and freeze the lanes where two writes land
-    /// on one cell (*before* any side effect), then perform all reads in
-    /// port order, then all writes in port order. Read slots' bit-planes
-    /// are buffered into `reads[port]`; write-accumulator slots take the
-    /// **pre-cycle** accumulator image, as the scalar interpreter builds
-    /// its port-op table before the cycle runs. Returns the cumulative
-    /// frozen-lane mask.
-    fn cycle_batch_ram_phase<const K: usize>(
-        &self,
-        ram: &mut LaneRam<K>,
-        slots: &[SlotOp],
-        acc: &[[LaneChunk<K>; Geometry::MAX_WIDTH as usize]; ACC_LANES],
-        reads: &mut [[LaneChunk<K>; Geometry::MAX_WIDTH as usize]; MAX_PORTS],
-    ) -> LaneChunk<K> {
-        let m = self.geom.width() as usize;
-        let mut write_addrs = [0usize; MAX_PORTS];
-        let mut nw = 0;
-        for &slot in slots {
-            if let SlotOp::Write { addr, .. } | SlotOp::WriteAcc { addr, .. } = slot {
-                write_addrs[nw] = addr as usize;
-                nw += 1;
-            }
-        }
-        let errored = ram.cycle_conflicts(&write_addrs[..nw]);
-        for (port, &slot) in slots.iter().enumerate() {
-            if let SlotOp::ReadAcc { addr, .. }
-            | SlotOp::ReadExpect { addr, .. }
-            | SlotOp::ReadStale { addr, .. }
-            | SlotOp::ReadCapture { addr, .. } = slot
-            {
-                reads[port][..m].copy_from_slice(ram.read_on_port(port, addr as usize));
-            }
-        }
-        for &slot in slots {
-            match slot {
-                SlotOp::Write { addr, data } => ram.write_broadcast(addr as usize, data),
-                SlotOp::WriteAcc { addr, lane } => {
-                    ram.write_planes(addr as usize, &acc[lane as usize][..m]);
-                }
-                _ => {}
-            }
-        }
-        errored
+        self.lane_pass(ram, Some((index, active)), Detect)
     }
 
     /// Runs the program against up to [`LaneRam::<K>::LANES`] fault
@@ -769,167 +553,8 @@ impl TestProgram {
         execs: &mut [Execution],
         observer: &mut dyn FnMut(&[LaneChunk<K>]),
     ) -> Result<LaneChunk<K>, RamError> {
-        self.check_batch_config(ram)?;
-        assert_eq!(execs.len(), LaneRam::<K>::LANES, "one execution summary per lane");
-        execs.fill(Execution::default());
-        let mut acc = [[LaneChunk::<K>::ZERO; Geometry::MAX_WIDTH as usize]; ACC_LANES];
-        let mut reads = [[LaneChunk::<K>::ZERO; Geometry::MAX_WIDTH as usize]; MAX_PORTS];
-        let mut detected = LaneChunk::<K>::ZERO;
-        let mut errored = LaneChunk::<K>::ZERO;
-        let mut ops = 0u64;
-        let mut cycles = 0u64;
-        for idx in 0..self.ops.len() {
-            self.observed_step(
-                ram,
-                idx,
-                &mut acc,
-                &mut reads,
-                &mut detected,
-                &mut errored,
-                &mut ops,
-                &mut cycles,
-                execs,
-                observer,
-            );
-        }
-        // Every lane executes every op — there is no early exit — so the
-        // op/cycle totals are lane-independent. Frozen lanes report the
-        // default summary: the scalar run they mirror returned `Err` and
-        // its counts were discarded.
-        for (lane, e) in execs.iter_mut().enumerate() {
-            if errored.get(lane) {
-                *e = Execution::default();
-            } else {
-                e.ops = ops;
-                e.cycles = cycles;
-            }
-        }
-        Ok(detected & !errored & ram.active_lanes())
-    }
-
-    /// One op of the observed batch interpreter — the body shared by the
-    /// full pass ([`TestProgram::try_execute_batch_observed`]) and the
-    /// sliced pass ([`TestProgram::try_execute_batch_observed_sliced`]), so
-    /// the two modes cannot drift apart semantically.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn observed_step<const K: usize>(
-        &self,
-        ram: &mut LaneRam<K>,
-        idx: usize,
-        acc: &mut AccPlanes<K>,
-        reads: &mut ReadPlanes<K>,
-        detected: &mut LaneChunk<K>,
-        errored: &mut LaneChunk<K>,
-        ops: &mut u64,
-        cycles: &mut u64,
-        execs: &mut [Execution],
-        observer: &mut dyn FnMut(&[LaneChunk<K>]),
-    ) {
-        let m = self.geom.width() as usize;
-        let op = &self.ops[idx];
-        match *op {
-            MemOp::Write { addr, data } => {
-                ram.write_broadcast(addr as usize, data);
-                *ops += 1;
-                *cycles += 1;
-            }
-            MemOp::ReadExpect { addr, expect }
-            | MemOp::ReadStale { addr, expect }
-            | MemOp::ReadCapture { addr, expect } => {
-                let planes = ram.read(addr as usize);
-                observer(planes);
-                *ops += 1;
-                *cycles += 1;
-                let mut diff = LaneChunk::<K>::ZERO;
-                for (j, &p) in planes.iter().enumerate() {
-                    diff |= p ^ LaneChunk::broadcast(expect, j as u32);
-                }
-                diff &= !*errored;
-                if !diff.is_zero() {
-                    let stale = matches!(op, MemOp::ReadStale { .. });
-                    Self::book_lanes(execs, diff, planes, stale, idx, addr as usize, expect);
-                    *detected |= diff;
-                }
-            }
-            MemOp::ReadAny { addr } => {
-                let _ = ram.read(addr as usize);
-                *ops += 1;
-                *cycles += 1;
-            }
-            MemOp::AccSet { lane, value } => {
-                for (j, plane) in acc[lane as usize][..m].iter_mut().enumerate() {
-                    *plane = LaneChunk::broadcast(value, j as u32);
-                }
-            }
-            MemOp::ReadAcc { addr, map, lane } => {
-                let planes = ram.read(addr as usize);
-                *ops += 1;
-                *cycles += 1;
-                let masks = &self.maps[map as usize];
-                let a = &mut acc[lane as usize];
-                for (j, &p) in planes.iter().enumerate() {
-                    let mut img = masks[j];
-                    while img != 0 {
-                        let i = img.trailing_zeros() as usize;
-                        a[i] ^= p;
-                        img &= img - 1;
-                    }
-                }
-            }
-            MemOp::WriteAcc { addr, lane } => {
-                ram.write_planes(addr as usize, &acc[lane as usize][..m]);
-                *ops += 1;
-                *cycles += 1;
-            }
-            MemOp::CycleN { start, len } => {
-                let slots = &self.slots[start as usize..start as usize + len as usize];
-                *errored = self.cycle_batch_ram_phase(ram, slots, acc, reads);
-                *ops += slots.iter().filter(|s| !matches!(s, SlotOp::Idle)).count() as u64;
-                *cycles += 1;
-                for (port, &slot) in slots.iter().enumerate() {
-                    match slot {
-                        SlotOp::Idle | SlotOp::Write { .. } | SlotOp::WriteAcc { .. } => {}
-                        SlotOp::ReadAcc { map, lane, .. } => {
-                            let masks = &self.maps[map as usize];
-                            let a = &mut acc[lane as usize];
-                            for (j, &p) in reads[port][..m].iter().enumerate() {
-                                let mut img = masks[j];
-                                while img != 0 {
-                                    let i = img.trailing_zeros() as usize;
-                                    a[i] ^= p;
-                                    img &= img - 1;
-                                }
-                            }
-                        }
-                        SlotOp::ReadExpect { addr, expect }
-                        | SlotOp::ReadStale { addr, expect }
-                        | SlotOp::ReadCapture { addr, expect } => {
-                            let planes = &reads[port][..m];
-                            observer(planes);
-                            let mut diff = LaneChunk::<K>::ZERO;
-                            for (j, &p) in planes.iter().enumerate() {
-                                diff |= p ^ LaneChunk::broadcast(expect, j as u32);
-                            }
-                            diff &= !*errored;
-                            if !diff.is_zero() {
-                                let stale = matches!(slot, SlotOp::ReadStale { .. });
-                                Self::book_lanes(
-                                    execs,
-                                    diff,
-                                    planes,
-                                    stale,
-                                    idx,
-                                    addr as usize,
-                                    expect,
-                                );
-                                *detected |= diff;
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let index = self.activity_index();
+        self.lane_pass(ram, None, Observe::new(execs, observer, &index))
     }
 
     /// [`TestProgram::try_execute_batch_observed`] in **sliced execution
@@ -963,110 +588,193 @@ impl TestProgram {
         execs: &mut [Execution],
         observer: &mut dyn FnMut(&[LaneChunk<K>]),
     ) -> Result<LaneChunk<K>, RamError> {
-        self.check_batch_config(ram)?;
-        assert!(index.matches(self), "activity index was built for a different program");
-        assert_eq!(execs.len(), LaneRam::<K>::LANES, "one execution summary per lane");
+        self.lane_pass(ram, Some((index, active)), Observe::new(execs, observer, index))
+    }
+
+    /// The one batch lane interpreter behind the four `try_*batch*`
+    /// entry points. Without a slice it walks every op; with a slice
+    /// `(index, active)` it walks `active.ops()` and splices each skipped
+    /// gap from `index`'s fault-free reference. Configuration errors are
+    /// refused before any lane is touched; `sink` decides what a checked
+    /// read records and whether the walk stops once every lane's verdict
+    /// is final.
+    fn lane_pass<const K: usize, S: LaneSink<K>>(
+        &self,
+        ram: &mut LaneRam<K>,
+        slice: Option<(&ActivityIndex, &ActiveSet)>,
+        mut sink: S,
+    ) -> Result<LaneChunk<K>, RamError> {
+        if self.ports > ram.ports() {
+            return Err(RamError::TooManyPortOps { submitted: self.ports, ports: ram.ports() });
+        }
+        if ram.geometry() != self.geom {
+            return Err(RamError::ProgramGeometryMismatch {
+                compiled: self.geom,
+                device: ram.geometry(),
+            });
+        }
+        if let Some((index, _)) = slice {
+            assert!(index.matches(self), "activity index was built for a different program");
+        }
+        sink.begin();
         let m = self.geom.width() as usize;
-        execs.fill(Execution::default());
-        let base_time = ram.op_time();
-        let sof = ram.has_sof();
-        let mut acc = [[LaneChunk::<K>::ZERO; Geometry::MAX_WIDTH as usize]; ACC_LANES];
-        let mut reads = [[LaneChunk::<K>::ZERO; Geometry::MAX_WIDTH as usize]; MAX_PORTS];
-        let mut detected = LaneChunk::<K>::ZERO;
-        let mut errored = LaneChunk::<K>::ZERO;
-        let mut ops = 0u64;
-        let mut cycles = 0u64;
-        let mut gap_planes = vec![LaneChunk::<K>::ZERO; m];
-        let mut emitted = 0u32;
+        let full = ram.active_lanes();
+        let (base_time, sof) = (ram.op_time(), ram.has_sof());
+        let mut acc: AccPlanes<K> = [[LaneChunk::ZERO; Geometry::MAX_WIDTH as usize]; ACC_LANES];
+        let mut reads: ReadPlanes<K> = [[LaneChunk::ZERO; Geometry::MAX_WIDTH as usize]; MAX_PORTS];
+        let (mut flagged, mut frozen) = (LaneChunk::<K>::ZERO, LaneChunk::<K>::ZERO);
+        let n = self.ops.len() as u32;
+        // A sliced pass walks only the listed active ops; a full pass
+        // lists none and walks the whole op range.
+        let (listed, rest) = match slice {
+            Some((_, active)) => (active.ops(), n..n),
+            None => (&[][..], 0..n),
+        };
         let mut next = 0u32;
-        for &opi in active.ops() {
-            let j = opi as usize;
-            Self::emit_reference(
-                &index.responses,
-                emitted,
-                index.responses_before[j],
-                &mut gap_planes,
-                observer,
-            );
-            self.splice_gap(ram, index, active, base_time, sof, next..opi);
-            self.observed_step(
-                ram,
-                j,
-                &mut acc,
-                &mut reads,
-                &mut detected,
-                &mut errored,
-                &mut ops,
-                &mut cycles,
-                execs,
-                observer,
-            );
-            emitted = index.responses_before[j + 1];
-            next = opi + 1;
-        }
-        Self::emit_reference(
-            &index.responses,
-            emitted,
-            index.responses.len() as u32,
-            &mut gap_planes,
-            observer,
-        );
-        // Per-lane totals come from the precompiled full pass, not from
-        // the (shorter) sliced walk.
-        for (lane, e) in execs.iter_mut().enumerate() {
-            if errored.get(lane) {
-                *e = Execution::default();
-            } else {
-                e.ops = index.total_ops;
-                e.cycles = index.total_cycles;
+        for opi in listed.iter().copied().chain(rest) {
+            if let Some((index, active)) = slice {
+                sink.skipped(next..opi);
+                self.splice_gap(ram, index, active, base_time, sof, next..opi);
             }
-        }
-        Ok(detected & !errored & ram.active_lanes())
-    }
-
-    /// Feeds `observer` the broadcast reference response of every skipped
-    /// checked read in stream positions `[lo, hi)`.
-    fn emit_reference<const K: usize>(
-        responses: &[u64],
-        lo: u32,
-        hi: u32,
-        planes: &mut [LaneChunk<K>],
-        observer: &mut dyn FnMut(&[LaneChunk<K>]),
-    ) {
-        for &expect in &responses[lo as usize..hi as usize] {
-            for (j, plane) in planes.iter_mut().enumerate() {
-                *plane = LaneChunk::broadcast(expect, j as u32);
-            }
-            observer(planes);
-        }
-    }
-
-    /// Per-lane mismatch bookkeeping for one checked batch read: `diff`
-    /// holds the (unfrozen) lanes whose word differed from the broadcast
-    /// expectation; each gets its channel counter bumped and, for the
-    /// mismatch channel, its first mismatch recorded with the lane's own
-    /// de-sliced word.
-    fn book_lanes<const K: usize>(
-        execs: &mut [Execution],
-        diff: LaneChunk<K>,
-        planes: &[LaneChunk<K>],
-        stale: bool,
-        op_index: usize,
-        addr: usize,
-        expected: u64,
-    ) {
-        diff.for_each_lane(|lane| {
-            let e = &mut execs[lane];
-            if stale {
-                e.stale_errors += 1;
-            } else {
-                e.mismatches += 1;
-                if e.first_mismatch.is_none() {
-                    e.first_mismatch =
-                        Some(OpMismatch { op_index, addr, expected, got: lane_word(planes, lane) });
+            let idx = opi as usize;
+            let op = self.ops[idx];
+            match op {
+                MemOp::Write { addr, data } => ram.write_broadcast(addr as usize, data),
+                MemOp::ReadExpect { addr, expect }
+                | MemOp::ReadStale { addr, expect }
+                | MemOp::ReadCapture { addr, expect } => {
+                    let planes = ram.read(addr as usize);
+                    let diff = mismatch(planes, expect) & !frozen;
+                    flagged |= diff;
+                    let stale = matches!(op, MemOp::ReadStale { .. });
+                    sink.checked(planes, diff, stale, idx, addr, expect);
+                }
+                MemOp::ReadAny { addr } => {
+                    let _ = ram.read(addr as usize);
+                }
+                MemOp::AccSet { lane, value } => {
+                    for (j, plane) in acc[lane as usize][..m].iter_mut().enumerate() {
+                        *plane = LaneChunk::broadcast(value, j as u32);
+                    }
+                }
+                MemOp::ReadAcc { addr, map, lane } => {
+                    let planes = ram.read(addr as usize);
+                    fold_map(&mut acc[lane as usize], &self.maps[map as usize], planes);
+                }
+                MemOp::WriteAcc { addr, lane } => {
+                    ram.write_planes(addr as usize, &acc[lane as usize][..m]);
+                }
+                MemOp::CycleN { start, len } => {
+                    let slots = &self.slots[start as usize..start as usize + len as usize];
+                    frozen = self.cycle_batch_ram_phase(ram, slots, &acc, &mut reads);
+                    for (port, &slot) in slots.iter().enumerate() {
+                        let planes = &reads[port][..m];
+                        match slot {
+                            SlotOp::Idle | SlotOp::Write { .. } | SlotOp::WriteAcc { .. } => {}
+                            SlotOp::ReadAcc { map, lane, .. } => {
+                                fold_map(&mut acc[lane as usize], &self.maps[map as usize], planes);
+                            }
+                            SlotOp::ReadExpect { addr, expect }
+                            | SlotOp::ReadStale { addr, expect }
+                            | SlotOp::ReadCapture { addr, expect } => {
+                                let diff = mismatch(planes, expect) & !frozen;
+                                flagged |= diff;
+                                let stale = matches!(slot, SlotOp::ReadStale { .. });
+                                sink.checked(planes, diff, stale, idx, addr, expect);
+                            }
+                        }
+                    }
                 }
             }
-        });
+            if S::EARLY_EXIT && (flagged | frozen) & full == full {
+                break;
+            }
+            next = opi + 1;
+        }
+        if slice.is_some() {
+            sink.skipped(next..n);
+        }
+        Ok(sink.finish(flagged, frozen, full))
+    }
+
+    /// Splices the fault-free reference effects of the skipped gap
+    /// `[next, opi)` and preps active op `opi`: sense restores on
+    /// stuck-open banks (the last skipped read's reference value, per
+    /// port), device-clock re-sync, and reference pokes for every
+    /// out-of-union cell the op is about to read (skipped writes to
+    /// those cells never materialised — on every lane they would have
+    /// stored exactly the reference value).
+    fn splice_gap<const K: usize>(
+        &self,
+        ram: &mut LaneRam<K>,
+        index: &ActivityIndex,
+        active: &ActiveSet,
+        base_time: u64,
+        sof: bool,
+        gap: Range<u32>,
+    ) {
+        let (next, opi) = (gap.start, gap.end);
+        let j = opi as usize;
+        if sof && opi > next {
+            for (port, &(ri, rv)) in index.last_read_before[j][..self.ports].iter().enumerate() {
+                if ri != NO_READ && ri >= next {
+                    ram.force_sense_broadcast(port, rv);
+                }
+            }
+        }
+        ram.set_op_time(base_time + index.time_before[j]);
+        for &(a, v) in index.read_refs_for(j) {
+            if !active.contains(a as usize) {
+                ram.poke_broadcast(a as usize, v);
+            }
+        }
+    }
+
+    /// The ram half of one batched multi-port cycle, mirroring the scalar
+    /// [`crate::Ram::cycle_ref`] sequencing exactly: stage every write
+    /// slot's decoder claims and freeze the lanes where two writes land
+    /// on one cell (*before* any side effect), then perform all reads in
+    /// port order, then all writes in port order. Read slots' bit-planes
+    /// are buffered into `reads[port]`; write-accumulator slots take the
+    /// **pre-cycle** accumulator image, as the scalar interpreter builds
+    /// its port-op table before the cycle runs. Returns the cumulative
+    /// frozen-lane mask.
+    fn cycle_batch_ram_phase<const K: usize>(
+        &self,
+        ram: &mut LaneRam<K>,
+        slots: &[SlotOp],
+        acc: &AccPlanes<K>,
+        reads: &mut ReadPlanes<K>,
+    ) -> LaneChunk<K> {
+        let m = self.geom.width() as usize;
+        let mut write_addrs = [0usize; MAX_PORTS];
+        let mut nw = 0;
+        for &slot in slots {
+            if let SlotOp::Write { addr, .. } | SlotOp::WriteAcc { addr, .. } = slot {
+                write_addrs[nw] = addr as usize;
+                nw += 1;
+            }
+        }
+        let errored = ram.cycle_conflicts(&write_addrs[..nw]);
+        for (port, &slot) in slots.iter().enumerate() {
+            if let SlotOp::ReadAcc { addr, .. }
+            | SlotOp::ReadExpect { addr, .. }
+            | SlotOp::ReadStale { addr, .. }
+            | SlotOp::ReadCapture { addr, .. } = slot
+            {
+                reads[port][..m].copy_from_slice(ram.read_on_port(port, addr as usize));
+            }
+        }
+        for &slot in slots {
+            match slot {
+                SlotOp::Write { addr, data } => ram.write_broadcast(addr as usize, data),
+                SlotOp::WriteAcc { addr, lane } => {
+                    ram.write_planes(addr as usize, &acc[lane as usize][..m]);
+                }
+                _ => {}
+            }
+        }
+        errored
     }
 
     /// Runs the program and reports full channel counts. With
@@ -1287,7 +995,7 @@ impl TestProgram {
 /// Applies a precompiled GF(2)-linear map: XOR of the per-bit masks over
 /// the set bits of `v`.
 #[inline]
-fn apply_map(masks: &[u64], v: u64) -> u64 {
+pub(crate) fn apply_map(masks: &[u64], v: u64) -> u64 {
     let mut out = 0u64;
     let mut rest = v;
     while rest != 0 {
@@ -1296,6 +1004,167 @@ fn apply_map(masks: &[u64], v: u64) -> u64 {
         rest &= rest - 1;
     }
     out
+}
+
+/// The bit-sliced form of [`apply_map`]: XORs value plane `j` into
+/// accumulator plane `i` for every set bit `i` of `masks[j]`.
+#[inline]
+fn fold_map<const K: usize>(acc: &mut [LaneChunk<K>], masks: &[u64], planes: &[LaneChunk<K>]) {
+    for (&mask, &p) in masks.iter().zip(planes) {
+        let mut img = mask;
+        while img != 0 {
+            acc[img.trailing_zeros() as usize] ^= p;
+            img &= img - 1;
+        }
+    }
+}
+
+/// The lanes whose word in `planes` differs from the broadcast `expect`.
+#[inline]
+fn mismatch<const K: usize>(planes: &[LaneChunk<K>], expect: u64) -> LaneChunk<K> {
+    let mut diff = LaneChunk::ZERO;
+    for (j, &p) in planes.iter().enumerate() {
+        diff |= p ^ LaneChunk::broadcast(expect, j as u32);
+    }
+    diff
+}
+
+/// What a batch lane pass does besides flagging and freezing lanes — the
+/// half of `TestProgram::lane_pass` that differs between detection and
+/// observation. The hooks default to nothing, so the detection sink
+/// compiles to the bare interpreter loop.
+trait LaneSink<const K: usize> {
+    /// Whether the pass stops once every active lane is flagged or frozen.
+    const EARLY_EXIT: bool;
+
+    /// Runs after the configuration checks, before the first op.
+    fn begin(&mut self) {}
+
+    /// Op `op_index` read `planes` from `addr` and compared them with
+    /// `expect`; `diff` holds the unfrozen lanes that mismatched.
+    fn checked(
+        &mut self,
+        _planes: &[LaneChunk<K>],
+        _diff: LaneChunk<K>,
+        _stale: bool,
+        _op_index: usize,
+        _addr: u32,
+        _expect: u64,
+    ) {
+    }
+
+    /// A sliced pass skipped the ops in `gap`.
+    fn skipped(&mut self, _gap: Range<u32>) {}
+
+    /// The pass result from its flagged, frozen and active lanes.
+    fn finish(
+        self,
+        flagged: LaneChunk<K>,
+        frozen: LaneChunk<K>,
+        full: LaneChunk<K>,
+    ) -> LaneChunk<K>;
+}
+
+/// The campaign sink: early exit and no bookkeeping. A lane flagged
+/// before a later write conflict froze it stays flagged, because the
+/// scalar early-exit run it mirrors stops at that first failing read.
+struct Detect;
+
+impl<const K: usize> LaneSink<K> for Detect {
+    const EARLY_EXIT: bool = true;
+
+    fn finish(self, flagged: LaneChunk<K>, _: LaneChunk<K>, full: LaneChunk<K>) -> LaneChunk<K> {
+        flagged & full
+    }
+}
+
+/// The measurement sink: every checked read feeds the observer (a
+/// skipped one as its broadcast reference response), and each lane's
+/// [`Execution`] is booked.
+struct Observe<'a, const K: usize> {
+    execs: &'a mut [Execution],
+    observer: &'a mut dyn FnMut(&[LaneChunk<K>]),
+    /// The program's activity index: the reference responses of skipped
+    /// reads and the lane-independent op and cycle totals.
+    index: &'a ActivityIndex,
+    /// Broadcast scratch for the reference responses.
+    planes: Vec<LaneChunk<K>>,
+}
+
+impl<'a, const K: usize> Observe<'a, K> {
+    fn new(
+        execs: &'a mut [Execution],
+        observer: &'a mut dyn FnMut(&[LaneChunk<K>]),
+        index: &'a ActivityIndex,
+    ) -> Observe<'a, K> {
+        let planes = vec![LaneChunk::ZERO; index.geometry().width() as usize];
+        Observe { execs, observer, index, planes }
+    }
+}
+
+impl<const K: usize> LaneSink<K> for Observe<'_, K> {
+    const EARLY_EXIT: bool = false;
+
+    fn begin(&mut self) {
+        assert_eq!(self.execs.len(), LaneRam::<K>::LANES, "one execution summary per lane");
+        self.execs.fill(Execution::default());
+    }
+
+    fn checked(
+        &mut self,
+        planes: &[LaneChunk<K>],
+        diff: LaneChunk<K>,
+        stale: bool,
+        op_index: usize,
+        addr: u32,
+        expected: u64,
+    ) {
+        (self.observer)(planes);
+        diff.for_each_lane(|lane| {
+            let e = &mut self.execs[lane];
+            if stale {
+                e.stale_errors += 1;
+            } else {
+                e.mismatches += 1;
+                if e.first_mismatch.is_none() {
+                    let got = lane_word(planes, lane);
+                    e.first_mismatch =
+                        Some(OpMismatch { op_index, addr: addr as usize, expected, got });
+                }
+            }
+        });
+    }
+
+    fn skipped(&mut self, gap: Range<u32>) {
+        let lo = self.index.responses_before[gap.start as usize] as usize;
+        let hi = self.index.responses_before[gap.end as usize] as usize;
+        for &expect in &self.index.responses[lo..hi] {
+            for (j, plane) in self.planes.iter_mut().enumerate() {
+                *plane = LaneChunk::broadcast(expect, j as u32);
+            }
+            (self.observer)(&self.planes);
+        }
+    }
+
+    fn finish(
+        self,
+        flagged: LaneChunk<K>,
+        frozen: LaneChunk<K>,
+        full: LaneChunk<K>,
+    ) -> LaneChunk<K> {
+        // Every lane executes every op, so the totals are lane-independent.
+        // Frozen lanes report the default summary: the scalar run they
+        // mirror returned `Err` and its counts were discarded.
+        for (lane, e) in self.execs.iter_mut().enumerate() {
+            if frozen.get(lane) {
+                *e = Execution::default();
+            } else {
+                e.ops = self.index.total_ops;
+                e.cycles = self.index.total_cycles;
+            }
+        }
+        flagged & !frozen & full
+    }
 }
 
 /// Incremental builder for [`TestProgram`]s.

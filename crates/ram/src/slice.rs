@@ -35,7 +35,7 @@
 //! reference) are *always active* and never skipped.
 
 use crate::fault::FaultKind;
-use crate::prog::{MemOp, SlotOp, TestProgram, ACC_LANES};
+use crate::prog::{apply_map, MemOp, SlotOp, TestProgram, ACC_LANES};
 use crate::{Geometry, MAX_PORTS};
 
 /// Sentinel op index for "no read has been issued on this port yet".
@@ -89,19 +89,6 @@ pub fn fault_locality_key(fault: &FaultKind) -> usize {
     let mut min = usize::MAX;
     fault_cells(fault, &mut |c| min = min.min(c));
     min
-}
-
-/// XOR of `masks[j]` over the set bits `j` of `value` — the de-sliced
-/// form of the interpreter's per-bit-plane GF(2)-linear map application.
-fn apply_map(masks: &[u64], value: u64) -> u64 {
-    let mut out = 0;
-    let mut v = value;
-    while v != 0 {
-        let j = v.trailing_zeros() as usize;
-        out ^= masks[j];
-        v &= v - 1;
-    }
-    out
 }
 
 /// Appends `opi` to `addr`'s op list unless it is already the last entry

@@ -145,17 +145,20 @@ impl FaultUniverse {
                 }
             }
         }
-        // Physical a-major pair walk: the radius restricts *physical*
-        // distance, then each side maps to its logical address.
-        let pairs: Vec<(usize, usize)> = (0..n)
-            .flat_map(|a| (0..n).map(move |v| (a, v)))
-            .filter(|&(a, v)| a != v)
-            .filter(|&(a, v)| match spec.coupling_radius {
-                Some(r) => a.abs_diff(v) <= r,
-                None => true,
-            })
-            .map(|(a, v)| (log(a), log(v)))
-            .collect();
+        // Physical a-major pair walk over each aggressor's radius window:
+        // the radius restricts *physical* distance, then each side maps to
+        // its logical address. Only the pair-coupling families need it.
+        let mut pairs = Vec::new();
+        if spec.cfin || spec.cfid || spec.cfst {
+            let r = spec.coupling_radius.unwrap_or(n - 1).min(n - 1);
+            for a in 0..n {
+                for v in a.saturating_sub(r)..=(a + r).min(n - 1) {
+                    if v != a {
+                        pairs.push((log(a), log(v)));
+                    }
+                }
+            }
+        }
         if spec.cfin {
             for &(a, v) in &pairs {
                 for (ab, vb) in bit_pairs(m) {
@@ -938,6 +941,20 @@ mod tests {
                 assert_eq!(tiled.as_slice(), eager.faults());
                 assert_eq!(lazy.materialize().faults(), eager.faults());
             }
+        }
+    }
+
+    /// Eager enumeration stays linear in the cell count unless a
+    /// pair-coupling family is on without a radius: at n = 2¹⁶ a quadratic
+    /// pair walk would visit 2³² pairs.
+    #[test]
+    fn enumerate_walks_only_the_coupling_window() {
+        let geom = Geometry::bom(1 << 16);
+        let cfin = UniverseSpec { cfin: true, coupling_radius: Some(1), ..UniverseSpec::default() };
+        for spec in [UniverseSpec::single_cell(), cfin] {
+            let eager = FaultUniverse::enumerate(geom, &spec);
+            let lazy = LazyUniverse::new(geom, spec).materialize();
+            assert_eq!(eager.faults(), lazy.faults(), "{spec:?}");
         }
     }
 

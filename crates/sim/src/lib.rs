@@ -527,7 +527,8 @@ fn detect_checked(program: &TestProgram, ram: &mut Ram, background: u64) -> bool
 /// counterpart of running one test under
 /// [`Campaign::with_backgrounds`]: the campaign hands each trial's
 /// background to the bank, which dispatches to the program compiled for
-/// it.
+/// it. Programs are held by `Arc`, so a bank can share the artifacts of
+/// a program cache with every other job that uses them.
 ///
 /// # Example
 ///
@@ -551,24 +552,28 @@ fn detect_checked(program: &TestProgram, ram: &mut Ram, background: u64) -> bool
 /// ```
 #[derive(Debug, Clone)]
 pub struct ProgramBank {
-    programs: Vec<(u64, TestProgram)>,
+    programs: Vec<(u64, Arc<TestProgram>)>,
 }
 
 impl ProgramBank {
-    /// Builds a bank from `(background, program)` pairs.
+    /// Builds a bank from `(background, program)` pairs; a program is
+    /// given owned or as an `Arc` shared with its other users.
     ///
     /// # Panics
     ///
     /// Panics on an empty collection.
-    pub fn new(programs: impl IntoIterator<Item = (u64, TestProgram)>) -> ProgramBank {
-        let programs: Vec<(u64, TestProgram)> = programs.into_iter().collect();
+    pub fn new<P: Into<Arc<TestProgram>>>(
+        programs: impl IntoIterator<Item = (u64, P)>,
+    ) -> ProgramBank {
+        let programs: Vec<(u64, Arc<TestProgram>)> =
+            programs.into_iter().map(|(bg, p)| (bg, p.into())).collect();
         assert!(!programs.is_empty(), "program bank needs at least one program");
         ProgramBank { programs }
     }
 
     /// A bank holding a single program (background 0).
     pub fn single(program: TestProgram) -> ProgramBank {
-        ProgramBank { programs: vec![(0, program)] }
+        ProgramBank::new([(0, program)])
     }
 
     /// The backgrounds this bank was compiled for, in insertion order —
@@ -579,7 +584,7 @@ impl ProgramBank {
 
     /// The program compiled for `background` (`None` if absent).
     pub fn program(&self, background: u64) -> Option<&TestProgram> {
-        self.programs.iter().find(|&&(bg, _)| bg == background).map(|(_, p)| p)
+        self.programs.iter().find(|(bg, _)| *bg == background).map(|(_, p)| &**p)
     }
 }
 
@@ -627,35 +632,12 @@ impl FaultRunner for &ProgramBank {
     }
 }
 
-/// Runs `count` independent trials against pooled memories and collects the
-/// per-trial verdicts in trial order.
-///
-/// This is the boolean specialisation of [`map_trials`] — see there for
-/// the pooling and scheduling contract.
-///
-/// # Panics
-///
-/// Panics if `ports` is not a valid port count for [`Ram::with_ports`].
-pub fn run_trials<F>(
-    geom: Geometry,
-    ports: usize,
-    count: usize,
-    parallelism: Parallelism,
-    trial: F,
-) -> Vec<bool>
-where
-    F: Fn(usize, &mut Ram) -> bool + Sync,
-{
-    map_trials(geom, ports, count, parallelism, trial)
-}
-
 /// Runs `count` independent trials against pooled memories and collects
 /// each trial's **result value** in trial order — the generic campaign
 /// mode that per-fault *measurements* (MISR signatures for fault
 /// dictionaries, observed response streams, per-trial statistics) build
-/// on, where [`run_trials`] only records a verdict bit. See
-/// [`try_map_trials_batched`] for the lane-sliced form measurement
-/// campaigns over an explicit fault list use.
+/// on. See [`try_map_trials_batched`] for the lane-sliced form
+/// measurement campaigns over an explicit fault list use.
 ///
 /// This is the engine's lowest-level primitive (Monte-Carlo campaigns use
 /// it directly; [`Campaign`] builds fault-universe sweeps on top). Each
@@ -2017,15 +1999,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn run_trials_verdict_order() {
-        let det =
-            run_trials(Geometry::bom(4), 1, 100, Parallelism::Threads(4), |i, _ram| i % 3 == 0);
-        for (i, d) in det.iter().enumerate() {
-            assert_eq!(*d, i % 3 == 0, "trial {i}");
-        }
-    }
-
     /// The toy runner, compiled to the IR once for a given geometry.
     fn toy_program(geom: Geometry) -> TestProgram {
         let mut b = prt_ram::ProgramBuilder::new(geom).with_name("toy compiled");
@@ -2248,6 +2221,17 @@ mod tests {
             "expected GeometryMismatch, got {err:?}"
         );
         assert!(err.to_string().contains("campaign geometry does not match"));
+    }
+
+    #[test]
+    fn campaign_fingerprint_is_pinned() {
+        // The fingerprint hashes the compiled program's `Debug` text, so
+        // a change to the IR or its formatting invalidates every stored
+        // checkpoint; this golden value makes such a change deliberate.
+        let geom = Geometry::bom(8);
+        let u = FaultUniverse::enumerate(geom, &UniverseSpec::single_cell());
+        let prog = toy_program(geom);
+        assert_eq!(Campaign::new(&u, &prog).fingerprint(), 0x7d8c_7a15_a143_d84a);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The compiled-program cache and the `Arc`-backed campaign runner.
+//! The compiled-program cache.
 //!
 //! Compiling a March test to a [`TestProgram`] walks the notation once
 //! per `(test, geometry, background)` — cheap, but a busy server sees
@@ -15,8 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use prt_march::{Executor, MarchTest};
-use prt_ram::{Geometry, Ram, TestProgram};
-use prt_sim::{CampaignError, FaultRunner};
+use prt_ram::{Geometry, TestProgram};
 
 /// A concurrent `(test name, geometry, background) → compiled program`
 /// cache with a compile counter (the cache-health observable the service
@@ -54,95 +53,12 @@ impl ProgramCache {
     }
 }
 
-/// A multi-background campaign runner over **cache-shared** programs —
-/// the service's counterpart of `prt_sim::ProgramBank`, holding `Arc`s
-/// from a [`ProgramCache`] instead of owned programs so a job's shards
-/// all drive the identical compiled artifacts.
-///
-/// Implements [`FaultRunner`] on `&CachedBank` (the engine convention:
-/// campaigns borrow their runner), with the bank's upfront validation so
-/// configuration mismatches surface as typed errors before any trial.
-#[derive(Debug)]
-pub struct CachedBank {
-    entries: Vec<(u64, Arc<TestProgram>)>,
-}
-
-impl CachedBank {
-    /// A bank over `(background, program)` pairs.
-    pub fn new(entries: Vec<(u64, Arc<TestProgram>)>) -> CachedBank {
-        CachedBank { entries }
-    }
-
-    /// The program compiled for `background`, if any.
-    pub fn program(&self, background: u64) -> Option<&TestProgram> {
-        self.entries.iter().find(|(bg, _)| *bg == background).map(|(_, p)| &**p)
-    }
-}
-
-impl FaultRunner for &CachedBank {
-    fn detect(&self, ram: &mut Ram, background: u64) -> bool {
-        let program = self
-            .program(background)
-            .unwrap_or_else(|| panic!("no program compiled for background {background:#x}"));
-        program.detect(ram)
-    }
-
-    fn batch_program(&self, background: u64) -> Option<&TestProgram> {
-        self.program(background)
-    }
-
-    fn validate(
-        &self,
-        geom: Geometry,
-        ports: usize,
-        backgrounds: &[u64],
-    ) -> Result<(), CampaignError> {
-        for &bg in backgrounds {
-            let Some(program) = self.program(bg) else {
-                return Err(CampaignError::BadConfiguration {
-                    reason: format!("no program compiled for background {bg:#x}"),
-                });
-            };
-            if program.geometry() != geom {
-                return Err(CampaignError::BadConfiguration {
-                    reason: format!(
-                        "program '{}' compiled for {:?} but the job targets {:?}",
-                        program.name(),
-                        program.geometry(),
-                        geom
-                    ),
-                });
-            }
-            if program.ports() > ports {
-                return Err(CampaignError::BadConfiguration {
-                    reason: format!(
-                        "program '{}' needs {} ports but the job pools {ports}",
-                        program.name(),
-                        program.ports()
-                    ),
-                });
-            }
-            if let Some(baked) = program.background() {
-                if baked != bg {
-                    return Err(CampaignError::BadConfiguration {
-                        reason: format!(
-                            "program '{}' bakes background {baked:#x}, job asked for {bg:#x}",
-                            program.name()
-                        ),
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use prt_march::library;
     use prt_ram::{FaultUniverse, UniverseSpec};
-    use prt_sim::Campaign;
+    use prt_sim::{Campaign, ProgramBank};
 
     #[test]
     fn repeat_get_shares_one_compile() {
@@ -160,40 +76,23 @@ mod tests {
     }
 
     #[test]
-    fn cached_bank_matches_fresh_compilation() {
+    fn cached_programs_match_fresh_compilation() {
         // Bit-identical verdicts: a campaign driven by cache-shared
         // programs equals one driven by freshly compiled programs.
         let geom = Geometry::bom(12);
         let universe = FaultUniverse::enumerate(geom, &UniverseSpec::full());
         let cache = ProgramCache::new();
         let backgrounds = [0u64, 0b1];
-        let bank = CachedBank::new(
-            backgrounds
-                .iter()
-                .map(|&bg| (bg, cache.get(&library::march_c_minus(), geom, bg)))
-                .collect(),
+        let bank = ProgramBank::new(
+            backgrounds.map(|bg| (bg, cache.get(&library::march_c_minus(), geom, bg))),
         );
         let cached = Campaign::new(&universe, &bank).with_backgrounds(&backgrounds).detections();
-        let fresh_bank = prt_sim::ProgramBank::new(backgrounds.map(|bg| {
+        let fresh_bank = ProgramBank::new(backgrounds.map(|bg| {
             (bg, Executor::new().with_background(bg).compile(&library::march_c_minus(), geom))
         }));
         let fresh =
             Campaign::new(&universe, &fresh_bank).with_backgrounds(&backgrounds).detections();
         assert_eq!(cached, fresh);
         assert_eq!(cache.compiles(), backgrounds.len());
-    }
-
-    #[test]
-    fn cached_bank_validates_upfront() {
-        let geom = Geometry::bom(8);
-        let cache = ProgramCache::new();
-        let bank = CachedBank::new(vec![(0, cache.get(&library::mats(), geom, 0))]);
-        let universe = FaultUniverse::enumerate(geom, &UniverseSpec::single_cell());
-        // Unknown background is a typed error, not a worker panic.
-        let err = Campaign::new(&universe, &bank).with_backgrounds(&[0, 3]).try_run();
-        assert!(err.is_err(), "unknown background must be refused upfront");
-        // Wrong geometry likewise.
-        let other = FaultUniverse::enumerate(Geometry::bom(4), &UniverseSpec::single_cell());
-        assert!(Campaign::new(&other, &bank).try_run().is_err());
     }
 }

@@ -78,7 +78,7 @@ pub mod client;
 pub mod proto;
 pub mod server;
 
-pub use cache::{CachedBank, ProgramCache};
+pub use cache::ProgramCache;
 pub use client::{Client, JobStream, SvcError};
 pub use proto::{
     CoverageDelta, DeltaRow, Event, JobDone, JobSpec, LookupReply, LookupSpec, StopKind,

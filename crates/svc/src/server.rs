@@ -37,7 +37,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::cache::{CachedBank, ProgramCache};
+use crate::cache::ProgramCache;
 use crate::proto::{
     read_frame, write_frame, CoverageDelta, DeltaRow, Event, JobDone, JobSpec, LookupReply,
     LookupSpec, Request, StopKind,
@@ -46,7 +46,9 @@ use prt_diag::DictionaryStore;
 use prt_gf::Poly2;
 use prt_march::{library, MarchTest};
 use prt_ram::{FaultKind, FaultUniverse, Geometry, LazyUniverse, Topology};
-use prt_sim::{Campaign, CancelToken, LaneWidth, Parallelism, SegmentProgress, StopCause};
+use prt_sim::{
+    Campaign, CancelToken, LaneWidth, Parallelism, ProgramBank, SegmentProgress, StopCause,
+};
 
 /// The default MISR polynomial for dictionary lookups (`x⁸+x⁴+x³+x+1`,
 /// the suite-wide 8-bit compaction default).
@@ -339,7 +341,7 @@ fn run_job(stream: TcpStream, reader: TcpStream, shared: &Shared, job: JobSpec) 
     let programs: Vec<(u64, Arc<prt_ram::TestProgram>)> =
         job.backgrounds.iter().map(|&bg| (bg, shared.programs.get(&test, geom, bg))).collect();
     let ports = programs.iter().map(|(_, p)| p.ports()).max().unwrap_or(1);
-    let bank = CachedBank::new(programs);
+    let bank = ProgramBank::new(programs);
 
     if send_event(&stream, &Event::Accepted { total: total as u64 }).is_err() {
         return;
