@@ -20,8 +20,8 @@ pub use prt_sim::{ClassTally, CoverageReport, CoverageRow};
 
 /// Campaign adapter that re-interprets the March notation on every trial —
 /// kept as the pre-compilation reference the compiled path is
-/// property-tested and benchmarked against. The evaluators below compile
-/// the test once per (geometry, background) instead ([`compile_bank`]).
+/// property-tested against. The evaluators below compile the test once
+/// per (geometry, background) instead ([`compile_bank`]).
 #[derive(Debug, Clone, Copy)]
 pub struct MarchRunner<'a> {
     test: &'a MarchTest,

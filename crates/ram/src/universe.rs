@@ -334,18 +334,6 @@ impl FaultUniverse {
         })
     }
 
-    /// Iterates `(fault, fresh P-port single-fault memory)` pairs.
-    pub fn instances_with_ports(
-        &self,
-        ports: usize,
-    ) -> impl Iterator<Item = (FaultKind, Ram)> + '_ {
-        self.faults.iter().map(move |f| {
-            let mut ram = Ram::with_ports(self.geom, ports).expect("port count validated");
-            ram.inject(f.clone()).expect("enumerated faults are valid");
-            (f.clone(), ram)
-        })
-    }
-
     /// Deterministically subsamples the universe down to at most `max`
     /// instances (keeps tables tractable for large geometries). The sample
     /// is seeded so every run selects the same instances.

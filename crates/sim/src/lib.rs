@@ -295,6 +295,8 @@ fn pooled_ram(geom: Geometry, ports: usize) -> Ram {
 /// width. Wider chunks amortise the per-pass interpreter walk over more
 /// trials and give the plane loops whole `[u64; K]` words to
 /// auto-vectorise; narrow chunks waste less work on small universes.
+/// The campaign drives exactly the configured width, on the full pass
+/// and the sliced pass alike.
 /// Verdicts, reports and checkpoints are bit-identical at every width
 /// (property-tested in `tests/batch.rs` and `tests/resilience.rs`), so
 /// the width — like the thread count — is a pure throughput knob and is
@@ -321,16 +323,6 @@ impl LaneWidth {
             LaneWidth::X64 => LaneRam::<1>::LANES,
             LaneWidth::X256 => LaneRam::<4>::LANES,
             LaneWidth::X512 => LaneRam::<8>::LANES,
-        }
-    }
-
-    /// The short schema label bench writers record (`"64"`, `"256"`,
-    /// `"512"`).
-    pub fn label(self) -> &'static str {
-        match self {
-            LaneWidth::X64 => "64",
-            LaneWidth::X256 => "256",
-            LaneWidth::X512 => "512",
         }
     }
 }
@@ -970,7 +962,8 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     }
 
     /// Selects the lane-chunk width for the batched path (default
-    /// [`LaneWidth::X512`]). A pure throughput knob: the verdict table,
+    /// [`LaneWidth::X512`]). Every lane batch, full or sliced, runs at
+    /// exactly this width. A pure throughput knob: the verdict table,
     /// reports and checkpoints are bit-identical at every width, so
     /// checkpoints taken at one width resume correctly at another.
     pub fn with_lane_width(mut self, width: LaneWidth) -> Campaign<'a, R> {
@@ -1239,17 +1232,6 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             (Some(programs), true) => Some(programs.iter().map(|p| p.activity_index()).collect()),
             _ => None,
         };
-        // Locality-aware chunk assembly, width half: under slicing the
-        // per-chunk active-op count grows with the chunk's span union, so
-        // when spans barely overlap a wide chunk multiplies per-op plane
-        // work for no dispatch amortisation. Pick the cheapest effective
-        // width from the span-overlap cost model (never wider than the
-        // configured knob — verdicts and checkpoints are width-invariant
-        // by design, so this is pure scheduling).
-        let drive_width = match &slice_plan {
-            Some(_) => self.sliced_drive_width(),
-            None => self.lane_width,
-        };
         let degraded = AtomicUsize::new(0);
         let control = RunControl::new(self.deadline, self.cancel.clone());
         let ctx = DriveCtx { table: &table, done: &done, control: &control, degraded: &degraded };
@@ -1271,7 +1253,7 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
                 // batched driver per width and dispatch on the knob.
                 Some(programs) => {
                     let slice = slice_plan.as_deref();
-                    match drive_width {
+                    match self.lane_width {
                         LaneWidth::X64 => {
                             self.drive_batched::<1>(cursor, seg_end, programs, slice, &ctx)
                         }
@@ -1360,52 +1342,6 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             }
         }
         fp.finish()
-    }
-
-    /// The effective lane-chunk width for **sliced** batched segments:
-    /// the cheapest of the widths not exceeding the configured knob,
-    /// under the span-overlap cost model. A sliced chunk executes one op
-    /// per distinct span cell visit, so its work is roughly
-    /// `distinct-keys-in-chunk × (F + W·K)` with `F` the per-op fixed
-    /// cost (dispatch, gap splice, bucket lookups) and `W·K` the
-    /// K-chunk-word plane loops; `F/W ≈ 11` measured on the batch
-    /// interpreter. Dense universes (every lane sharing every cell)
-    /// favour the widest chunks exactly as the full pass does; sparse
-    /// ones (single-cell faults on a large array) favour narrow chunks,
-    /// whose span unions — and active-op counts — shrink with the lane
-    /// count. Width never affects verdicts, reports or checkpoints (the
-    /// fingerprint deliberately excludes it), so this is pure
-    /// scheduling.
-    fn sliced_drive_width(&self) -> LaneWidth {
-        let mut keys: Vec<usize> = self.faults.iter().map(fault_locality_key).collect();
-        if !keys.is_sorted() {
-            // The driver sorts each segment into locality order before
-            // assembling chunks; model the post-assembly adjacency.
-            keys.sort_unstable();
-        }
-        let mut best = LaneWidth::X64;
-        let mut best_cost = u64::MAX;
-        for width in [LaneWidth::X512, LaneWidth::X256, LaneWidth::X64] {
-            if width.lanes() > self.lane_width.lanes() {
-                continue;
-            }
-            let chunk = width.lanes();
-            let k = (chunk / 64) as u64;
-            let mut distinct = 0u64;
-            for (i, &key) in keys.iter().enumerate() {
-                if i % chunk == 0 || keys[i - 1] != key {
-                    distinct += 1;
-                }
-            }
-            let cost = distinct * (11 + k);
-            // Strict inequality: ties go to the widest width (fewer
-            // chunks, less per-chunk driver overhead).
-            if cost < best_cost {
-                best_cost = cost;
-                best = width;
-            }
-        }
-        best
     }
 
     /// Scalar segment `[start, end)`: chunks of trials on pooled [`Ram`]s,
@@ -1589,8 +1525,8 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
 
     /// The seed's original inner loop — a fresh [`Ram`] allocated per
     /// (fault, background) trial, strictly sequential. Kept as the
-    /// differential-testing oracle and the benchmark baseline the pooled
-    /// engine is measured against; produces bit-identical verdicts.
+    /// differential-testing oracle the pooled engine is checked against;
+    /// produces bit-identical verdicts.
     pub fn detections_reference(&self) -> Vec<bool> {
         self.faults
             .iter()
