@@ -7,10 +7,12 @@
 //! hoists that loop out of the five places it used to be written and makes
 //! it fast:
 //!
-//! * **Pooled devices** — each worker keeps one [`Ram`] and recycles it via
-//!   [`Ram::reset_to`] + [`Ram::eject_faults`], so the steady-state
-//!   campaign performs **zero heap allocation per fault** instead of two
-//!   `Vec` allocations plus fault-bank rebuilds per trial.
+//! * **Pooled devices** — each worker keeps one [`Ram`] (or one lane
+//!   device on the batched path) for the whole campaign, across all its
+//!   streamed segments, and recycles it via [`Ram::reset_to`] +
+//!   [`Ram::eject_faults`], so the steady-state campaign performs **zero
+//!   heap allocation per fault** instead of two `Vec` allocations plus
+//!   fault-bank rebuilds per trial.
 //! * **Parallel fan-out** — fault instances are independent, so workers
 //!   self-schedule over chunks of the instance index space: one private
 //!   scheduler (chunked work-stealing on scoped `std` threads — the
@@ -79,6 +81,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::cell::OnceCell;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -123,32 +127,32 @@ fn worker_panic(chunk: (usize, usize), payload: Box<dyn std::any::Any + Send>) -
 ///
 /// Up to `workers` workers (never more than there are units) claim the
 /// `units` work units (trial chunks or lane batches) in order from one
-/// atomic counter; each worker owns the state `init` builds (its pooled
-/// device), and a single worker runs on the calling thread. A claimed
-/// unit is dropped, ending that worker, once
-/// `cut` holds for it — the fail-fast early exit, sound because claims
-/// are monotone — or once `control` reports a stop. Every unit runs
-/// under `catch_unwind`: a panic poisons only its own unit and is
-/// reported with the unit's fault-index range (`span`). The first
-/// failure stops further claims; a contract error (`unit` returning
-/// `Err`) outranks a trial panic.
+/// atomic counter; worker `w` runs on the state (the pooled device) in
+/// slot `w` of `pool`, and a single worker runs on the calling thread. A
+/// claimed unit is dropped, ending that worker, once `cut` holds for it —
+/// the fail-fast early exit, sound because claims are monotone — or once
+/// `control` reports a stop. Every unit runs under `catch_unwind`: a
+/// panic poisons only its own unit and is reported with the unit's
+/// fault-index range (`span`). The first failure stops further claims; a
+/// contract error (`unit` returning `Err`) outranks a trial panic.
 ///
 /// Returns the stop cause when `control` ended the sweep early.
-fn sweep<S>(
+fn sweep<S: Send>(
     units: usize,
     workers: usize,
     control: Option<&RunControl>,
     span: impl Fn(usize) -> (usize, usize) + Sync,
     cut: impl Fn(usize) -> bool + Sync,
-    init: impl Fn() -> S + Sync,
+    pool: &mut WorkerPool<'_, S>,
     unit: impl Fn(usize, &mut S) -> Result<(), CampaignError> + Sync,
 ) -> Result<Option<StopCause>, CampaignError> {
     let next = AtomicUsize::new(0);
     let failed = AtomicBool::new(false);
     let failure: Mutex<Option<CampaignError>> = Mutex::new(None);
     let stopped: OnceLock<StopCause> = OnceLock::new();
-    let worker = || {
-        let mut state = init();
+    let init = &pool.init;
+    let worker = |pooled: &mut Option<S>| {
+        let state = pooled.get_or_insert_with(init);
         while !failed.load(Ordering::Relaxed) {
             let u = next.fetch_add(1, Ordering::Relaxed);
             if u >= units || cut(u) {
@@ -158,7 +162,7 @@ fn sweep<S>(
                 let _ = stopped.set(cause);
                 break;
             }
-            let outcome = catch_unwind(AssertUnwindSafe(|| unit(u, &mut state)))
+            let outcome = catch_unwind(AssertUnwindSafe(|| unit(u, state)))
                 .unwrap_or_else(|payload| Err(worker_panic(span(u), payload)));
             if let Err(e) = outcome {
                 let is_panic = |e: &CampaignError| matches!(e, CampaignError::WorkerPanic { .. });
@@ -170,13 +174,18 @@ fn sweep<S>(
             }
         }
     };
-    let workers = workers.min(units.max(1));
-    if workers <= 1 {
-        worker();
+    let workers = workers.clamp(1, units.max(1));
+    if pool.slots.len() < workers {
+        pool.slots.resize_with(workers, || None);
+    }
+    let slots = &mut pool.slots[..workers];
+    if let [pooled] = slots {
+        worker(pooled);
     } else {
+        let worker = &worker;
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(worker);
+            for pooled in slots {
+                scope.spawn(move || worker(pooled));
             }
         });
     }
@@ -185,6 +194,28 @@ fn sweep<S>(
         None => Ok(stopped.into_inner()),
     }
 }
+
+/// Worker states that outlive one sweep: worker `w` of every [`sweep`]
+/// over the pool runs on the state in slot `w`, built by `init` the
+/// first time a sweep needs it. A campaign streamed in many segments
+/// thus builds its pooled devices once instead of once per segment.
+/// Reuse is sound because every unit heals and zero-resets its device
+/// before each trial or lane batch. One-shot sweeps pass a pool of their
+/// own.
+struct WorkerPool<'i, S> {
+    slots: Vec<Option<S>>,
+    init: Box<dyn Fn() -> S + Sync + 'i>,
+}
+
+impl<'i, S> WorkerPool<'i, S> {
+    fn new(init: impl Fn() -> S + Sync + 'i) -> WorkerPool<'i, S> {
+        WorkerPool { slots: Vec::new(), init: Box::new(init) }
+    }
+}
+
+/// One lane worker's pooled state: its device, its active-set scratch
+/// and its per-batch result buffer.
+type LaneState<const K: usize> = (LaneRam<K>, ActiveSet, Vec<bool>);
 
 /// The one lane-batch runner behind every batched sweep (campaign
 /// segments and [`try_map_trials_batched`]): everything one lane batch
@@ -341,7 +372,10 @@ pub enum Parallelism {
 }
 
 impl Parallelism {
-    fn workers(self, trials: usize) -> usize {
+    /// Workers for a sweep of `trials` trials. `cores` supplies the
+    /// host's core count; only [`Parallelism::Auto`] at or above the
+    /// threshold reads it.
+    fn workers(self, trials: usize, cores: impl FnOnce() -> usize) -> usize {
         let w = match self {
             Parallelism::Sequential => 1,
             Parallelism::Threads(n) => n.max(1),
@@ -349,12 +383,18 @@ impl Parallelism {
                 if trials < AUTO_PARALLEL_THRESHOLD {
                     1
                 } else {
-                    std::thread::available_parallelism().map_or(1, |n| n.get())
+                    cores()
                 }
             }
         };
         w.min(trials.max(1))
     }
+}
+
+/// The host's core count. `available_parallelism` re-reads the cgroup
+/// CPU quota on every call, so a campaign reads it at most once per run.
+fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Something that can run one prepared, single-fault memory and report
@@ -682,7 +722,7 @@ where
     F: Fn(usize, &mut Ram) -> T + Sync,
 {
     validate_ports(geom, ports)?;
-    let workers = parallelism.workers(count);
+    let workers = parallelism.workers(count, available_cores);
     let chunk = chunk_len(count, workers);
     let range = |c: usize| (c * chunk, ((c + 1) * chunk).min(count));
     let results: Vec<OnceLock<T>> = (0..count).map(|_| OnceLock::new()).collect();
@@ -692,7 +732,7 @@ where
         None,
         range,
         |_| false,
-        || pooled_ram(geom, ports),
+        &mut WorkerPool::new(|| pooled_ram(geom, ports)),
         |c, ram| {
             let (lo, hi) = range(c);
             for (i, slot) in results.iter().enumerate().take(hi).skip(lo) {
@@ -786,11 +826,13 @@ where
     };
     sweep(
         n_batches,
-        parallelism.workers(faults.len()),
+        parallelism.workers(faults.len(), available_cores),
         None,
         range,
         |_| false,
-        || (LaneRam::<K>::with_ports(geom, ports).expect("valid port count"), Vec::new()),
+        &mut WorkerPool::new(|| {
+            (LaneRam::<K>::with_ports(geom, ports).expect("valid port count"), Vec::new())
+        }),
         |b, (ram, out)| {
             let (lo, hi) = range(b);
             runner.run(ram, out, &order[lo..hi], &batch_trial)
@@ -1065,7 +1107,10 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     /// effective segment length is the smaller of the two cadences.
     /// `every` is clamped to ≥ 1. The sink runs on the driving thread,
     /// between segments — a slow sink throttles the campaign, not the
-    /// verdicts.
+    /// verdicts. A segment boundary costs one sink call and nothing
+    /// else: the engine, the lane width and the workers' pooled devices
+    /// are chosen once per run and carry over from segment to segment,
+    /// so a fine cadence does not rebuild devices.
     pub fn with_progress(
         mut self,
         every: usize,
@@ -1188,17 +1233,75 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     }
 
     /// The resilient driver every campaign entry point sits on: validates
-    /// the configuration upfront, resumes from a checkpoint when one is
-    /// armed and compatible, then drives the universe in **segments**
-    /// (the finer of the checkpoint and progress cadences per segment;
-    /// the whole remainder when neither is armed), checkpointing the
-    /// contiguous verdict prefix and reporting progress to the streaming
-    /// sink after each. Worker panics poison only their chunk; deadline and
-    /// cancellation stop the fan-out at chunk boundaries; a panicking
-    /// lane batch degrades to the scalar oracle.
+    /// the configuration upfront, then picks the engine once for the
+    /// whole campaign — scalar, or lane-batched at the configured
+    /// [`LaneWidth`] — and runs every segment of it on that engine
+    /// ([`Campaign::drive_segments`]).
     fn try_progress(&self) -> Result<Progress, CampaignError> {
         self.runner.validate(self.geom, self.ports, &self.backgrounds)?;
         validate_ports(self.geom, self.ports)?;
+        let Some(programs) = self.batch_plan() else {
+            return self.drive_segments(
+                || pooled_ram(self.geom, self.ports),
+                |seg, workers, ctx, pool| self.drive_scalar(seg, workers, ctx, pool),
+            );
+        };
+        // Activity indexes (one per background program) for the sliced
+        // batch path: resolved once per campaign, before the segment loop
+        // (the programs cache the compiled index, so repeat campaigns
+        // over the same program share one build).
+        let slice: Option<Vec<Arc<ActivityIndex>>> =
+            self.slicing.then(|| programs.iter().map(|p| p.activity_index()).collect());
+        let slice = slice.as_deref();
+        // The chunk width is a const generic: monomorphise the whole
+        // segment loop per width and dispatch on the knob once.
+        match self.lane_width {
+            LaneWidth::X64 => self.drive_lanes::<1>(&programs, slice),
+            LaneWidth::X256 => self.drive_lanes::<4>(&programs, slice),
+            LaneWidth::X512 => self.drive_lanes::<8>(&programs, slice),
+        }
+    }
+
+    /// Every segment of a lane-batched campaign at width `K`, on one pool
+    /// of lane devices.
+    fn drive_lanes<const K: usize>(
+        &self,
+        programs: &[&TestProgram],
+        slice: Option<&[Arc<ActivityIndex>]>,
+    ) -> Result<Progress, CampaignError> {
+        self.drive_segments(
+            || {
+                let ram =
+                    LaneRam::<K>::with_ports(self.geom, self.ports).expect("valid port count");
+                (ram, ActiveSet::new(), Vec::new())
+            },
+            |seg, workers, ctx, pool| {
+                self.drive_batched::<K>(seg, workers, programs, slice, ctx, pool)
+            },
+        )
+    }
+
+    /// The segment loop: resumes from a checkpoint when one is armed and
+    /// compatible, then drives the universe in **segments** (the finer of
+    /// the checkpoint and progress cadences per segment; the whole
+    /// remainder when neither is armed) through `segment`, checkpointing
+    /// the contiguous verdict prefix and reporting progress to the
+    /// streaming sink after each. One pool of worker states (built by
+    /// `init`) serves every segment, and the core count is read at most
+    /// once, so a segment boundary costs a progress call, not fresh
+    /// devices. Worker panics poison only their chunk; deadline and
+    /// cancellation stop the fan-out at chunk boundaries; a panicking
+    /// lane batch degrades to the scalar oracle.
+    fn drive_segments<S: Send>(
+        &self,
+        init: impl Fn() -> S + Sync,
+        segment: impl Fn(
+            Range<usize>,
+            usize,
+            &DriveCtx<'_>,
+            &mut WorkerPool<'_, S>,
+        ) -> Result<Option<StopCause>, CampaignError>,
+    ) -> Result<Progress, CampaignError> {
         let total = self.faults.len();
         let fingerprint = self.checkpoint.as_ref().map(|_| self.fingerprint());
         let table: Vec<AtomicBool> = (0..total).map(|_| AtomicBool::new(false)).collect();
@@ -1223,18 +1326,11 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
                 (hook.sink)(SegmentProgress { start: 0, end: cursor, verdicts: &prefix });
             }
         }
-        let plan = self.batch_plan();
-        // Activity indexes (one per background program) for the sliced
-        // batch path: resolved once per campaign, before the segment loop
-        // (the programs cache the compiled index, so repeat campaigns
-        // over the same program share one build).
-        let slice_plan: Option<Vec<Arc<ActivityIndex>>> = match (&plan, self.slicing) {
-            (Some(programs), true) => Some(programs.iter().map(|p| p.activity_index()).collect()),
-            _ => None,
-        };
         let degraded = AtomicUsize::new(0);
         let control = RunControl::new(self.deadline, self.cancel.clone());
         let ctx = DriveCtx { table: &table, done: &done, control: &control, degraded: &degraded };
+        let mut pool = WorkerPool::new(init);
+        let cores = OnceCell::new();
         let mut stopped = None;
         // Segment length: the finer of the checkpoint cadence and the
         // progress cadence (one whole-remainder segment when neither is
@@ -1248,25 +1344,9 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         while cursor < total {
             let seg_start = cursor;
             let seg_end = cursor.saturating_add(step).min(total);
-            let outcome = match &plan {
-                // The chunk width is a const generic: monomorphise the
-                // batched driver per width and dispatch on the knob.
-                Some(programs) => {
-                    let slice = slice_plan.as_deref();
-                    match self.lane_width {
-                        LaneWidth::X64 => {
-                            self.drive_batched::<1>(cursor, seg_end, programs, slice, &ctx)
-                        }
-                        LaneWidth::X256 => {
-                            self.drive_batched::<4>(cursor, seg_end, programs, slice, &ctx)
-                        }
-                        LaneWidth::X512 => {
-                            self.drive_batched::<8>(cursor, seg_end, programs, slice, &ctx)
-                        }
-                    }
-                }
-                None => self.drive_scalar(cursor, seg_end, &ctx),
-            };
+            let workers =
+                self.parallelism.workers(seg_end - cursor, || *cores.get_or_init(available_cores));
+            let outcome = segment(cursor..seg_end, workers, &ctx, &mut pool);
             while cursor < seg_end && done[cursor].load(Ordering::Relaxed) {
                 cursor += 1;
             }
@@ -1344,17 +1424,18 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         fp.finish()
     }
 
-    /// Scalar segment `[start, end)`: chunks of trials on pooled [`Ram`]s,
-    /// run by the shared scheduler ([`sweep`]) with the control polled
-    /// before every chunk.
+    /// Scalar segment `seg`: chunks of trials on `workers` pooled
+    /// [`Ram`]s, run by the shared scheduler ([`sweep`]) with the control
+    /// polled before every chunk.
     fn drive_scalar(
         &self,
-        start: usize,
-        end: usize,
+        seg: Range<usize>,
+        workers: usize,
         ctx: &DriveCtx<'_>,
+        pool: &mut WorkerPool<'_, Ram>,
     ) -> Result<Option<StopCause>, CampaignError> {
+        let Range { start, end } = seg;
         let count = end - start;
-        let workers = self.parallelism.workers(count);
         let chunk = chunk_len(count, workers);
         let range = |c: usize| (start + c * chunk, (start + (c + 1) * chunk).min(end));
         sweep(
@@ -1363,7 +1444,7 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             Some(ctx.control),
             range,
             |_| false,
-            || pooled_ram(self.geom, self.ports),
+            pool,
             |c, ram| {
                 let (lo, hi) = range(c);
                 for i in lo..hi {
@@ -1377,25 +1458,27 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         )
     }
 
-    /// Lane-batched segment `[start, end)`: faults are packed
-    /// `LaneRam::<K>::LANES` per [`LaneRam`] chunk (one interpreter pass
-    /// per batch per background, with the cross-background early exit per
-    /// lane) and run by the shared scheduler and lane-batch runner, so
-    /// threads × lanes trials are in flight while verdicts stay keyed by
-    /// fault index — bit-identical at any thread count and any width. A
-    /// batch whose pass panics degrades to the scalar oracle. With an
-    /// activity-slice plan, batches are assembled in fault-locality order
-    /// and each pass walks only the ops intersecting the batch's span
-    /// union ([`TestProgram::try_detect_batch_sliced`]) — still
-    /// bit-identical.
+    /// Lane-batched segment `seg` on `workers` pooled lane devices:
+    /// faults are packed `LaneRam::<K>::LANES` per [`LaneRam`] chunk (one
+    /// interpreter pass per batch per background, with the
+    /// cross-background early exit per lane) and run by the shared
+    /// scheduler and lane-batch runner, so threads × lanes trials are in
+    /// flight while verdicts stay keyed by fault index — bit-identical at
+    /// any thread count and any width. A batch whose pass panics degrades
+    /// to the scalar oracle. With an activity-slice plan, batches are
+    /// assembled in fault-locality order and each pass walks only the ops
+    /// intersecting the batch's span union
+    /// ([`TestProgram::try_detect_batch_sliced`]) — still bit-identical.
     fn drive_batched<const K: usize>(
         &self,
-        start: usize,
-        end: usize,
+        seg: Range<usize>,
+        workers: usize,
         programs: &[&TestProgram],
         slice: Option<&[Arc<ActivityIndex>]>,
         ctx: &DriveCtx<'_>,
+        pool: &mut WorkerPool<'_, LaneState<K>>,
     ) -> Result<Option<StopCause>, CampaignError> {
+        let Range { start, end } = seg;
         let lanes = LaneRam::<K>::LANES;
         let count = end - start;
         let n_batches = count.div_ceil(lanes);
@@ -1440,18 +1523,14 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         };
         sweep(
             n_batches,
-            self.parallelism.workers(count),
+            workers,
             Some(ctx.control),
             |b| {
                 let (lo, hi) = range(b);
                 (start + lo, start + hi)
             },
             |_| false,
-            || {
-                let ram =
-                    LaneRam::<K>::with_ports(self.geom, self.ports).expect("valid port count");
-                (ram, ActiveSet::new(), Vec::new())
-            },
+            pool,
             |b, (ram, active, out)| {
                 let (lo, hi) = range(b);
                 let batch = &order[lo..hi];
@@ -1571,7 +1650,7 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     pub fn first_escape(&self) -> Option<usize> {
         validate_ports(self.geom, self.ports).unwrap_or_else(|e| e.raise());
         let count = self.faults.len();
-        let workers = self.parallelism.workers(count);
+        let workers = self.parallelism.workers(count, available_cores);
         let chunk = chunk_len(count, workers);
         let range = |c: usize| (c * chunk, ((c + 1) * chunk).min(count));
         let best = AtomicUsize::new(usize::MAX);
@@ -1584,7 +1663,7 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             range,
             // Chunks past a known escape cannot improve the minimum.
             |c| c * chunk >= best.load(Ordering::Relaxed),
-            || pooled_ram(self.geom, self.ports),
+            &mut WorkerPool::new(|| pooled_ram(self.geom, self.ports)),
             |c, ram| {
                 let (lo, hi) = range(c);
                 for (i, done) in done.iter().enumerate().take(hi).skip(lo) {
@@ -2348,35 +2427,104 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// March C- — `{⇕(w0); ⇑(r0,w1); ⇑(r1,w0); ⇓(r0,w1); ⇓(r1,w0); ⇕(r0)}`
+    /// — built op by op (`prt-march`, which compiles March notation, sits
+    /// above this crate).
+    fn march_c_minus_program(geom: Geometry) -> TestProgram {
+        let mut b = prt_ram::ProgramBuilder::new(geom).with_name("March C-");
+        let n = geom.cells();
+        let one = geom.data_mask();
+        for a in 0..n {
+            b.write(a, 0);
+        }
+        for (up, from, to) in [(true, 0, one), (true, one, 0), (false, 0, one), (false, one, 0)] {
+            for i in 0..n {
+                let a = if up { i } else { n - 1 - i };
+                b.read_expect(a, from);
+                b.write(a, to);
+            }
+        }
+        for a in 0..n {
+            b.read_expect(a, 0);
+        }
+        b.build()
+    }
+
+    /// Streams the `configure`d campaign over `faults` at `cadence` and
+    /// checks that the sink saw in-order, gap-free segments of at most
+    /// `cadence` trials whose verdicts equal the unhooked run's, and that
+    /// hooking left the report unchanged.
+    fn assert_streams_like_unhooked(
+        geom: Geometry,
+        faults: &[FaultKind],
+        prog: &TestProgram,
+        cadence: usize,
+        configure: &dyn for<'c> Fn(Campaign<'c, &'c TestProgram>) -> Campaign<'c, &'c TestProgram>,
+    ) {
+        let unhooked = configure(Campaign::over(geom, faults, prog));
+        let (oracle, plain) = (unhooked.detections(), unhooked.run());
+        let seen: Mutex<Vec<(usize, usize, Vec<bool>)>> = Mutex::new(Vec::new());
+        let report = configure(Campaign::over(geom, faults, prog))
+            .with_progress(cadence, |seg: SegmentProgress<'_>| {
+                seen.lock().unwrap().push((seg.start, seg.end, seg.verdicts.to_vec()));
+            })
+            .run();
+        let case = format!(
+            "batching {}, {:?}, slicing {}, {:?}, cadence {cadence}",
+            unhooked.lane_batching, unhooked.lane_width, unhooked.slicing, unhooked.parallelism
+        );
+        assert_eq!(report, plain, "hooking must not perturb the report: {case}");
+        let mut cursor = 0;
+        let mut streamed = Vec::new();
+        for (start, end, verdicts) in seen.into_inner().unwrap() {
+            assert_eq!(start, cursor, "segments must tile without gaps: {case}");
+            assert!(end > start && end - start <= cadence, "segment cadence respected: {case}");
+            assert_eq!(verdicts.len(), end - start);
+            streamed.extend_from_slice(&verdicts);
+            cursor = end;
+        }
+        assert_eq!(cursor, faults.len(), "segments must cover the whole universe: {case}");
+        assert_eq!(streamed, oracle, "streamed verdicts must equal the verdict table: {case}");
+    }
+
     #[test]
     fn progress_segments_tile_and_match_detections() {
         // The streaming sink must see in-order, gap-free segments whose
-        // concatenated verdicts equal the terminal verdict table — on
-        // both engines — and hooking must not perturb the report.
+        // concatenated verdicts equal the unhooked run's verdict table —
+        // on both engines — and hooking must not perturb the report.
         let u = universe();
         let prog = toy_program(u.geometry());
         for batching in [true, false] {
-            let oracle = Campaign::new(&u, &prog).with_lane_batching(batching).detections();
-            let seen: Mutex<Vec<(usize, usize, Vec<bool>)>> = Mutex::new(Vec::new());
-            let report = Campaign::new(&u, &prog)
-                .with_lane_batching(batching)
-                .with_progress(7, |seg: SegmentProgress<'_>| {
-                    seen.lock().unwrap().push((seg.start, seg.end, seg.verdicts.to_vec()));
-                })
-                .run();
-            assert!(report.partial().is_none());
-            let seen = seen.into_inner().unwrap();
-            let mut cursor = 0;
-            let mut streamed = Vec::new();
-            for (start, end, verdicts) in &seen {
-                assert_eq!(*start, cursor, "segments must tile without gaps");
-                assert!(end > start && end - start <= 7, "segment cadence respected");
-                assert_eq!(verdicts.len(), end - start);
-                streamed.extend_from_slice(verdicts);
-                cursor = *end;
+            assert_streams_like_unhooked(u.geometry(), u.faults(), &prog, 7, &|c| {
+                c.with_lane_batching(batching)
+            });
+        }
+        // Every segment reuses its workers' pooled devices. Coupling and
+        // retention faults leave state in a device, so a March C- sweep
+        // over them checks that reuse at cadences below, at and just
+        // above one 512-lane batch, on every engine configuration.
+        let geom = Geometry::bom(16);
+        let mut faults =
+            FaultUniverse::enumerate(geom, &UniverseSpec::paper_claim()).faults().to_vec();
+        faults.extend((0..geom.cells()).flat_map(|cell| {
+            [0, 1].map(|decays_to| FaultKind::DataRetention { cell, bit: 0, decays_to, after: 24 })
+        }));
+        let march = march_c_minus_program(geom);
+        for cadence in [1, 63, 512, 513] {
+            for parallelism in [Parallelism::Sequential, Parallelism::Threads(2)] {
+                assert_streams_like_unhooked(geom, &faults, &march, cadence, &|c| {
+                    c.with_lane_batching(false).with_parallelism(parallelism)
+                });
+                for slicing in [true, false] {
+                    for width in [LaneWidth::X64, LaneWidth::X256, LaneWidth::X512] {
+                        assert_streams_like_unhooked(geom, &faults, &march, cadence, &|c| {
+                            c.with_slicing(slicing)
+                                .with_lane_width(width)
+                                .with_parallelism(parallelism)
+                        });
+                    }
+                }
             }
-            assert_eq!(cursor, u.len(), "segments must cover the whole universe");
-            assert_eq!(streamed, oracle, "streamed verdicts must equal the verdict table");
         }
     }
 

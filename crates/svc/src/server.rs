@@ -31,9 +31,9 @@
 //! (chaos-tested in `tests/resilience.rs`).
 
 use std::io::{self, Read};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -53,6 +53,9 @@ use prt_sim::{
 /// The default MISR polynomial for dictionary lookups (`x⁸+x⁴+x³+x+1`,
 /// the suite-wide 8-bit compaction default).
 pub const DEFAULT_POLY_BITS: u64 = 0b1_0001_1011;
+
+/// How long [`ServerHandle::shutdown`] waits for its wake-up connection.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Server tuning knobs. `Default` is a loopback server on an
 /// OS-assigned port with in-memory caches.
@@ -105,16 +108,18 @@ pub struct Server;
 
 impl Server {
     /// Binds `config.addr` and starts the accept loop on a background
-    /// thread. The returned handle owns the server: dropping it (or
-    /// calling [`ServerHandle::shutdown`]) stops accepting; sessions
-    /// already streaming run to completion.
+    /// thread. The loop blocks in `accept()` and never polls, so a
+    /// connecting client is handed to its session as soon as the kernel
+    /// completes the handshake. The returned handle owns the server:
+    /// dropping it (or calling [`ServerHandle::shutdown`]) stops
+    /// accepting; sessions already streaming run to completion and still
+    /// end with their `Done` frame.
     ///
     /// # Errors
     ///
     /// The bind error, verbatim.
     pub fn spawn(config: ServerConfig) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let poly = Poly2::from_bits(u128::from(config.poly_bits));
         let dicts = match &config.store_dir {
@@ -130,25 +135,22 @@ impl Server {
             shutdown: AtomicBool::new(false),
         });
         let accept_shared = Arc::clone(&shared);
-        let accept = thread::spawn(move || {
-            loop {
-                if accept_shared.shutdown.load(Ordering::Relaxed) {
-                    break;
+        let accept = thread::spawn(move || loop {
+            let accepted = listener.accept();
+            // Shutdown wakes this blocking accept with a connection of
+            // its own; whatever came in with the flag set is dropped.
+            if accept_shared.shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+            match accepted {
+                Ok((stream, _peer)) => {
+                    let _ = stream.set_nodelay(true);
+                    let session_shared = Arc::clone(&accept_shared);
+                    thread::spawn(move || session(stream, session_shared));
                 }
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        // The listener is non-blocking so the accept loop
-                        // can poll shutdown; sessions must block.
-                        let _ = stream.set_nonblocking(false);
-                        let _ = stream.set_nodelay(true);
-                        let session_shared = Arc::clone(&accept_shared);
-                        thread::spawn(move || session(stream, session_shared));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(_) => thread::sleep(Duration::from_millis(10)),
-                }
+                // A real accept failure (e.g. `EMFILE`): back off briefly
+                // so the loop cannot spin on it.
+                Err(_) => thread::sleep(Duration::from_millis(10)),
             }
         });
         Ok(ServerHandle { addr, shared, accept: Some(accept) })
@@ -187,20 +189,36 @@ impl ServerHandle {
         self.shared.dicts.builds()
     }
 
-    /// Stops accepting connections and joins the accept loop. Sessions
-    /// already streaming complete on their own threads.
+    /// Stops accepting connections and joins the accept loop: sets the
+    /// shutdown flag, then wakes the blocked `accept()` by connecting to
+    /// the bound address once (loopback when bound to an unspecified
+    /// address). Connections that arrive from then on are never served.
+    /// Sessions already streaming complete on their own threads and
+    /// still end with their `Done` frame.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        if let Some(accept) = self.accept.take() {
+        let Some(accept) = self.accept.take() else { return };
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // The connect is bounded, and the loop is joined only once it is
+        // known to be woken, so a failed wake cannot hang the caller (the
+        // loop then exits at its next accept).
+        if TcpStream::connect_timeout(&wake, WAKE_TIMEOUT).is_ok() {
             let _ = accept.join();
         }
     }
 }
 
+/// Stops the server exactly like [`ServerHandle::shutdown`].
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.stop();
@@ -253,11 +271,11 @@ fn session(stream: TcpStream, shared: Arc<Shared>) {
     }
 }
 
-/// Resolves a March-library test by its display name.
-fn resolve_family(name: &str) -> Option<MarchTest> {
-    let mut tests = library::all();
-    tests.push(library::march_diag());
-    tests.into_iter().find(|t| t.name() == name)
+/// Resolves a March-library test by its display name. The library is
+/// parsed once per process, not once per request.
+fn resolve_family(name: &str) -> Option<&'static MarchTest> {
+    static LIBRARY: OnceLock<Vec<MarchTest>> = OnceLock::new();
+    LIBRARY.get_or_init(library::all).iter().find(|t| t.name() == name)
 }
 
 /// Builds the device geometry from wire fields.
@@ -339,7 +357,7 @@ fn run_job(stream: TcpStream, reader: TcpStream, shared: &Shared, job: JobSpec) 
     // Programs from the shared cache — every shard (and every concurrent
     // job with this configuration) drives the same compiled artifacts.
     let programs: Vec<(u64, Arc<prt_ram::TestProgram>)> =
-        job.backgrounds.iter().map(|&bg| (bg, shared.programs.get(&test, geom, bg))).collect();
+        job.backgrounds.iter().map(|&bg| (bg, shared.programs.get(test, geom, bg))).collect();
     let ports = programs.iter().map(|(_, p)| p.ports()).max().unwrap_or(1);
     let bank = ProgramBank::new(programs);
 
@@ -474,7 +492,7 @@ fn handle_lookup(shared: &Shared, spec: &LookupSpec) -> Result<LookupReply, (u16
     };
     let geom = make_geometry(spec.cells, spec.width).map_err(|reason| (1, reason))?;
     let universe = FaultUniverse::enumerate(geom, &spec.spec);
-    let program = shared.programs.get(&test, geom, 0);
+    let program = shared.programs.get(test, geom, 0);
     let full = shared
         .dicts
         .get_or_build(&universe, &program, shared.poly, Parallelism::Auto)
@@ -504,4 +522,70 @@ fn handle_lookup(shared: &Shared, spec: &LookupSpec) -> Result<LookupReply, (u16
         builds: shared.dicts.builds() as u64,
         reference: dict.reference(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use prt_ram::UniverseSpec;
+    use std::sync::mpsc;
+
+    /// A March C- job over a bit-oriented memory of `cells` cells.
+    fn job(cells: u64, spec: UniverseSpec, segment: u32) -> JobSpec {
+        JobSpec {
+            family: library::march_c_minus().name().to_string(),
+            cells,
+            width: 1,
+            spec,
+            backgrounds: vec![0],
+            lane_width: 0,
+            deadline_ms: 0,
+            segment,
+            topology: None,
+        }
+    }
+
+    /// Shuts `server` down on a helper thread and fails, instead of
+    /// hanging, when `shutdown` does not return within 10 s.
+    fn shutdown_or_fail(server: ServerHandle) {
+        let (tx, rx) = mpsc::channel();
+        let helper = thread::spawn(move || {
+            server.shutdown();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(10)).expect("shutdown must wake the blocked accept");
+        helper.join().expect("shutdown helper");
+    }
+
+    #[test]
+    fn shutdown_wakes_an_idle_accept_and_refuses_new_jobs() {
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let config = ServerConfig { addr: bind.to_string(), ..ServerConfig::default() };
+            let server = Server::spawn(config).expect("bind");
+            let port = server.addr().port();
+            // No client ever connected, so the accept loop is blocked.
+            shutdown_or_fail(server);
+            let accepted = Client::connect((Ipv4Addr::LOCALHOST, port))
+                .ok()
+                .and_then(|client| client.submit(&job(8, UniverseSpec::single_cell(), 0)).ok());
+            assert!(accepted.is_none(), "a server bound to {bind} accepted a job after shutdown");
+        }
+    }
+
+    #[test]
+    fn streaming_job_completes_across_shutdown() {
+        let server = Server::spawn(ServerConfig::default()).expect("bind");
+        let client = Client::connect(server.addr()).expect("connect");
+        // About 10k faults streamed 16 at a time: far from done after its
+        // first delta.
+        let mut stream =
+            client.submit(&job(32, UniverseSpec::paper_claim(), 16)).expect("job accepted");
+        assert!(matches!(stream.next_event(), Ok(Some(Event::Delta(_)))), "the job is streaming");
+        shutdown_or_fail(server);
+        let (deltas, done) = stream.drain().expect("the stream still ends with Done");
+        assert_eq!(done.cause, StopKind::Complete);
+        assert_eq!(done.evaluated, done.total);
+        assert_eq!(deltas.last().map(|d| d.end), Some(done.total));
+    }
 }
