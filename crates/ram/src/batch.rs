@@ -16,38 +16,42 @@
 //! auto-vectorizes.
 //!
 //! [`LaneFaultBank`] injects **every fault family** as per-lane state:
-//! SAF, TF, CFin, CFid, CFst, NPSF and data retention as per-lane masks
-//! applied in the enforcement phases; the read/write-logic families
-//! (RDF, DRDF, IRF, WDF) as per-lane flip masks in the read and write
-//! phases; stuck-open cells via per-lane, per-port sense-amplifier
-//! planes; and address-decoder faults through a bit-sliced decoder model
-//! — per-lane address remap masks, the lane analogue of the scalar
-//! decoder table. Multi-port cycle programs batch too: [`LaneRam`] pools
-//! per-port sense planes and a per-lane write-write conflict engine
+//! the single-cell families (SAF, TF, WDF, RDF, DRDF, IRF, SOF) folded
+//! into per-cell, per-bit lane masks; data retention, CFin, CFid, CFst
+//! and NPSF as per-fault entries listed by cell and kind; stuck-open
+//! reads via per-lane, per-port sense-amplifier planes; and
+//! address-decoder faults through a bit-sliced decoder model — per-lane
+//! address remap masks, the lane analogue of the scalar decoder table.
+//! Multi-port cycle programs batch too: [`LaneRam`] pools per-port sense
+//! planes and a per-lane write-write conflict engine
 //! ([`LaneRam::cycle_conflicts`]), so nothing is left on the scalar
-//! [`crate::Ram`] path. Every modelled [`crate::FaultKind`] batches —
-//! the exhaustive match in [`LaneFaultBank::add`] is the compile-time
-//! proof, and the historical `is_lane_batchable` partition seam is
-//! retired: campaigns no longer split a universe into batchable and
-//! scalar-remainder halves.
+//! [`crate::Ram`] path. Every modelled [`crate::FaultKind`] batches — an
+//! exhaustive match in the bank is the compile-time proof — so campaigns
+//! never split a universe into batchable and scalar-remainder halves.
 //!
 //! # Exactness
 //!
-//! Per lane, [`LaneRam`] is **bitwise-exact** against [`crate::Ram`] with
-//! the same single fault injected: every enforcement phase of the scalar
-//! access path (stuck-open write loss → transition blocking →
-//! write-disturb → stuck-at → store → coupling triggers → state-coupling
-//! → NPSF on writes; stuck-open sense latch → retention decay →
-//! state-coupling → NPSF → stuck-at → destructive/deceptive-read flips →
-//! incorrect-read inversion on reads) is reproduced in the same order
-//! with the fault's effect masked to its lane. Decoder faults remap which
+//! A lane is one single-fault trial: [`LaneRam::inject`] refuses a second
+//! fault in an occupied lane, and the bank's folds rely on it. Per lane,
+//! every read of [`LaneRam`] is then **bitwise-exact** against
+//! [`crate::Ram`] with the same single fault injected. Every enforcement
+//! phase of the scalar access path (stuck-open write loss → transition
+//! blocking → write-disturb → stuck-at → store → coupling triggers →
+//! state-coupling → NPSF on writes; stuck-open sense latch → retention
+//! decay → state-coupling → NPSF → stuck-at → destructive/deceptive-read
+//! flips → incorrect-read inversion on reads) is reproduced in the same
+//! order with the fault's effect masked to its lane. Decoder faults remap which
 //! *cells* an address touches per lane, so every per-cell side effect is
 //! additionally masked to the lanes that actually access the cell — a
 //! lane whose decoder fault diverts an access must not observe another
 //! lane's read-triggered flips, and retention windows are clocked per
 //! fault rather than per cell for the same reason. The device operation
 //! clock is shared across lanes — sound because the driving program
-//! issues the identical operation sequence to every lane. The scalar
+//! issues the identical operation sequence to every lane. One effect is
+//! not masked: a read re-applies the cell's stuck-at masks on every lane,
+//! so a stuck-at lane's raw storage (what `peek_lane` shows) can take its
+//! stuck value before that lane accesses the cell — no read can tell,
+//! since every read of the cell applies stuck-at first. The scalar
 //! engine remains the differential oracle (property-tested in
 //! `tests/batch.rs` and `crates/ram/tests/proptests.rs`).
 //!
@@ -242,84 +246,103 @@ enum LaneDecode {
     Shadow(usize),
 }
 
-/// An indexed collection of `(fault, lane mask)` pairs, organised exactly
-/// like the scalar [`crate::FaultBank`]: per-cell victim/aggressor buckets
-/// for O(1) hot-path lookup, a per-address lane-decoder table for AF, and
-/// Per-cell fault-kind presence bits (victim side): each enforcement
-/// pass of the read/write hot paths is gated on its bit, so a cell
-/// carrying only (say) stuck-at faults skips the transition, disturb,
-/// retention, coupling and NPSF scans entirely instead of matching every
-/// bucket entry against every pass.
-const VK_SA: u16 = 1 << 0;
-const VK_TF: u16 = 1 << 1;
-const VK_WD: u16 = 1 << 2;
-const VK_DR: u16 = 1 << 3;
-const VK_SOF: u16 = 1 << 4;
-const VK_RDLOGIC: u16 = 1 << 5;
-const VK_CFST: u16 = 1 << 6;
-const VK_NPSF: u16 = 1 << 7;
+/// Sentinel [`LaneFaultBank`] slot: no fault of the batch touches the
+/// cell.
+const NO_SITE: u32 = u32::MAX;
 
-/// Aggressor-side presence bits: coupling triggers (inversion /
-/// idempotent), state-coupling aggressors and NPSF neighbours.
-const AK_CF_TRIG: u8 = 1 << 0;
-const AK_CFST: u8 = 1 << 1;
-const AK_NPSF: u8 = 1 << 2;
+/// Fold groups: the single-cell kinds whose faults differ only by lane,
+/// each kept as one lane mask per bit of the cell.
+const SA0: usize = 0;
+const SA1: usize = 1;
+const TF_UP: usize = 2;
+const TF_DOWN: usize = 3;
+const WDF: usize = 4;
+const RDF: usize = 5;
+const DRDF: usize = 6;
+const IRF: usize = 7;
+const FOLDS: usize = 8;
 
-/// per-fault retention clocks — recycled allocation-free across campaign
-/// batches via [`LaneFaultBank::clear`].
-#[derive(Debug, Clone)]
+/// Entry lists: the kinds whose faults carry their own state or partner
+/// cell, listed by fault index at each cell they act through.
+const DRF: usize = 0;
+const CF_TRIGGER: usize = 1;
+const CFST_AGG: usize = 2;
+const CFST_VICTIM: usize = 3;
+const NPSF_VICTIM: usize = 4;
+const NPSF_NEIGHBOR: usize = 5;
+const LISTS: usize = 6;
+
+/// What one cell carries in the current batch.
+#[derive(Debug, Clone, Default)]
+struct Site<const K: usize> {
+    /// The cell, so [`LaneFaultBank::clear`] can free its slot.
+    cell: usize,
+    /// The lanes of every fault indexed at the cell: an access that
+    /// misses them skips every pass.
+    lanes: LaneChunk<K>,
+    /// The stuck-open lanes.
+    sof: LaneChunk<K>,
+    /// Bit `g` is set once fold group `g` holds a lane; the group's
+    /// masks are zeroed then, so an unset group is never read.
+    folds: u8,
+    /// Fault indices per entry list.
+    lists: [Vec<u32>; LISTS],
+}
+
+/// The faults of one lane batch, laid out per cell and kind so that every
+/// pass touches only the faults it can fire, however the chunk's faults
+/// were assembled.
+///
+/// Each fault occupies one lane ([`LaneRam::inject`] enforces it), which
+/// makes the layout exact:
+///
+/// * **Folded kinds.** Stuck-at, transition, write-disturb and the
+///   read-logic faults of one cell differ only by lane, so they fold
+///   into one lane mask per (cell, kind, bit), and stuck-open into one
+///   mask per cell. A pass is one masked word operation per bit however
+///   many faults share the cell.
+/// * **Listed kinds.** Data retention (per-fault clock), coupling
+///   triggers (aggressor side), state coupling (both sides) and NPSF
+///   (victim and neighbours) are listed by fault index per (cell, kind),
+///   so each pass walks only its own kind.
+///
+/// A site table holds both: one `u32` slot per cell points into a dense
+/// array of the cells the batch touches, and each site also keeps the
+/// union of the lanes indexed at its cell. Decoder faults remap
+/// addresses, not cells, and stay in a per-address map.
+/// [`LaneFaultBank::clear`] resets only the touched slots and keeps
+/// every allocation for the next batch.
+#[derive(Debug, Clone, Default)]
 pub struct LaneFaultBank<const K: usize = 1> {
     faults: Vec<(FaultKind, LaneChunk<K>)>,
-    /// Per-fault `(lo, hi)` range of the chunk words its lane mask
-    /// occupies. Campaign injection puts each fault in one lane, so the
-    /// span is almost always a single word — the enforcement hot paths
-    /// loop over it instead of the whole chunk, keeping per-fault cost
-    /// O(1) in `K`. (Bucket population grows with the lane count, so
-    /// whole-chunk per-fault ops would make enforcement cost per *lane*
-    /// grow linearly with `K` — measured as the dominant term at K = 8.)
-    spans: Vec<(u32, u32)>,
-    /// Per-fault clock of the victim cell's last write *on the fault's
-    /// lanes* (drives data-retention decay; meaningful for DRF entries).
-    /// Per fault, not per cell: decoder remaps make lanes write different
-    /// cells, so a shared per-cell timestamp would leak across lanes.
+    /// Per fault: its trial lane.
+    lane: Vec<u32>,
+    /// Per fault: the clock of the victim cell's last write *on the
+    /// fault's lane* (drives data-retention decay; read for DRF entries
+    /// only). Per fault, not per cell: decoder remaps make lanes write
+    /// different cells, so a shared per-cell timestamp would leak across
+    /// lanes.
     stamps: Vec<u64>,
-    /// Fault indices whose victim site lies in the indexed cell.
-    by_victim: Vec<Vec<usize>>,
-    /// Fault indices with a coupling/NPSF aggressor or neighbour in the
-    /// indexed cell.
-    by_aggressor: Vec<Vec<usize>>,
-    /// Per-cell `VK_*` presence bits for the victim bucket.
-    victim_kinds: Vec<u16>,
-    /// Per-cell `AK_*` presence bits for the aggressor bucket.
-    agg_kinds: Vec<u8>,
-    /// Cells whose buckets may be non-empty (cleared lazily).
-    touched: Vec<usize>,
+    /// Per cell: its index in `sites`, or `NO_SITE`.
+    slot: Vec<u32>,
+    /// The sites of the touched cells; the first `live` belong to this
+    /// batch.
+    sites: Vec<Site<K>>,
+    live: usize,
+    /// Fold-group masks: bit `b` of group `g` at site `s` is at
+    /// `(s * FOLDS + g) * width + b`.
+    masks: Vec<LaneChunk<K>>,
+    /// Bits per cell (the stride of `masks`).
+    width: usize,
     /// Lane-decoder overrides by address (rare — kept as a map, like the
     /// scalar bank's): each address lists `(remap, lanes)` entries.
     decoder: HashMap<usize, Vec<(LaneDecode, LaneChunk<K>)>>,
-    /// Number of stuck-open faults (gates the sense-plane maintenance).
-    sof_count: usize,
-    /// Number of read-logic faults (RDF/DRDF/IRF) — with none injected a
-    /// read returns the stored planes directly, no staging copy.
-    readlogic_count: usize,
-}
-
-impl<const K: usize> Default for LaneFaultBank<K> {
-    fn default() -> Self {
-        LaneFaultBank {
-            faults: Vec::new(),
-            spans: Vec::new(),
-            stamps: Vec::new(),
-            by_victim: Vec::new(),
-            by_aggressor: Vec::new(),
-            victim_kinds: Vec::new(),
-            agg_kinds: Vec::new(),
-            touched: Vec::new(),
-            decoder: HashMap::new(),
-            sof_count: 0,
-            readlogic_count: 0,
-        }
-    }
+    /// Whether a stuck-open fault is present (gates the sense-plane
+    /// maintenance).
+    any_sof: bool,
+    /// Whether a read-logic fault (RDF/DRDF/IRF) is present — with none,
+    /// a read returns the stored planes directly, no staging copy.
+    any_readlogic: bool,
 }
 
 impl<const K: usize> LaneFaultBank<K> {
@@ -343,66 +366,57 @@ impl<const K: usize> LaneFaultBank<K> {
         &self.faults
     }
 
-    /// Adds a fault affecting the lanes of `mask`. Every modelled family
-    /// batches — the exhaustive match below is the compile-time proof; a
-    /// future [`FaultKind`] variant fails to build here until it gets a
-    /// lane model.
+    /// Adds `fault` in trial lane `lane`, which must carry no other fault:
+    /// the fold is exact only while lanes are disjoint. Every modelled
+    /// family batches — the exhaustive match below is the compile-time
+    /// proof; a future [`FaultKind`] variant fails to build here until it
+    /// gets a lane model.
     ///
     /// # Errors
     ///
     /// Propagates [`FaultKind::validate`] errors.
-    pub fn add(
+    pub(crate) fn add(
         &mut self,
         geom: &Geometry,
         fault: FaultKind,
-        mask: LaneChunk<K>,
+        lane: usize,
     ) -> Result<(), RamError> {
         fault.validate(geom)?;
-        let idx = self.faults.len();
+        let mask = LaneChunk::single(lane);
+        let i = self.faults.len() as u32;
+        self.width = geom.width() as usize;
+        if self.slot.len() < geom.cells() {
+            self.slot.resize(geom.cells(), NO_SITE);
+        }
         match &fault {
-            FaultKind::StuckAt { cell, .. }
-            | FaultKind::Transition { cell, .. }
-            | FaultKind::DataRetention { cell, .. }
-            | FaultKind::StuckOpen { cell }
-            | FaultKind::ReadDestructive { cell, .. }
-            | FaultKind::DeceptiveRead { cell, .. }
-            | FaultKind::IncorrectRead { cell, .. }
-            | FaultKind::WriteDisturb { cell, .. } => {
-                self.index_site(*cell, idx, true);
-                let vk = match fault {
-                    FaultKind::StuckAt { .. } => VK_SA,
-                    FaultKind::Transition { .. } => VK_TF,
-                    FaultKind::DataRetention { .. } => VK_DR,
-                    FaultKind::WriteDisturb { .. } => VK_WD,
-                    FaultKind::StuckOpen { .. } => {
-                        self.sof_count += 1;
-                        VK_SOF
-                    }
-                    _ => {
-                        self.readlogic_count += 1;
-                        VK_RDLOGIC
-                    }
-                };
-                self.victim_kinds[*cell] |= vk;
+            FaultKind::StuckAt { cell, bit, value } => {
+                self.fold(*cell, if value & 1 == 1 { SA1 } else { SA0 }, *bit, mask)
             }
-            FaultKind::CouplingInversion { agg_cell, victim_cell, .. }
-            | FaultKind::CouplingIdempotent { agg_cell, victim_cell, .. } => {
-                self.index_site(*agg_cell, idx, false);
-                self.index_site(*victim_cell, idx, true);
-                self.agg_kinds[*agg_cell] |= AK_CF_TRIG;
+            FaultKind::Transition { cell, bit, rising } => {
+                self.fold(*cell, if *rising { TF_UP } else { TF_DOWN }, *bit, mask)
+            }
+            FaultKind::WriteDisturb { cell, bit } => self.fold(*cell, WDF, *bit, mask),
+            FaultKind::ReadDestructive { cell, bit } => self.fold(*cell, RDF, *bit, mask),
+            FaultKind::DeceptiveRead { cell, bit } => self.fold(*cell, DRDF, *bit, mask),
+            FaultKind::IncorrectRead { cell, bit } => self.fold(*cell, IRF, *bit, mask),
+            FaultKind::StuckOpen { cell } => {
+                self.any_sof = true;
+                let s = self.site(*cell, mask);
+                self.sites[s].sof |= mask;
+            }
+            FaultKind::DataRetention { cell, .. } => self.list(*cell, DRF, i, mask),
+            FaultKind::CouplingInversion { agg_cell, .. }
+            | FaultKind::CouplingIdempotent { agg_cell, .. } => {
+                self.list(*agg_cell, CF_TRIGGER, i, mask)
             }
             FaultKind::CouplingState { agg_cell, victim_cell, .. } => {
-                self.index_site(*agg_cell, idx, false);
-                self.index_site(*victim_cell, idx, true);
-                self.agg_kinds[*agg_cell] |= AK_CFST;
-                self.victim_kinds[*victim_cell] |= VK_CFST;
+                self.list(*agg_cell, CFST_AGG, i, mask);
+                self.list(*victim_cell, CFST_VICTIM, i, mask);
             }
             FaultKind::Npsf { victim_cell, neighbors, .. } => {
-                self.index_site(*victim_cell, idx, true);
-                self.victim_kinds[*victim_cell] |= VK_NPSF;
+                self.list(*victim_cell, NPSF_VICTIM, i, mask);
                 for &(c, _, _) in neighbors {
-                    self.index_site(c, idx, false);
-                    self.agg_kinds[c] |= AK_NPSF;
+                    self.list(c, NPSF_NEIGHBOR, i, mask);
                 }
             }
             FaultKind::DecoderNoAccess { addr } => {
@@ -419,39 +433,70 @@ impl<const K: usize> LaneFaultBank<K> {
             }
         }
         self.faults.push((fault, mask));
-        let lo = mask.0.iter().position(|&w| w != 0).unwrap_or(0);
-        let hi = mask.0.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
-        self.spans.push((lo as u32, hi as u32));
+        self.lane.push(lane as u32);
         self.stamps.push(0);
         Ok(())
     }
 
-    /// The chunk-word range fault `i`'s lane mask occupies (a single word
-    /// for the usual one-lane-per-fault injection). Outside the span the
-    /// mask words are zero, so masked enforcement ops are identities —
-    /// skipping them is exact.
-    #[inline]
-    fn span(&self, i: usize) -> std::ops::Range<usize> {
-        let (lo, hi) = self.spans[i];
-        lo as usize..hi as usize
+    /// The site of `cell`, opened on the cell's first fault of the batch,
+    /// with `lanes` added to its lane union.
+    fn site(&mut self, cell: usize, lanes: LaneChunk<K>) -> usize {
+        if self.slot[cell] == NO_SITE {
+            if self.live == self.sites.len() {
+                self.sites.push(Site::default());
+            }
+            let site = &mut self.sites[self.live];
+            site.cell = cell;
+            site.lanes = LaneChunk::ZERO;
+            site.sof = LaneChunk::ZERO;
+            site.folds = 0;
+            site.lists.iter_mut().for_each(Vec::clear);
+            self.slot[cell] = self.live as u32;
+            self.live += 1;
+        }
+        let s = self.slot[cell] as usize;
+        self.sites[s].lanes |= lanes;
+        s
     }
 
-    /// Removes every fault while retaining the allocated buckets
-    /// (O(#faults), allocation-free in the steady state).
-    pub fn clear(&mut self) {
-        self.faults.clear();
-        self.spans.clear();
-        self.stamps.clear();
-        for &cell in &self.touched {
-            self.by_victim[cell].clear();
-            self.by_aggressor[cell].clear();
-            self.victim_kinds[cell] = 0;
-            self.agg_kinds[cell] = 0;
+    /// ORs `lanes` into bit `bit` of fold group `group` at `cell`.
+    fn fold(&mut self, cell: usize, group: usize, bit: u32, lanes: LaneChunk<K>) {
+        self.any_readlogic |= matches!(group, RDF | DRDF | IRF);
+        let s = self.site(cell, lanes);
+        let at = (s * FOLDS + group) * self.width;
+        if self.masks.len() < at + self.width {
+            self.masks.resize((s + 1) * FOLDS * self.width, LaneChunk::ZERO);
         }
-        self.touched.clear();
+        if self.sites[s].folds & (1 << group) == 0 {
+            self.sites[s].folds |= 1 << group;
+            self.masks[at..at + self.width].fill(LaneChunk::ZERO);
+        }
+        self.masks[at + bit as usize] |= lanes;
+    }
+
+    /// Lists fault `i` (in `lanes`) under entry list `list` at `cell`,
+    /// once even when an NPSF neighbourhood names the cell twice.
+    fn list(&mut self, cell: usize, list: usize, i: u32, lanes: LaneChunk<K>) {
+        let s = self.site(cell, lanes);
+        let entries = &mut self.sites[s].lists[list];
+        if entries.last() != Some(&i) {
+            entries.push(i);
+        }
+    }
+
+    /// Removes every fault while retaining every allocation (O(#touched
+    /// cells), allocation-free in the steady state).
+    pub fn clear(&mut self) {
+        for site in &self.sites[..self.live] {
+            self.slot[site.cell] = NO_SITE;
+        }
+        self.live = 0;
+        self.faults.clear();
+        self.lane.clear();
+        self.stamps.clear();
         self.decoder.clear();
-        self.sof_count = 0;
-        self.readlogic_count = 0;
+        self.any_sof = false;
+        self.any_readlogic = false;
     }
 
     /// Restarts every retention clock (device reset; the faults stay).
@@ -469,29 +514,42 @@ impl<const K: usize> LaneFaultBank<K> {
         }
     }
 
-    fn index_site(&mut self, cell: usize, idx: usize, victim: bool) {
-        if self.by_victim.len() <= cell {
-            self.by_victim.resize_with(cell + 1, Vec::new);
-            self.by_aggressor.resize_with(cell + 1, Vec::new);
-            self.victim_kinds.resize(cell + 1, 0);
-            self.agg_kinds.resize(cell + 1, 0);
+    /// The site of `cell`, if a fault of the batch is indexed there.
+    #[inline]
+    fn site_of(&self, cell: usize) -> Option<usize> {
+        self.slot.get(cell).copied().filter(|&s| s != NO_SITE).map(|s| s as usize)
+    }
+
+    /// The lanes on which `cell` carries a stuck-open fault.
+    #[inline]
+    fn sof_lanes(&self, cell: usize) -> LaneChunk<K> {
+        self.site_of(cell).map_or(LaneChunk::ZERO, |s| self.sites[s].sof)
+    }
+
+    /// Rewrites `planes[b] = f(b, planes[b], mask)` with the mask of every
+    /// bit `b` of fold group `group` at site `s` (nothing when the group
+    /// holds no lane).
+    #[inline]
+    fn apply_fold(
+        &self,
+        s: usize,
+        group: usize,
+        planes: &mut [LaneChunk<K>],
+        f: impl Fn(usize, LaneChunk<K>, LaneChunk<K>) -> LaneChunk<K>,
+    ) {
+        if self.sites[s].folds & (1 << group) != 0 {
+            let at = (s * FOLDS + group) * self.width;
+            for (b, (p, &mask)) in planes.iter_mut().zip(&self.masks[at..]).enumerate() {
+                *p = f(b, *p, mask);
+            }
         }
-        let bucket = if victim { &mut self.by_victim[cell] } else { &mut self.by_aggressor[cell] };
-        bucket.push(idx);
-        self.touched.push(cell);
     }
 
-    /// `VK_*` presence bits for `cell`'s victim bucket (0 out of range).
+    /// Listed fault `i` with its lane as (chunk word, bit).
     #[inline]
-    fn vkinds(&self, cell: usize) -> u16 {
-        self.victim_kinds.get(cell).copied().unwrap_or(0)
-    }
-
-    /// `AK_*` presence bits for `cell`'s aggressor bucket (0 out of
-    /// range).
-    #[inline]
-    fn akinds(&self, cell: usize) -> u8 {
-        self.agg_kinds.get(cell).copied().unwrap_or(0)
+    fn entry(&self, i: u32) -> (&FaultKind, usize, u64) {
+        let lane = self.lane[i as usize] as usize;
+        (&self.faults[i as usize].0, lane / 64, 1 << (lane % 64))
     }
 }
 
@@ -556,10 +614,6 @@ pub struct LaneRam<const K: usize = 1> {
     /// enforcement phases. Word-granular (not whole-chunk) so a fired
     /// fault costs O(1) in `K` — its lanes live in one chunk word.
     scratch_actions: Vec<(usize, u32, Option<u8>, usize, u64)>,
-    /// Reusable per-bit store-flip masks for the read-logic faults
-    /// (sized to the cell width — a `MAX_WIDTH` stack array would zero
-    /// `32 · K` words on every read, which dominates at wide `K`).
-    scratch_flips: Vec<LaneChunk<K>>,
     /// Reusable write-claim list for the cycle conflict engine.
     scratch_claims: Vec<(usize, LaneChunk<K>)>,
 }
@@ -605,7 +659,6 @@ impl<const K: usize> LaneRam<K> {
             scratch_decode: Vec::new(),
             scratch_actions: Vec::new(),
             scratch_claims: Vec::new(),
-            scratch_flips: Vec::new(),
         })
     }
 
@@ -664,21 +717,26 @@ impl<const K: usize> LaneRam<K> {
     ///
     /// # Errors
     ///
-    /// As [`LaneFaultBank::add`].
+    /// Propagates [`FaultKind::validate`] errors; a rejected fault claims
+    /// no lane.
     ///
     /// # Panics
     ///
-    /// Panics when `lane` is not below [`LaneRam::LANES`].
+    /// Panics when `lane` is not below [`LaneRam::LANES`], or when it
+    /// already carries a fault: a lane is one single-fault trial, and the
+    /// bank folds same-kind faults of a cell into one lane mask, which is
+    /// exact only while lanes are disjoint.
     pub fn inject(&mut self, fault: FaultKind, lane: usize) -> Result<(), RamError> {
         assert!(lane < Self::LANES, "trial lane out of range");
         let mask = LaneChunk::single(lane);
-        self.bank.add(&self.geom, fault, mask)?;
+        assert!((self.active & mask).is_zero(), "trial lane already carries a fault");
+        self.bank.add(&self.geom, fault, lane)?;
         self.active |= mask;
         Ok(())
     }
 
     /// Removes every injected fault and clears the active-lane and
-    /// frozen-lane masks; the bucket allocations are retained for the
+    /// frozen-lane masks; the bank keeps its allocations for the
     /// next batch.
     pub fn eject_faults(&mut self) {
         self.bank.clear();
@@ -755,7 +813,7 @@ impl<const K: usize> LaneRam<K> {
     /// Whether a stuck-open fault is present — the gate for the slicing
     /// layer's sense restores, mirroring the read path's own latch gate.
     pub(crate) fn has_sof(&self) -> bool {
-        self.bank.sof_count > 0
+        self.bank.any_sof
     }
 
     /// Reads `addr` on every lane at once through port 0, applying fault
@@ -792,7 +850,7 @@ impl<const K: usize> LaneRam<K> {
             // read-logic faults anywhere, the value read IS the stored
             // planes — no staging copy, no sense maintenance (the PR-4
             // hot path, preserved).
-            if self.bank.sof_count == 0 && self.bank.readlogic_count == 0 {
+            if !self.bank.any_sof && !self.bank.any_readlogic {
                 self.read_enforce(addr, LaneChunk::FULL);
                 return &self.store[addr * m..addr * m + m];
             }
@@ -804,7 +862,7 @@ impl<const K: usize> LaneRam<K> {
         } else {
             self.read_decoded(addr, port);
         }
-        if self.bank.sof_count > 0 {
+        if self.bank.any_sof {
             // Every read latches the port's sense amplifier with the
             // value returned — on every lane, exactly like the scalar
             // port.
@@ -876,7 +934,7 @@ impl<const K: usize> LaneRam<K> {
     fn read_cell(&mut self, cell: usize, access: LaneChunk<K>, port: usize) {
         let m = self.geom.width() as usize;
         let base = cell * m;
-        let sof = self.sof_lanes(cell) & access;
+        let sof = self.bank.sof_lanes(cell) & access;
         let act = access & !sof;
         self.read_enforce(cell, act);
         let mut out = std::mem::take(&mut self.scratch_cell);
@@ -884,52 +942,15 @@ impl<const K: usize> LaneRam<K> {
         out.extend_from_slice(&self.store[base..base + m]);
         // Read-logic faults: RDF flips the store and returns the new,
         // wrong value; DRDF flips the store but returns the old, correct
-        // one; IRF inverts the output only. Store flips are OR-staged so
-        // the post-flip stuck-at enforcement runs once, like the scalar
-        // path.
-        if self.bank.vkinds(cell) & VK_RDLOGIC != 0 {
-            let bucket = &self.bank.by_victim[cell];
-            let mut flips = std::mem::take(&mut self.scratch_flips);
-            flips.clear();
-            flips.resize(m, LaneChunk::ZERO);
-            let mut any_flip = false;
-            for &i in bucket {
-                let (f, lanes) = &self.bank.faults[i];
-                match *f {
-                    FaultKind::ReadDestructive { bit, .. } => {
-                        for w in self.bank.span(i) {
-                            let eff = lanes.0[w] & act.0[w];
-                            if eff != 0 {
-                                flips[bit as usize].0[w] |= eff;
-                                out[bit as usize].0[w] ^= eff;
-                                any_flip = true;
-                            }
-                        }
-                    }
-                    FaultKind::DeceptiveRead { bit, .. } => {
-                        for w in self.bank.span(i) {
-                            let eff = lanes.0[w] & act.0[w];
-                            if eff != 0 {
-                                flips[bit as usize].0[w] |= eff;
-                                any_flip = true;
-                            }
-                        }
-                    }
-                    FaultKind::IncorrectRead { bit, .. } => {
-                        for w in self.bank.span(i) {
-                            out[bit as usize].0[w] ^= lanes.0[w] & act.0[w];
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            if any_flip {
-                for (b, &flip) in flips[..m].iter().enumerate() {
-                    self.store[base + b] ^= flip;
-                }
-                self.enforce_sa(cell);
-            }
-            self.scratch_flips = flips;
+        // one; IRF inverts the output only. The scalar path re-applies
+        // stuck-at after a store flip; a flipped lane carries no stuck-at
+        // fault, so here that is the identity.
+        if let Some(s) = self.live_site(cell, act) {
+            let (bank, store) = (&self.bank, &mut self.store[base..base + m]);
+            bank.apply_fold(s, RDF, &mut out, |_, v, rd| v ^ (rd & act));
+            bank.apply_fold(s, IRF, &mut out, |_, v, ir| v ^ (ir & act));
+            bank.apply_fold(s, RDF, store, |_, v, rd| v ^ (rd & act));
+            bank.apply_fold(s, DRDF, store, |_, v, dr| v ^ (dr & act));
         }
         // Stuck-open lanes return the port's latched sense-amplifier
         // value.
@@ -941,38 +962,32 @@ impl<const K: usize> LaneRam<K> {
         self.scratch_cell = out;
     }
 
+    /// The site of `cell` when `access` hits a lane indexed there. Every
+    /// pass masks its effect to its own lanes and the access, so an access
+    /// that misses the site's lane union skips them all exactly.
+    #[inline]
+    fn live_site(&self, cell: usize, access: LaneChunk<K>) -> Option<usize> {
+        self.bank.site_of(cell).filter(|&s| !(access & self.bank.sites[s].lanes).is_zero())
+    }
+
     /// The state-enforcement half of a read on the `act` lanes (scalar
     /// order: retention decay → CFst → NPSF → stuck-at), leaving the
     /// stored planes as the value a divergence-free read returns.
     fn read_enforce(&mut self, cell: usize, act: LaneChunk<K>) {
-        let vk = self.bank.vkinds(cell);
-        if vk & (VK_DR | VK_CFST | VK_NPSF | VK_SA) == 0 {
+        let Some(s) = self.bank.site_of(cell) else {
             return;
+        };
+        if self.live_site(cell, act).is_some() {
+            self.fire_listed(s, DRF, act);
+            self.fire_listed(s, CFST_VICTIM, act);
+            self.fire_listed(s, NPSF_VICTIM, act);
         }
-        // Data-retention decay (per-fault clocks).
-        if vk & VK_DR != 0 {
-            let mut actions = std::mem::take(&mut self.scratch_actions);
-            actions.clear();
-            let bucket = &self.bank.by_victim[cell];
-            for &i in bucket {
-                let (f, lanes) = &self.bank.faults[i];
-                if let FaultKind::DataRetention { bit, decays_to, after, .. } = *f {
-                    if self.time.saturating_sub(self.bank.stamps[i]) > after {
-                        for w in self.bank.span(i) {
-                            let eff = lanes.0[w] & act.0[w];
-                            if eff != 0 {
-                                actions.push((cell, bit, Some(decays_to), w, eff));
-                            }
-                        }
-                    }
-                }
-            }
-            self.apply_actions(&actions);
-            self.scratch_actions = actions;
-        }
-        self.enforce_state_on_victim(cell, act);
-        self.enforce_npsf_on_victim(cell, act);
-        self.enforce_sa(cell);
+        // Stuck-at is re-applied on every lane, accessed or not: it is
+        // idempotent, and a read of the cell applies it first anyway.
+        let m = self.geom.width() as usize;
+        let store = &mut self.store[cell * m..cell * m + m];
+        self.bank.apply_fold(s, SA1, store, |_, v, sa| v | sa);
+        self.bank.apply_fold(s, SA0, store, |_, v, sa| v & !sa);
     }
 
     /// Writes the same word `data` to `addr` on every lane.
@@ -1120,349 +1135,142 @@ impl<const K: usize> LaneRam<K> {
     fn write_cell(&mut self, cell: usize, access: LaneChunk<K>) {
         let m = self.geom.width() as usize;
         let base = cell * m;
-        if self.bank.is_empty() {
-            self.store[base..base + m].copy_from_slice(&self.scratch_new);
-            return;
-        }
         // Stuck-open lanes lose the write entirely.
-        let eff = access & !self.sof_lanes(cell);
-        if eff.is_zero() {
+        let eff = access & !self.bank.sof_lanes(cell);
+        let Some(s) = self.live_site(cell, eff) else {
+            for (p, &v) in self.store[base..base + m].iter_mut().zip(&self.scratch_new) {
+                *p = (v & eff) | (*p & !eff);
+            }
             return;
-        }
+        };
         let mut new = std::mem::take(&mut self.scratch_val);
         new.clear();
         new.extend_from_slice(&self.scratch_new);
         let mut old = std::mem::take(&mut self.scratch_old);
         old.clear();
         old.extend_from_slice(&self.store[base..base + m]);
-        // Transition blocking, then write-disturb, then stuck-at
-        // enforcement on the incoming value — the scalar write order.
-        let vk = self.bank.vkinds(cell);
-        if vk & VK_TF != 0 {
-            for &i in &self.bank.by_victim[cell] {
-                let (f, lanes) = &self.bank.faults[i];
-                if let FaultKind::Transition { bit, rising, .. } = *f {
-                    let b = bit as usize;
-                    for w in self.bank.span(i) {
-                        let blocked = (if rising {
-                            !old[b].0[w] & new[b].0[w]
-                        } else {
-                            old[b].0[w] & !new[b].0[w]
-                        }) & lanes.0[w]
-                            & eff.0[w];
-                        new[b].0[w] = (new[b].0[w] & !blocked) | (old[b].0[w] & blocked);
-                    }
-                }
-            }
-        }
-        if vk & VK_WD != 0 {
-            for &i in &self.bank.by_victim[cell] {
-                let (f, lanes) = &self.bank.faults[i];
-                if let FaultKind::WriteDisturb { bit, .. } = *f {
-                    let b = bit as usize;
-                    for w in self.bank.span(i) {
-                        // A non-transition write (bit already holds the
-                        // value) flips the bit.
-                        let disturbed = !(old[b].0[w] ^ new[b].0[w]) & lanes.0[w] & eff.0[w];
-                        new[b].0[w] ^= disturbed;
-                    }
-                }
-            }
-        }
-        if vk & VK_SA != 0 {
-            for &i in &self.bank.by_victim[cell] {
-                let (f, lanes) = &self.bank.faults[i];
-                if let FaultKind::StuckAt { bit, value, .. } = *f {
-                    let b = bit as usize;
-                    for w in self.bank.span(i) {
-                        if value & 1 == 1 {
-                            new[b].0[w] |= lanes.0[w] & eff.0[w];
-                        } else {
-                            new[b].0[w] &= !(lanes.0[w] & eff.0[w]);
-                        }
-                    }
-                }
-            }
-        }
-        for (b, &v) in new.iter().enumerate() {
-            let p = &mut self.store[base + b];
+        // Transition blocking (a blocked lane keeps its old bit), then
+        // write-disturb (a non-transition write flips the bit), then
+        // stuck-at on the incoming value — the scalar write order.
+        let bank = &self.bank;
+        bank.apply_fold(s, TF_UP, &mut new, |b, v, up| v ^ (!old[b] & v & up & eff));
+        bank.apply_fold(s, TF_DOWN, &mut new, |b, v, down| v ^ (old[b] & !v & down & eff));
+        bank.apply_fold(s, WDF, &mut new, |b, v, wd| v ^ (!(old[b] ^ v) & wd & eff));
+        bank.apply_fold(s, SA1, &mut new, |_, v, sa| v | (sa & eff));
+        bank.apply_fold(s, SA0, &mut new, |_, v, sa| v & !(sa & eff));
+        for (p, &v) in self.store[base..base + m].iter_mut().zip(&new) {
             *p = (v & eff) | (*p & !eff);
         }
-        // Restart the retention clock of every DRF whose lanes wrote.
-        if vk & VK_DR != 0 {
-            for bi in 0..self.bank.by_victim[cell].len() {
-                let i = self.bank.by_victim[cell][bi];
-                let (f, lanes) = &self.bank.faults[i];
-                if matches!(f, FaultKind::DataRetention { .. })
-                    && self.bank.span(i).any(|w| lanes.0[w] & eff.0[w] != 0)
-                {
-                    self.bank.stamps[i] = self.time;
-                }
+        // Restart the retention clock of every DRF whose lane wrote.
+        for &i in &self.bank.sites[s].lists[DRF] {
+            let (_, w, lane) = self.bank.entry(i);
+            if lane & eff.0[w] != 0 {
+                self.bank.stamps[i as usize] = self.time;
             }
         }
         // Coupling triggers on the lanes whose bits actually flipped.
         let mut actions = std::mem::take(&mut self.scratch_actions);
         actions.clear();
-        if self.bank.akinds(cell) & AK_CF_TRIG != 0 {
-            let bucket = &self.bank.by_aggressor[cell];
-            for &i in bucket {
-                let (f, lanes) = &self.bank.faults[i];
-                match *f {
-                    FaultKind::CouplingInversion {
-                        agg_cell,
-                        agg_bit,
-                        victim_cell,
-                        victim_bit,
-                        trigger,
-                    } if agg_cell == cell => {
-                        let b = agg_bit as usize;
-                        for w in self.bank.span(i) {
-                            let fired = (match trigger {
-                                CouplingTrigger::Rise => !old[b].0[w] & new[b].0[w],
-                                CouplingTrigger::Fall => old[b].0[w] & !new[b].0[w],
-                            }) & lanes.0[w]
-                                & eff.0[w];
-                            if fired != 0 {
-                                actions.push((victim_cell, victim_bit, None, w, fired));
-                            }
-                        }
-                    }
-                    FaultKind::CouplingIdempotent {
-                        agg_cell,
-                        agg_bit,
-                        victim_cell,
-                        victim_bit,
-                        trigger,
-                        force,
-                    } if agg_cell == cell => {
-                        let b = agg_bit as usize;
-                        for w in self.bank.span(i) {
-                            let fired = (match trigger {
-                                CouplingTrigger::Rise => !old[b].0[w] & new[b].0[w],
-                                CouplingTrigger::Fall => old[b].0[w] & !new[b].0[w],
-                            }) & lanes.0[w]
-                                & eff.0[w];
-                            if fired != 0 {
-                                actions.push((victim_cell, victim_bit, Some(force), w, fired));
-                            }
-                        }
-                    }
-                    _ => {}
-                }
+        for &i in &self.bank.sites[s].lists[CF_TRIGGER] {
+            let (f, w, lane) = self.bank.entry(i);
+            let (agg_bit, trigger, victim_cell, victim_bit, act) = match *f {
+                FaultKind::CouplingInversion {
+                    agg_bit, trigger, victim_cell, victim_bit, ..
+                } => (agg_bit, trigger, victim_cell, victim_bit, None),
+                FaultKind::CouplingIdempotent {
+                    agg_bit,
+                    trigger,
+                    victim_cell,
+                    victim_bit,
+                    force,
+                    ..
+                } => (agg_bit, trigger, victim_cell, victim_bit, Some(force)),
+                _ => unreachable!("the trigger list holds CFin and CFid only"),
+            };
+            let (o, n) = (old[agg_bit as usize].0[w], new[agg_bit as usize].0[w]);
+            let fired = match trigger {
+                CouplingTrigger::Rise => !o & n,
+                CouplingTrigger::Fall => o & !n,
+            } & lane
+                & eff.0[w];
+            if fired != 0 {
+                actions.push((victim_cell, victim_bit, act, w, fired));
             }
         }
         self.apply_actions(&actions);
         self.scratch_actions = actions;
         self.scratch_old = old;
         self.scratch_val = new;
-        self.enforce_state_from_aggressor(cell, eff);
-        self.enforce_state_on_victim(cell, eff);
-        self.enforce_npsf_from_neighbor(cell, eff);
-    }
-
-    /// The lanes on which `cell` carries a stuck-open fault.
-    fn sof_lanes(&self, cell: usize) -> LaneChunk<K> {
-        let mut sof = LaneChunk::ZERO;
-        if self.bank.sof_count > 0 && self.bank.vkinds(cell) & VK_SOF != 0 {
-            if let Some(bucket) = self.bank.by_victim.get(cell) {
-                for &i in bucket {
-                    let (f, lanes) = &self.bank.faults[i];
-                    if matches!(f, FaultKind::StuckOpen { .. }) {
-                        for w in self.bank.span(i) {
-                            sof.0[w] |= lanes.0[w];
-                        }
-                    }
-                }
-            }
-        }
-        sof
+        self.fire_listed(s, CFST_AGG, eff);
+        self.fire_listed(s, CFST_VICTIM, eff);
+        self.fire_listed(s, NPSF_NEIGHBOR, eff);
     }
 
     /// Applies staged bit actions: `None` inverts the victim bit on the
-    /// masked lanes, `Some(v)` forces it — each followed by stuck-at
-    /// enforcement of the victim cell, like the scalar `force_bit`.
+    /// masked lanes, `Some(v)` forces it. The scalar `force_bit` then
+    /// re-applies the victim cell's stuck-at faults; an acting lane
+    /// carries no stuck-at fault, so here that is the identity.
     fn apply_actions(&mut self, actions: &[(usize, u32, Option<u8>, usize, u64)]) {
         let m = self.geom.width() as usize;
         for &(vc, vb, act, w, lanes) in actions {
             let p = &mut self.store[vc * m + vb as usize].0[w];
             match act {
                 None => *p ^= lanes,
-                Some(v) => {
-                    if v & 1 == 1 {
-                        *p |= lanes;
-                    } else {
-                        *p &= !lanes;
-                    }
-                }
+                Some(v) if v & 1 == 1 => *p |= lanes,
+                Some(_) => *p &= !lanes,
             }
-            self.enforce_sa(vc);
         }
     }
 
-    /// CFst where `cell` is the aggressor: enforce on the accessing lanes
-    /// whose aggressor bit currently holds the trigger state.
-    fn enforce_state_from_aggressor(&mut self, cell: usize, access: LaneChunk<K>) {
-        if self.bank.akinds(cell) & AK_CFST == 0 {
-            return;
-        }
+    /// Forces the target bit of every entry of list `list` at site `s`,
+    /// on the accessing lanes whose condition holds now: a DRF whose
+    /// retention window has passed decays; a CFst whose aggressor bit
+    /// holds the trigger state forces its victim; an NPSF whose
+    /// neighbours all hold their listed values forces its victim. Each
+    /// family checks the same condition from every side it is listed on.
+    fn fire_listed(&mut self, s: usize, list: usize, access: LaneChunk<K>) {
         let m = self.geom.width() as usize;
         let mut actions = std::mem::take(&mut self.scratch_actions);
         actions.clear();
-        if let Some(bucket) = self.bank.by_aggressor.get(cell) {
-            for &i in bucket {
-                let (f, lanes) = &self.bank.faults[i];
-                if let FaultKind::CouplingState {
+        for &i in &self.bank.sites[s].lists[list] {
+            let (f, w, lane) = self.bank.entry(i);
+            let live = lane & access.0[w];
+            if live == 0 {
+                continue;
+            }
+            let holds = |c: usize, b: u32, v: u8| {
+                let p = self.store[c * m + b as usize].0[w];
+                if v & 1 == 1 {
+                    p
+                } else {
+                    !p
+                }
+            };
+            let (cond, cell, bit, force) = match f {
+                FaultKind::DataRetention { cell, bit, decays_to, after } => {
+                    let due = self.time.saturating_sub(self.bank.stamps[i as usize]) > *after;
+                    (if due { live } else { 0 }, *cell, *bit, *decays_to)
+                }
+                FaultKind::CouplingState {
                     agg_cell,
                     agg_bit,
                     agg_state,
                     victim_cell,
                     victim_bit,
                     force,
-                } = *f
-                {
-                    if agg_cell == cell {
-                        for w in self.bank.span(i) {
-                            let pw = self.store[agg_cell * m + agg_bit as usize].0[w];
-                            let cond = (if agg_state & 1 == 1 { pw } else { !pw })
-                                & lanes.0[w]
-                                & access.0[w];
-                            if cond != 0 {
-                                actions.push((victim_cell, victim_bit, Some(force), w, cond));
-                            }
-                        }
-                    }
+                } => (holds(*agg_cell, *agg_bit, *agg_state), *victim_cell, *victim_bit, *force),
+                FaultKind::Npsf { victim_cell, victim_bit, neighbors, force } => {
+                    let all = neighbors.iter().fold(live, |c, &(n, b, v)| c & holds(n, b, v));
+                    (all, *victim_cell, *victim_bit, *force)
                 }
+                _ => unreachable!("entry lists hold DRF, CFst and NPSF only"),
+            };
+            if cond & live != 0 {
+                actions.push((cell, bit, Some(force), w, cond & live));
             }
         }
         self.apply_actions(&actions);
         self.scratch_actions = actions;
-    }
-
-    /// CFst where `cell` is the victim: re-enforce on the accessing lanes
-    /// whose aggressor currently holds the trigger state.
-    fn enforce_state_on_victim(&mut self, cell: usize, access: LaneChunk<K>) {
-        if self.bank.vkinds(cell) & VK_CFST == 0 {
-            return;
-        }
-        let m = self.geom.width() as usize;
-        let mut actions = std::mem::take(&mut self.scratch_actions);
-        actions.clear();
-        if let Some(bucket) = self.bank.by_victim.get(cell) {
-            for &i in bucket {
-                let (f, lanes) = &self.bank.faults[i];
-                if let FaultKind::CouplingState {
-                    agg_cell,
-                    agg_bit,
-                    agg_state,
-                    victim_cell,
-                    victim_bit,
-                    force,
-                } = *f
-                {
-                    if victim_cell == cell {
-                        for w in self.bank.span(i) {
-                            let pw = self.store[agg_cell * m + agg_bit as usize].0[w];
-                            let cond = (if agg_state & 1 == 1 { pw } else { !pw })
-                                & lanes.0[w]
-                                & access.0[w];
-                            if cond != 0 {
-                                actions.push((victim_cell, victim_bit, Some(force), w, cond));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        self.apply_actions(&actions);
-        self.scratch_actions = actions;
-    }
-
-    /// NPSF where `cell` is one of the neighbours (checked after writes).
-    fn enforce_npsf_from_neighbor(&mut self, cell: usize, access: LaneChunk<K>) {
-        if self.bank.akinds(cell) & AK_NPSF == 0 {
-            return;
-        }
-        let mut actions = std::mem::take(&mut self.scratch_actions);
-        actions.clear();
-        if let Some(bucket) = self.bank.by_aggressor.get(cell) {
-            for &i in bucket {
-                let (f, lanes) = &self.bank.faults[i];
-                if let FaultKind::Npsf { victim_cell, victim_bit, neighbors, force } = f {
-                    for w in self.bank.span(i) {
-                        let cond = self.npsf_condition(neighbors, w, lanes.0[w] & access.0[w]);
-                        if cond != 0 {
-                            actions.push((*victim_cell, *victim_bit, Some(*force), w, cond));
-                        }
-                    }
-                }
-            }
-        }
-        self.apply_actions(&actions);
-        self.scratch_actions = actions;
-    }
-
-    /// NPSF where `cell` is the victim (checked at reads).
-    fn enforce_npsf_on_victim(&mut self, cell: usize, access: LaneChunk<K>) {
-        if self.bank.vkinds(cell) & VK_NPSF == 0 {
-            return;
-        }
-        let mut actions = std::mem::take(&mut self.scratch_actions);
-        actions.clear();
-        if let Some(bucket) = self.bank.by_victim.get(cell) {
-            for &i in bucket {
-                let (f, lanes) = &self.bank.faults[i];
-                if let FaultKind::Npsf { victim_cell, victim_bit, neighbors, force } = f {
-                    if *victim_cell == cell {
-                        for w in self.bank.span(i) {
-                            let cond = self.npsf_condition(neighbors, w, lanes.0[w] & access.0[w]);
-                            if cond != 0 {
-                                actions.push((*victim_cell, *victim_bit, Some(*force), w, cond));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        self.apply_actions(&actions);
-        self.scratch_actions = actions;
-    }
-
-    /// The lanes of chunk word `w` on which every listed neighbour bit
-    /// holds its listed value.
-    fn npsf_condition(&self, neighbors: &[(usize, u32, u8)], w: usize, lanes: u64) -> u64 {
-        let m = self.geom.width() as usize;
-        let mut cond = lanes;
-        for &(c, b, v) in neighbors {
-            let pw = self.store[c * m + b as usize].0[w];
-            cond &= if v & 1 == 1 { pw } else { !pw };
-        }
-        cond
-    }
-
-    /// Applies the stuck-at masks of `cell` to its stored planes.
-    /// Unmasked by design: stuck-at enforcement is idempotent, so
-    /// re-applying it on lanes whose device did not access the cell is
-    /// harmless (the bit already holds the stuck value).
-    fn enforce_sa(&mut self, cell: usize) {
-        if self.bank.vkinds(cell) & VK_SA == 0 {
-            return;
-        }
-        let m = self.geom.width() as usize;
-        if let Some(bucket) = self.bank.by_victim.get(cell) {
-            for &i in bucket {
-                let (f, lanes) = &self.bank.faults[i];
-                if let FaultKind::StuckAt { bit, value, .. } = *f {
-                    for w in self.bank.span(i) {
-                        let p = &mut self.store[cell * m + bit as usize].0[w];
-                        if value & 1 == 1 {
-                            *p |= lanes.0[w];
-                        } else {
-                            *p &= !lanes.0[w];
-                        }
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -1471,37 +1279,52 @@ mod tests {
     use super::*;
     use crate::Ram;
 
-    /// Drives the same op sequence through a scalar single-fault `Ram`
-    /// and a `LaneRam<K>` with the fault in `lane`, asserting bitwise-
-    /// equal reads and storage at every step.
+    /// Drives the same op sequence through one scalar single-fault `Ram`
+    /// per `(fault, lane)` trial and one `LaneRam<K>` carrying every
+    /// trial, asserting at every step that each read returns, in each
+    /// trial's lane, what that trial's scalar device reads. A single
+    /// trial's raw storage must match too. With several trials it may
+    /// not: a read re-applies the cell's stuck-at masks on every lane, so
+    /// a stuck-at lane's storage can take its stuck value before that
+    /// lane accesses the cell, which no read can observe.
     fn assert_chunk_matches_scalar<const K: usize>(
         geom: Geometry,
-        fault: &FaultKind,
-        lane: usize,
+        trials: &[(FaultKind, usize)],
         script: &[(bool, usize, u64)], // (is_write, addr, data)
         wired: ReadWired,
     ) {
-        let mut scalar = Ram::new(geom);
-        scalar.set_wired(wired);
-        scalar.inject(fault.clone()).unwrap();
         let mut lanes = LaneRam::<K>::new(geom);
         lanes.set_wired(wired);
-        lanes.inject(fault.clone(), lane).unwrap();
+        let mut scalars: Vec<Ram> = trials
+            .iter()
+            .map(|(fault, lane)| {
+                lanes.inject(fault.clone(), *lane).unwrap();
+                let mut scalar = Ram::new(geom);
+                scalar.set_wired(wired);
+                scalar.inject(fault.clone()).unwrap();
+                scalar
+            })
+            .collect();
         for (step, &(is_write, addr, data)) in script.iter().enumerate() {
             if is_write {
-                scalar.write(addr, data);
+                scalars.iter_mut().for_each(|s| s.write(addr, data));
                 lanes.write_broadcast(addr, data);
             } else {
-                let want = scalar.read(addr);
-                let got = lane_word(lanes.read(addr), lane);
-                assert_eq!(got, want, "{fault} lane {lane} step {step}: read @{addr}");
+                let planes = lanes.read(addr);
+                for ((fault, lane), scalar) in trials.iter().zip(&mut scalars) {
+                    let want = scalar.read(addr);
+                    let got = lane_word(planes, *lane);
+                    assert_eq!(got, want, "{fault} lane {lane} step {step}: read @{addr}");
+                }
             }
-            for c in 0..geom.cells() {
-                assert_eq!(
-                    lanes.peek_lane(c, lane),
-                    scalar.peek(c),
-                    "{fault} lane {lane} step {step}: cell {c}"
-                );
+            if let [(fault, lane)] = trials {
+                for c in 0..geom.cells() {
+                    assert_eq!(
+                        lanes.peek_lane(c, *lane),
+                        scalars[0].peek(c),
+                        "{fault} lane {lane} step {step}: cell {c}"
+                    );
+                }
             }
         }
     }
@@ -1522,11 +1345,11 @@ mod tests {
         script: &[(bool, usize, u64)],
         wired: ReadWired,
     ) {
-        assert_chunk_matches_scalar::<1>(geom, &fault, lane, script, wired);
+        assert_chunk_matches_scalar::<1>(geom, &[(fault.clone(), lane)], script, wired);
         // The same trial relocated into the top word of a 4-word chunk:
         // widening the lane dimension must not change per-lane semantics
         // wherever the lane lands.
-        assert_chunk_matches_scalar::<4>(geom, &fault, lane + 3 * LANES, script, wired);
+        assert_chunk_matches_scalar::<4>(geom, &[(fault, lane + 3 * LANES)], script, wired);
     }
 
     #[test]
@@ -1776,7 +1599,65 @@ mod tests {
         let script: &[(bool, usize, u64)] =
             &[(true, 1, 1), (false, 1, 0), (true, 1, 0), (false, 1, 0)];
         for lane in [0usize, 63, 64, 130, 255, 256, 320, 511] {
-            assert_chunk_matches_scalar::<8>(geom, &fault, lane, script, ReadWired::Or);
+            assert_chunk_matches_scalar::<8>(geom, &[(fault.clone(), lane)], script, ReadWired::Or);
+        }
+    }
+
+    #[test]
+    fn crowded_cell_matches_scalar_in_every_lane() {
+        // Every folded kind on both bits of one cell, a retention fault
+        // per bit, a state coupling with that cell as victim (its trigger
+        // state is the reset value, so the very first read must enforce
+        // it), a coupling trigger with that cell as aggressor, and
+        // decoder faults mapping other addresses onto it or it onto
+        // another cell — spread over the words of a 512-lane chunk.
+        let geom = Geometry::wom(6, 2).unwrap();
+        let c = 2;
+        let mut faults = vec![FaultKind::StuckOpen { cell: c }];
+        for bit in 0..2 {
+            faults.extend([
+                FaultKind::StuckAt { cell: c, bit, value: 0 },
+                FaultKind::StuckAt { cell: c, bit, value: 1 },
+                FaultKind::Transition { cell: c, bit, rising: true },
+                FaultKind::Transition { cell: c, bit, rising: false },
+                FaultKind::WriteDisturb { cell: c, bit },
+                FaultKind::ReadDestructive { cell: c, bit },
+                FaultKind::DeceptiveRead { cell: c, bit },
+                FaultKind::IncorrectRead { cell: c, bit },
+                FaultKind::DataRetention { cell: c, bit, decays_to: bit as u8 ^ 1, after: 4 },
+            ]);
+        }
+        faults.extend([
+            FaultKind::CouplingState {
+                agg_cell: 4,
+                agg_bit: 0,
+                agg_state: 0,
+                victim_cell: c,
+                victim_bit: 1,
+                force: 1,
+            },
+            FaultKind::CouplingIdempotent {
+                agg_cell: c,
+                agg_bit: 0,
+                victim_cell: 5,
+                victim_bit: 1,
+                trigger: CouplingTrigger::Rise,
+                force: 1,
+            },
+            FaultKind::DecoderExtraCell { addr: 0, extra_cell: c },
+            FaultKind::DecoderShadow { addr: 3, instead_cell: c },
+            FaultKind::DecoderExtraCell { addr: c, extra_cell: 1 },
+        ]);
+        let trials: Vec<(FaultKind, usize)> =
+            faults.into_iter().enumerate().map(|(i, f)| (f, (i * 149 + 7) % 512)).collect();
+        let mut rng = crate::SplitMix64::new(0x5eed);
+        let mut script = vec![(false, c, 0)];
+        script.extend((0..400).map(|_| {
+            let addr = rng.next_below(6) as usize;
+            (rng.next_below(3) == 0, addr, rng.next_below(4))
+        }));
+        for wired in [ReadWired::Or, ReadWired::And] {
+            assert_chunk_matches_scalar::<8>(geom, &trials, &script, wired);
         }
     }
 
@@ -2015,6 +1896,14 @@ mod tests {
     fn lane_bound_is_enforced() {
         let mut lanes: LaneRam = LaneRam::new(Geometry::bom(4));
         let _ = lanes.inject(FaultKind::StuckAt { cell: 0, bit: 0, value: 0 }, LANES);
+    }
+
+    #[test]
+    #[should_panic(expected = "trial lane already carries a fault")]
+    fn one_fault_per_lane_is_enforced() {
+        let mut lanes: LaneRam<4> = LaneRam::new(Geometry::bom(4));
+        lanes.inject(FaultKind::StuckAt { cell: 0, bit: 0, value: 0 }, 130).unwrap();
+        let _ = lanes.inject(FaultKind::StuckAt { cell: 0, bit: 0, value: 1 }, 130);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use geometry::Geometry;
 pub use memory::{MemoryDevice, PortOp, Ram, ReadWired, MAX_PORTS};
 pub use prog::{Execution, MemOp, OpMismatch, ProgramBuilder, SlotOp, TestProgram, ACC_LANES};
 pub use rng::SplitMix64;
-pub use slice::{fault_cells, fault_locality_key, ActiveSet, ActivityIndex};
+pub use slice::{fault_cells, fault_locality_key, locality_order, ActiveSet, ActivityIndex};
 pub use stats::AccessStats;
 pub use topology::{Layout, Scrambler, Topology, TopologyStage};
 pub use universe::{FaultUniverse, LazyUniverse, UniverseSpec};

@@ -91,6 +91,43 @@ pub fn fault_locality_key(fault: &FaultKind) -> usize {
     min
 }
 
+/// The chunk-assembly order of `faults` on an array of `cells` cells:
+/// their positions sorted by `(fault_locality_key, position)`. Keys are
+/// cell indices, so a stable counting sort over `cells` buckets yields
+/// that order in linear time, computing each key once. A key at or past
+/// `cells` (an invalid fault, which fails at injection) sorts last.
+///
+/// # Example
+///
+/// ```
+/// use prt_ram::{locality_order, FaultKind};
+///
+/// let faults = [
+///     FaultKind::StuckAt { cell: 3, bit: 0, value: 0 },
+///     FaultKind::StuckOpen { cell: 1 },
+///     FaultKind::StuckAt { cell: 3, bit: 0, value: 1 },
+///     FaultKind::DecoderShadow { addr: 2, instead_cell: 0 },
+/// ];
+/// assert_eq!(locality_order(&faults, 4), [3, 1, 0, 2]);
+/// ```
+pub fn locality_order(faults: &[FaultKind], cells: usize) -> Vec<u32> {
+    let keys: Vec<usize> = faults.iter().map(|f| fault_locality_key(f).min(cells)).collect();
+    // `next[k]` counts the keys below `k`: key `k`'s first position.
+    let mut next = vec![0u32; cells + 2];
+    for &k in &keys {
+        next[k + 1] += 1;
+    }
+    for k in 1..next.len() {
+        next[k] += next[k - 1];
+    }
+    let mut order = vec![0u32; faults.len()];
+    for (i, &k) in keys.iter().enumerate() {
+        order[next[k] as usize] = i as u32;
+        next[k] += 1;
+    }
+    order
+}
+
 /// Appends `opi` to `addr`'s op list unless it is already the last entry
 /// (one op may touch an address through several slots).
 fn touch(ops_by_addr: &mut [Vec<u32>], addr: u32, opi: u32) {
@@ -566,6 +603,23 @@ mod tests {
             set.finalize(&idx);
             let sliced = p.try_detect_batch_sliced(&mut ram, &idx, &set).unwrap();
             assert_eq!(sliced, full, "sliced and full verdicts diverged");
+        }
+    }
+
+    #[test]
+    fn locality_order_is_the_key_index_sort() {
+        use crate::universe::{FaultUniverse, UniverseSpec};
+        let geom = Geometry::bom(24);
+        for seed in [1, 7, 42] {
+            let topology = crate::Topology::generate(geom.cells(), seed);
+            let faults = FaultUniverse::enumerate_with(geom, &UniverseSpec::full(), topology)
+                .faults()
+                .to_vec();
+            let mut keyed: Vec<(usize, u32)> =
+                faults.iter().zip(0..).map(|(f, i)| (fault_locality_key(f), i)).collect();
+            keyed.sort_unstable();
+            let want: Vec<u32> = keyed.into_iter().map(|(_, i)| i).collect();
+            assert_eq!(locality_order(&faults, geom.cells()), want, "seed {seed}");
         }
     }
 

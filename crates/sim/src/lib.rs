@@ -90,7 +90,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use prt_ram::{
-    fault_locality_key, ActiveSet, ActivityIndex, FaultKind, FaultUniverse, Geometry, LaneChunk,
+    locality_order, ActiveSet, ActivityIndex, FaultKind, FaultUniverse, Geometry, LaneChunk,
     LaneRam, Ram, TestProgram, Topology,
 };
 
@@ -1019,8 +1019,8 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     /// the cells its faults can actually perturb — and splices precomputed
     /// fault-free reference deltas over the gaps
     /// ([`prt_ram::ActivityIndex`]). The campaign additionally assembles
-    /// batches by fault locality ([`prt_ram::fault_locality_key`]) so the
-    /// faults sharing a chunk have tight span unions. Verdicts, reports
+    /// batches in fault-locality order ([`prt_ram::locality_order`]) so
+    /// the faults sharing a chunk have tight span unions. Verdicts, reports
     /// and checkpoints are **bit-identical** either way (slicing, like the
     /// lane width, is deliberately not fingerprinted); disable to pin the
     /// full-pass oracle for measurement or differential testing.
@@ -1488,27 +1488,13 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         // their aggressor/victim window). Verdicts stay keyed by fault
         // index, so the permutation never reaches reports or checkpoints.
         let order: Vec<u32> = if slice.is_some() {
-            // Enumerated universes arrive in locality order already — one
-            // early-exit scan detects that and skips the permutation
-            // build. Otherwise: one key computation per fault, then a
-            // primitive-tuple sort (re-deriving the key inside the
-            // comparator dominates the sort itself on large segments).
-            let mut prev = 0usize;
-            let sorted = self.faults[start..end].iter().all(|f| {
-                let k = fault_locality_key(f);
-                let ok = k >= prev;
-                prev = k;
-                ok
-            });
-            if sorted {
-                (start as u32..end as u32).collect()
-            } else {
-                let mut keyed: Vec<(usize, u32)> = (start as u32..end as u32)
-                    .map(|i| (fault_locality_key(&self.faults[i as usize]), i))
-                    .collect();
-                keyed.sort_unstable();
-                keyed.into_iter().map(|(_, i)| i).collect()
-            }
+            // A counting sort over cell keys, linear in the segment.
+            // Enumeration is family-major, so a segment arrives sorted
+            // only when it holds one single-cell family under the
+            // identity topology; no scan looks for that case.
+            let mut order = locality_order(&self.faults[start..end], self.geom.cells());
+            order.iter_mut().for_each(|i| *i += start as u32);
+            order
         } else {
             (start as u32..end as u32).collect()
         };
