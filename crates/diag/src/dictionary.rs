@@ -6,8 +6,8 @@
 //! the universe once at configuration time, record each one's signature,
 //! and invert the map. This module builds that dictionary on `prt-sim`'s
 //! pooled parallel engine ([`prt_sim::try_map_trials_batched`] — one
-//! compiled-program interpreter pass per lane chunk plus one MISR per
-//! trial, no per-trial allocation beyond the observation record), and
+//! compiled-program interpreter pass and one bit-sliced MISR per lane
+//! chunk, no per-trial allocation beyond the observation record), and
 //! measures what analytic formulas only bound:
 //!
 //! * **aliasing** — faults whose response stream differs from the
@@ -258,7 +258,7 @@ impl FaultDictionary {
     ///
     /// # Errors
     ///
-    /// [`DiagError::Lfsr`] for a degenerate `poly`.
+    /// [`DiagError::Lfsr`] for a degenerate or over-wide `poly`.
     ///
     /// # Panics
     ///
@@ -305,7 +305,7 @@ impl FaultDictionary {
     ///
     /// # Errors
     ///
-    /// [`DiagError::Lfsr`] for a degenerate `poly`;
+    /// [`DiagError::Lfsr`] for a degenerate or over-wide `poly`;
     /// [`DiagError::Checkpoint`] when a snapshot cannot be saved, loaded
     /// or trusted.
     ///
@@ -470,7 +470,7 @@ impl FaultDictionary {
     ///
     /// # Errors
     ///
-    /// [`DiagError::Lfsr`] for a degenerate `poly`;
+    /// [`DiagError::Lfsr`] for a degenerate or over-wide `poly`;
     /// [`DiagError::Checkpoint`] for a corrupt file or one fingerprinted
     /// by a different universe/program/polynomial — a foreign file is
     /// refused loudly, never silently adopted.

@@ -7,7 +7,8 @@ use prt_ram::Geometry;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DiagError {
-    /// MISR construction failed (degenerate compaction polynomial).
+    /// MISR construction failed (a degenerate compaction polynomial, or
+    /// one wider than the 64-bit signature).
     Lfsr(prt_lfsr::LfsrError),
     /// An underlying memory operation failed.
     Ram(prt_ram::RamError),

@@ -131,7 +131,8 @@ impl SignatureCollector {
     ///
     /// # Errors
     ///
-    /// [`DiagError::Lfsr`] for a degenerate polynomial.
+    /// [`DiagError::Lfsr`] for a degenerate polynomial or one of degree
+    /// above 64 (wider than the `u64` signature).
     pub fn new(program: &TestProgram, poly: Poly2) -> Result<SignatureCollector, DiagError> {
         let mut reference = Misr::new(poly)?;
         for expect in program.expected_responses() {
@@ -201,12 +202,19 @@ impl SignatureCollector {
     /// The lane-batched form of [`SignatureCollector::collect`]: runs
     /// `program` once against every trial of a prepared [`LaneRam`]
     /// (lanes `0..k` injected, as `prt_sim::try_map_trials_batched` hands
-    /// it over) and pushes one [`Observation`] per lane, in lane order. One
-    /// MISR per lane absorbs that lane's slice of the observed planes, so
-    /// each signature — and each execution summary — is **identical** to
-    /// what [`SignatureCollector::collect`] returns for a scalar run of
-    /// the same fault (property-tested in `tests/batch.rs`): the device
-    /// pass is shared across the chunk's trials, the compaction is not.
+    /// it over) and pushes one [`Observation`] per lane, in lane order.
+    ///
+    /// Both the device pass and the compaction are shared across the
+    /// chunk's trials. The MISR runs **bit-sliced**: one register plane
+    /// per MISR bit, each carrying that bit of every lane. An observed
+    /// read XORs its data planes into the state, and the Galois step is a
+    /// plane rotation plus one plane XOR per feedback tap. This is exact
+    /// because the register is GF(2)-linear with no lane-dependent control
+    /// flow: every lane's bits follow the identical recurrence. The
+    /// signatures are de-sliced once per chunk, so each signature — and
+    /// each execution summary — is **identical** to what
+    /// [`SignatureCollector::collect`] returns for a scalar run of the
+    /// same fault (property-tested in `tests/batch.rs`).
     ///
     /// Lanes frozen by a multi-port write-write conflict
     /// ([`LaneRam::errored_lanes`]) receive the scalar error-as-escape
@@ -233,15 +241,9 @@ impl SignatureCollector {
             LaneChunk::prefix(k),
             "batched collection expects trials in lanes 0..k"
         );
-        let mut misrs: Vec<Misr> = (0..k)
-            .map(|_| Misr::new(self.poly).expect("polynomial validated at construction"))
-            .collect();
+        let mut misr = PlaneMisr::new(self.poly);
         let mut execs = vec![Execution::default(); LaneRam::<K>::LANES];
-        let mut observer = |planes: &[LaneChunk<K>]| {
-            for (lane, misr) in misrs.iter_mut().enumerate() {
-                misr.absorb(lane_word(planes, lane));
-            }
-        };
+        let mut observer = |planes: &[LaneChunk<K>]| misr.absorb(planes);
         let pass = if self.index.matches(program) {
             // Activity slicing: only the ops whose address intersects the
             // chunk's span union run on the device; skipped checked reads
@@ -266,13 +268,70 @@ impl SignatureCollector {
             panic!("program '{}' cannot run on this lane batch: {e}", program.name());
         }
         let errored = ram.errored_lanes();
-        for (lane, misr) in misrs.iter().enumerate() {
+        let state = misr.into_planes();
+        for (lane, exec) in execs.iter().enumerate().take(k) {
             if errored.get(lane) {
                 out.push(Observation { signature: self.reference, exec: Execution::default() });
             } else {
-                out.push(Observation { signature: misr.signature(), exec: execs[lane] });
+                out.push(Observation { signature: lane_word(&state, lane), exec: *exec });
             }
         }
+    }
+}
+
+/// A [`Misr`] over lane bit-planes: register bit `j` of every lane lives
+/// in one [`LaneChunk`], so a chunk of trials compacts with whole-chunk
+/// XORs. Each lane's bits follow exactly the scalar register's
+/// recurrence.
+struct PlaneMisr<const K: usize> {
+    /// The register planes as a ring: bit `j` lives at `(head + j) % k`.
+    ring: Vec<LaneChunk<K>>,
+    head: usize,
+    /// Feedback taps `1 ≤ i < k` (`g_i = 1`); `g0 = 1` is the rotation.
+    taps: Vec<usize>,
+}
+
+impl<const K: usize> PlaneMisr<K> {
+    fn new(poly: Poly2) -> PlaneMisr<K> {
+        let k = poly.degree() as usize;
+        let taps = (1..k).filter(|&i| poly.coeff(i as u32) == 1).collect();
+        PlaneMisr { ring: vec![LaneChunk::ZERO; k], head: 0, taps }
+    }
+
+    /// Ring slot of register bit `j < k`.
+    #[inline]
+    fn slot(&self, j: usize) -> usize {
+        let s = self.head + j;
+        if s < self.ring.len() {
+            s
+        } else {
+            s - self.ring.len()
+        }
+    }
+
+    /// [`Misr::absorb`] on every lane: XOR the word planes (bits at or
+    /// above `k` drop out), then one Galois step. The step shifts bit
+    /// `k − 1` into bit 0 by rotating the ring, then XORs it into every
+    /// tapped bit.
+    #[inline]
+    fn absorb(&mut self, word: &[LaneChunk<K>]) {
+        let k = self.ring.len();
+        for (j, plane) in word.iter().enumerate().take(k) {
+            let s = self.slot(j);
+            self.ring[s] ^= *plane;
+        }
+        self.head = self.slot(k - 1);
+        let out = self.ring[self.head];
+        for &i in &self.taps {
+            let s = self.slot(i);
+            self.ring[s] ^= out;
+        }
+    }
+
+    /// The register planes in bit order, ready for [`lane_word`].
+    fn into_planes(mut self) -> Vec<LaneChunk<K>> {
+        self.ring.rotate_left(self.head);
+        self.ring
     }
 }
 
@@ -328,5 +387,10 @@ mod tests {
         let geom = Geometry::bom(4);
         let program = Executor::new().compile(&library::mats(), geom);
         assert!(matches!(SignatureCollector::new(&program, Poly2::ONE), Err(DiagError::Lfsr(_))));
+        // Wider than the u64 signature: refused, not silently truncated.
+        assert!(matches!(
+            SignatureCollector::new(&program, Poly2::from_bits((1 << 70) | 1)),
+            Err(DiagError::Lfsr(prt_lfsr::LfsrError::RegisterTooWide { degree: 70 }))
+        ));
     }
 }

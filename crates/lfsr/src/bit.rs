@@ -7,7 +7,7 @@
 //! produces the same maximal-length sequences and is included for the BIST
 //! hardware model.
 
-use crate::LfsrError;
+use crate::{binary_stages, stage_mask, LfsrError};
 use prt_gf::Poly2;
 
 /// Fibonacci-form bit LFSR defined by a feedback polynomial
@@ -48,17 +48,11 @@ impl BitLfsr {
     ///
     /// * [`LfsrError::DegenerateFeedback`] if `g` has degree < 1.
     /// * [`LfsrError::NonInvertibleG0`] if `g0 = 0`.
+    /// * [`LfsrError::RegisterTooWide`] if `g` has degree > 64.
     /// * [`LfsrError::WrongStateLength`] if `init` has bits at or above `k`.
     pub fn new(poly: Poly2, init: u64) -> Result<BitLfsr, LfsrError> {
-        let deg = poly.degree();
-        if deg < 1 {
-            return Err(LfsrError::DegenerateFeedback);
-        }
-        if poly.coeff(0) == 0 {
-            return Err(LfsrError::NonInvertibleG0);
-        }
-        let k = deg as u32;
-        if k < 64 && init >> k != 0 {
+        let k = binary_stages(poly)?;
+        if init & !stage_mask(k) != 0 {
             return Err(LfsrError::WrongStateLength { actual: 64, expected: k as usize });
         }
         Ok(BitLfsr { poly, k, state: init })
@@ -85,7 +79,7 @@ impl BitLfsr {
     ///
     /// [`LfsrError::WrongStateLength`] if `state` has bits at or above `k`.
     pub fn set_state(&mut self, state: u64) -> Result<(), LfsrError> {
-        if self.k < 64 && state >> self.k != 0 {
+        if state & !stage_mask(self.k) != 0 {
             return Err(LfsrError::WrongStateLength { actual: 64, expected: self.k as usize });
         }
         self.state = state;
@@ -191,15 +185,8 @@ impl GaloisLfsr {
     ///
     /// Same conditions as [`BitLfsr::new`].
     pub fn new(poly: Poly2, init: u64) -> Result<GaloisLfsr, LfsrError> {
-        let deg = poly.degree();
-        if deg < 1 {
-            return Err(LfsrError::DegenerateFeedback);
-        }
-        if poly.coeff(0) == 0 {
-            return Err(LfsrError::NonInvertibleG0);
-        }
-        let k = deg as u32;
-        if k < 64 && init >> k != 0 {
+        let k = binary_stages(poly)?;
+        if init & !stage_mask(k) != 0 {
             return Err(LfsrError::WrongStateLength { actual: 64, expected: k as usize });
         }
         Ok(GaloisLfsr { poly, k, state: init })
@@ -223,7 +210,7 @@ impl GaloisLfsr {
         if out == 1 {
             self.state ^= self.poly.bits() as u64;
         }
-        self.state &= (1u64 << self.k) - 1;
+        self.state &= stage_mask(self.k);
         out as u8
     }
 
@@ -375,6 +362,36 @@ mod tests {
             g.step();
             assert_eq!(g.state(), f.mul(s, 2), "s={s}");
         }
+    }
+
+    #[test]
+    fn registers_span_the_full_u64_state() {
+        // x⁶⁴ + 1: s_t = s_{t−64}, so the sequence repeats the seed.
+        let seed = 0x80F0_0F00_0000_A501;
+        let mut l = BitLfsr::new(Poly2::from_bits((1 << 64) | 1), seed).unwrap();
+        assert_eq!(l.stages(), 64);
+        let seq = l.sequence(192);
+        assert_eq!(seq[..64], seq[64..128]);
+        assert_eq!(seq[..64], seq[128..]);
+        assert_eq!(l.state(), seed);
+        // x⁶⁴ + x⁴ + x³ + x + 1: plain shifts until bit 63 feeds back.
+        let poly = Poly2::from_bits((1 << 64) | 0b1_1011);
+        let mut g = GaloisLfsr::new(poly, 1).unwrap();
+        for _ in 0..3 {
+            g.step();
+        }
+        assert_eq!(g.state(), 8);
+        let mut g = GaloisLfsr::new(poly, 1 << 63).unwrap();
+        assert_eq!(g.step(), 1);
+        assert_eq!(g.state(), 0b1_1011);
+    }
+
+    #[test]
+    fn registers_wider_than_u64_are_refused() {
+        let poly = Poly2::from_bits((1 << 65) | 1);
+        let too_wide = LfsrError::RegisterTooWide { degree: 65 };
+        assert_eq!(BitLfsr::new(poly, 1).unwrap_err(), too_wide);
+        assert_eq!(GaloisLfsr::new(poly, 1).unwrap_err(), too_wide);
     }
 
     #[test]

@@ -12,6 +12,12 @@ pub enum LfsrError {
     NonInvertibleG0,
     /// The leading coefficient `gk` is zero (the declared degree is wrong).
     ZeroLeadingCoefficient,
+    /// A GF(2) register over the feedback polynomial would need more
+    /// stages than its `u64` state holds.
+    RegisterTooWide {
+        /// The polynomial's degree (the stages it needs).
+        degree: u32,
+    },
     /// A coefficient or state element does not belong to the field.
     ElementOutOfField {
         /// The offending value.
@@ -40,6 +46,9 @@ impl fmt::Display for LfsrError {
             }
             LfsrError::ZeroLeadingCoefficient => {
                 write!(f, "leading coefficient gk of the feedback polynomial is zero")
+            }
+            LfsrError::RegisterTooWide { degree } => {
+                write!(f, "feedback polynomial of degree {degree} exceeds the 64-stage register")
             }
             LfsrError::ElementOutOfField { value } => {
                 write!(f, "value {value:#x} is not a field element")

@@ -47,3 +47,34 @@ pub use cycles::{enumerate_cycles, max_period_from_factors, CycleStructure};
 pub use error::LfsrError;
 pub use misr::Misr;
 pub use word::WordLfsr;
+
+use prt_gf::Poly2;
+
+/// The stage count `k` of a GF(2) register ([`BitLfsr`], [`GaloisLfsr`],
+/// [`Misr`]) over the feedback polynomial `poly`, whose state is one
+/// `u64`.
+///
+/// # Errors
+///
+/// * [`LfsrError::DegenerateFeedback`] if `poly` has degree < 1.
+/// * [`LfsrError::NonInvertibleG0`] if its constant term is 0.
+/// * [`LfsrError::RegisterTooWide`] if its degree exceeds 64.
+fn binary_stages(poly: Poly2) -> Result<u32, LfsrError> {
+    let deg = poly.degree();
+    if deg < 1 {
+        return Err(LfsrError::DegenerateFeedback);
+    }
+    if poly.coeff(0) == 0 {
+        return Err(LfsrError::NonInvertibleG0);
+    }
+    let k = deg as u32;
+    if k > u64::BITS {
+        return Err(LfsrError::RegisterTooWide { degree: k });
+    }
+    Ok(k)
+}
+
+/// The mask of a `k`-stage register's state bits, `1 ≤ k ≤ 64`.
+fn stage_mask(k: u32) -> u64 {
+    u64::MAX >> (u64::BITS - k)
+}

@@ -7,7 +7,7 @@
 //! alternative so the hardware-overhead comparison of experiment E6 and the
 //! signature ablation of E-ablate can quantify what PRT saves.
 
-use crate::LfsrError;
+use crate::{binary_stages, stage_mask, LfsrError};
 use prt_gf::Poly2;
 
 /// A multi-input signature register over GF(2).
@@ -50,15 +50,9 @@ impl Misr {
     ///
     /// * [`LfsrError::DegenerateFeedback`] if the polynomial has degree < 1.
     /// * [`LfsrError::NonInvertibleG0`] if its constant term is 0.
+    /// * [`LfsrError::RegisterTooWide`] if its degree exceeds 64.
     pub fn new(poly: Poly2) -> Result<Misr, LfsrError> {
-        let deg = poly.degree();
-        if deg < 1 {
-            return Err(LfsrError::DegenerateFeedback);
-        }
-        if poly.coeff(0) == 0 {
-            return Err(LfsrError::NonInvertibleG0);
-        }
-        Ok(Misr { poly, k: deg as u32, state: 0, absorbed: 0 })
+        Ok(Misr { poly, k: binary_stages(poly)?, state: 0, absorbed: 0 })
     }
 
     /// Register width `k`.
@@ -73,7 +67,7 @@ impl Misr {
 
     /// Absorbs one response word (low `k` bits are used) and advances.
     pub fn absorb(&mut self, word: u64) {
-        let mask = if self.k == 64 { u64::MAX } else { (1u64 << self.k) - 1 };
+        let mask = stage_mask(self.k);
         self.absorbed += 1;
         self.state ^= word & mask;
         // Galois step: multiply by z mod poly.
@@ -177,5 +171,22 @@ mod tests {
     fn rejects_bad_polynomials() {
         assert!(matches!(Misr::new(Poly2::ONE), Err(LfsrError::DegenerateFeedback)));
         assert!(matches!(Misr::new(Poly2::from_bits(0b10)), Err(LfsrError::NonInvertibleG0)));
+        assert_eq!(
+            Misr::new(Poly2::from_bits((1 << 65) | 1)),
+            Err(LfsrError::RegisterTooWide { degree: 65 })
+        );
+    }
+
+    #[test]
+    fn full_width_register() {
+        // x⁶⁴ + 1: the Galois step is a plain 64-bit rotation.
+        let mut m = Misr::new(Poly2::from_bits((1 << 64) | 1)).unwrap();
+        assert_eq!(m.width(), 64);
+        let mut state = 0u64;
+        for w in [u64::MAX, 1 << 63, 0x0123_4567_89AB_CDEF, 0] {
+            m.absorb(w);
+            state = (state ^ w).rotate_left(1);
+            assert_eq!(m.signature(), state);
+        }
     }
 }

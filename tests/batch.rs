@@ -6,8 +6,9 @@
 //! stuck-open and address-decoder families that batch since the decoder
 //! model landed — any lane position and any thread count; and the
 //! batched `map_trials` measurement mode must reproduce the scalar
-//! per-fault MISR signatures exactly. The scalar path is the oracle —
-//! these are the acceptance tests of the lane-sliced refactor.
+//! per-fault MISR signatures exactly, single- and multi-port. The scalar
+//! path is the oracle — these are the acceptance tests of the
+//! lane-sliced refactor.
 
 use proptest::prelude::*;
 use prt_suite::prelude::*;
@@ -249,13 +250,19 @@ proptest! {
     /// BATCHED MEASUREMENT ≡ SCALAR MEASUREMENT: `try_map_trials_batched`
     /// signature collection must reproduce, per fault index, the exact
     /// MISR signature and execution summary the scalar `collect` path
-    /// measures — for random March programs, sizes and thread counts, at
-    /// every lane-chunk width.
+    /// measures — for random March programs, sizes, cell widths, MISR
+    /// polynomials (degree 1..=64, random middle taps, `g0 = 1`) and
+    /// thread counts, at every lane-chunk width. Every case puts the cell
+    /// width `m` below, at and above the register width `k`, so the
+    /// bit-sliced register absorbs zero-padded, exact and truncated words.
     #[test]
     fn signature_map_batched_equals_scalar(
         test_idx in 0usize..15,
         n in 2usize..10,
         threads in 1usize..5,
+        width in 1u32..9,
+        degree in 1u32..65,
+        taps in any::<u64>(),
     ) {
         fn batched_at<const K: usize>(
             geom: Geometry,
@@ -275,30 +282,109 @@ proptest! {
             .expect("batched sweep")
             .0
         }
-        let geom = Geometry::bom(n);
-        let u = mixed_universe(geom);
         let tests = march_library::all();
         let test = &tests[test_idx % tests.len()];
-        let program = Executor::new().compile(test, geom);
-        let collector = SignatureCollector::new(&program, Poly2::from_bits(0b1_0001_1011))
-            .expect("collector");
         let threads = test_threads(threads);
-        let scalar: Vec<Observation> =
-            prt_sim::map_trials(geom, 1, u.len(), Parallelism::Sequential, |i, ram| {
-                ram.inject(u.faults()[i].clone()).expect("valid");
-                collector.collect(&program, ram).expect("single-port run")
-            });
-        for (lanes, batched) in [
-            (64usize, batched_at::<1>(geom, &u, &collector, &program, threads)),
-            (256, batched_at::<4>(geom, &u, &collector, &program, threads)),
-            (512, batched_at::<8>(geom, &u, &collector, &program, threads)),
-        ] {
-            for (i, (s, b)) in scalar.iter().zip(&batched).enumerate() {
-                prop_assert_eq!(
-                    s, b,
-                    "{}: observation diverged on {} (lanes={}, threads={})",
-                    test.name(), &u.faults()[i], lanes, threads
-                );
+        // m < k, m = k and m > k (the last needs m ≥ 2).
+        let wide = width.max(2);
+        for (m, k) in [(width, degree.max(width + 1)), (width, width), (wide, 1 + degree % (wide - 1))]
+        {
+            let geom = if m == 1 { Geometry::bom(n) } else { Geometry::wom(n, m).expect("geometry") };
+            let middle = (u128::from(taps) << 1) & ((1u128 << k) - 2);
+            let poly = Poly2::from_bits((1u128 << k) | middle | 1);
+            let u = mixed_universe(geom);
+            let program = Executor::new().compile(test, geom);
+            let collector = SignatureCollector::new(&program, poly).expect("collector");
+            prop_assert_eq!(collector.width(), k);
+            let scalar: Vec<Observation> =
+                prt_sim::map_trials(geom, 1, u.len(), Parallelism::Sequential, |i, ram| {
+                    ram.inject(u.faults()[i].clone()).expect("valid");
+                    collector.collect(&program, ram).expect("single-port run")
+                });
+            for (lanes, batched) in [
+                (64usize, batched_at::<1>(geom, &u, &collector, &program, threads)),
+                (256, batched_at::<4>(geom, &u, &collector, &program, threads)),
+                (512, batched_at::<8>(geom, &u, &collector, &program, threads)),
+            ] {
+                for (i, (s, b)) in scalar.iter().zip(&batched).enumerate() {
+                    prop_assert_eq!(
+                        s, b,
+                        "{}: observation diverged on {} (m={}, poly={:?}, lanes={}, threads={})",
+                        test.name(), &u.faults()[i], m, poly, lanes, threads
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// MULTI-PORT BATCHED MEASUREMENT ≡ SCALAR MEASUREMENT: the dual- and
+/// quad-port π programs over a universe with decoder faults, some of
+/// which fold one cycle's writes onto one cell. On those trials the
+/// scalar `collect` returns the device error, which a dictionary records
+/// as the escape observation (reference signature, default execution).
+/// `collect_batch` freezes the same lanes and must substitute exactly
+/// that observation, while every other lane keeps its scalar observation
+/// — at every lane-chunk width and thread count.
+#[test]
+fn multi_port_signature_map_batched_equals_scalar() {
+    fn batched_at<const K: usize>(
+        u: &FaultUniverse,
+        collector: &SignatureCollector,
+        program: &TestProgram,
+        threads: usize,
+    ) -> Vec<Observation> {
+        let escape = Observation { signature: collector.reference(), exec: Execution::default() };
+        prt_sim::try_map_trials_batched::<K, _, _, _>(
+            u.geometry(),
+            program.ports(),
+            u.faults(),
+            Parallelism::Threads(threads),
+            |lanes, out| collector.collect_batch(program, lanes, out),
+            |_, ram| collector.collect(program, ram).unwrap_or(escape),
+        )
+        .expect("batched sweep")
+        .0
+    }
+    let pi = PiTest::new(gf16(), &[1, 2, 2], &[3, 7]).expect("config");
+    let geom = Geometry::wom(12, 4).expect("geometry");
+    let u = mixed_universe(geom);
+    let poly = Poly2::from_bits(0b1_0001_1011);
+    for program in [
+        pi.compile_dual_port(geom, None).expect("compile dual"),
+        pi.compile_quad_port(geom).expect("compile quad"),
+    ] {
+        let collector = SignatureCollector::new(&program, poly).expect("collector");
+        let escape = Observation { signature: collector.reference(), exec: Execution::default() };
+        let mut conflicts = 0;
+        let scalar: Vec<Observation> = u
+            .faults()
+            .iter()
+            .map(|f| {
+                let mut ram = Ram::with_ports(geom, program.ports()).expect("ports");
+                ram.inject(f.clone()).expect("inject");
+                collector.collect(&program, &mut ram).unwrap_or_else(|_| {
+                    conflicts += 1;
+                    escape
+                })
+            })
+            .collect();
+        assert!(conflicts > 0, "{}: no trial hit a write-write conflict", program.name());
+        for threads in [1usize, 4].map(test_threads) {
+            for (lanes, batched) in [
+                (64usize, batched_at::<1>(&u, &collector, &program, threads)),
+                (256, batched_at::<4>(&u, &collector, &program, threads)),
+                (512, batched_at::<8>(&u, &collector, &program, threads)),
+            ] {
+                for (i, (s, b)) in scalar.iter().zip(&batched).enumerate() {
+                    assert_eq!(
+                        s,
+                        b,
+                        "{}: observation diverged on {} (lanes={lanes}, threads={threads})",
+                        program.name(),
+                        &u.faults()[i]
+                    );
+                }
             }
         }
     }
