@@ -15,9 +15,14 @@
 //!    stream is compared against each candidate fault's *simulated*
 //!    stream (deterministic simulator, same reset state); candidates that
 //!    disagree with any observation are eliminated. The true fault can
-//!    never be eliminated. A [`FaultDictionary`] seeds the candidate set
-//!    from the observed signature (the fast path); without one the full
-//!    paper-claim universe is filtered.
+//!    never be eliminated. The candidates are simulated 64 at a time, one
+//!    fault per lane of a [`LaneRam`], with one full observed pass
+//!    ([`TestProgram::try_execute_batch_observed`]) per chunk and probe;
+//!    each read's bit-planes are compared against the broadcast observed
+//!    word, so a lane survives exactly when the scalar run of its fault
+//!    would have reproduced the observed stream. A [`FaultDictionary`]
+//!    seeds the candidate set from the observed signature (the fast
+//!    path); without one the full paper-claim universe is filtered.
 //! 3. **Aggressor recovery** — for two-cell faults (coupling, decoder
 //!    pairs), toggle probes over bisected aggressor sets plus an
 //!    exhaustive two-cell state walk per remaining partner separate the
@@ -35,7 +40,8 @@ use std::collections::BTreeSet;
 use crate::{DiagError, FaultDictionary};
 use prt_march::{Executor, MarchTest};
 use prt_ram::{
-    FaultKind, FaultUniverse, Geometry, ProgramBuilder, Ram, TestProgram, Topology, UniverseSpec,
+    Execution, FaultKind, FaultUniverse, Geometry, LaneChunk, LaneRam, ProgramBuilder, Ram,
+    TestProgram, Topology, UniverseSpec, LANES,
 };
 
 /// Coarse fault family of a diagnosis, per the van-de-Goor taxonomy the
@@ -277,7 +283,6 @@ impl<'a> Localizer<'a> {
         };
         let mut probes = 0usize;
         let mut observed = Vec::new();
-        let mut sim_buf = Vec::new();
 
         // 1. The detecting run (stream observed for filtering; signature
         //    for the dictionary lookup).
@@ -310,9 +315,9 @@ impl<'a> Localizer<'a> {
                     .to_vec(),
             },
         };
-        let mut scratch =
-            Ram::with_ports(self.geom, full.ports().max(1)).map_err(DiagError::Ram)?;
-        retain_matching(&mut candidates, full, &observed, &mut scratch, &mut sim_buf);
+        let mut lanes =
+            LaneRam::with_ports(self.geom, full.ports().max(1)).map_err(DiagError::Ram)?;
+        retain_matching(&mut candidates, full, &observed, &mut lanes);
 
         // 3. Victim bisection over check windows. Invariant: the fault is
         //    observable in [lo, hi).
@@ -322,7 +327,7 @@ impl<'a> Localizer<'a> {
             let left = self.executor.compile_window(&self.test, self.geom, lo..mid);
             probes += 1;
             let detected = observe(&left, ram, &mut observed)?;
-            retain_matching(&mut candidates, &left, &observed, &mut scratch, &mut sim_buf);
+            retain_matching(&mut candidates, &left, &observed, &mut lanes);
             if detected {
                 hi = mid;
             } else {
@@ -336,14 +341,14 @@ impl<'a> Localizer<'a> {
         if !observe(&pin, ram, &mut observed)? {
             return Err(DiagError::Inconsistent);
         }
-        retain_matching(&mut candidates, &pin, &observed, &mut scratch, &mut sim_buf);
+        retain_matching(&mut candidates, &pin, &observed, &mut lanes);
 
         // 4. Solo probe: exercises the victim alone — separates single-cell
         //    families from couplings (whose aggressor never acts here).
         let solo = solo_probe(self.geom, victim);
         probes += 1;
         observe(&solo, ram, &mut observed)?;
-        retain_matching(&mut candidates, &solo, &observed, &mut scratch, &mut sim_buf);
+        retain_matching(&mut candidates, &solo, &observed, &mut lanes);
 
         // 5. Aggressor bisection: toggle probes over the set of cells with
         //    address bit b set split the partner address bit by bit.
@@ -358,7 +363,7 @@ impl<'a> Localizer<'a> {
                 let probe = toggle_probe(self.geom, victim, &set);
                 probes += 1;
                 observe(&probe, ram, &mut observed)?;
-                retain_matching(&mut candidates, &probe, &observed, &mut scratch, &mut sim_buf);
+                retain_matching(&mut candidates, &probe, &observed, &mut lanes);
             }
             // 6. Exhaustive two-cell state walk per remaining partner:
             //    separates coupling subtypes and decoder-pair roles.
@@ -371,7 +376,7 @@ impl<'a> Localizer<'a> {
                 let probe = pair_probe(self.geom, victim, a);
                 probes += 1;
                 observe(&probe, ram, &mut observed)?;
-                retain_matching(&mut candidates, &probe, &observed, &mut scratch, &mut sim_buf);
+                retain_matching(&mut candidates, &probe, &observed, &mut lanes);
             }
         }
 
@@ -444,24 +449,51 @@ fn observe(program: &TestProgram, ram: &mut Ram, buf: &mut Vec<u64>) -> Result<b
 /// differs from the observed one. The true fault always survives: the
 /// simulator is deterministic and the probe starts from the same reset
 /// state on both sides.
+///
+/// The candidates run lane-batched, 64 per pass of `lanes` in candidate
+/// order, and the survivors keep that order. A lane survives when its
+/// fault injected, none of its reads mismatched the observed word, the
+/// pass read exactly `observed.len()` words and the lane was not frozen
+/// by a device error — per lane, exactly the scalar rule of
+/// `retain_matching_scalar` (its differential oracle): an injection error,
+/// a run error or a differing stream drops the candidate. A pass the
+/// device refuses outright (port shortfall, geometry mismatch) would fail
+/// every scalar run too, so it drops the whole chunk.
 fn retain_matching(
     candidates: &mut Vec<FaultKind>,
     program: &TestProgram,
     observed: &[u64],
-    scratch: &mut Ram,
-    buf: &mut Vec<u64>,
+    lanes: &mut LaneRam,
 ) {
-    candidates.retain(|fault| {
-        scratch.eject_faults();
-        scratch.reset_to(0);
-        if scratch.inject(fault.clone()).is_err() {
-            return false;
+    let mut execs = [Execution::default(); LANES];
+    let mut keep = Vec::with_capacity(candidates.len().div_ceil(LANES));
+    for chunk in candidates.chunks(LANES) {
+        lanes.eject_faults();
+        lanes.reset_to(0);
+        for (lane, fault) in chunk.iter().enumerate() {
+            // A rejected fault claims no lane, so it can never survive.
+            let _ = lanes.inject(fault.clone(), lane);
         }
-        buf.clear();
-        if program.execute_observed(scratch, false, None, &mut |v| buf.push(v)).is_err() {
-            return false;
-        }
-        buf.as_slice() == observed
+        let (mut reads, mut mismatched) = (0usize, LaneChunk::ZERO);
+        let pass = program.try_execute_batch_observed(lanes, &mut execs, &mut |planes| {
+            if let Some(&word) = observed.get(reads) {
+                for (j, &plane) in planes.iter().enumerate() {
+                    mismatched |= plane ^ LaneChunk::broadcast(word, j as u32);
+                }
+            }
+            reads += 1;
+        });
+        keep.push(if pass.is_ok() && reads == observed.len() {
+            lanes.active_lanes() & !mismatched & !lanes.errored_lanes()
+        } else {
+            LaneChunk::ZERO
+        });
+    }
+    let mut i = 0;
+    candidates.retain(|_| {
+        let kept = keep[i / LANES].get(i % LANES);
+        i += 1;
+        kept
     });
 }
 
@@ -602,11 +634,104 @@ fn pair_probe(geom: Geometry, victim: usize, partner: usize) -> TestProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use prt_march::library;
-    use prt_ram::CouplingTrigger;
+    use prt_ram::{CouplingTrigger, SplitMix64};
 
     fn localizer() -> Localizer<'static> {
         Localizer::new(library::march_diag(), Geometry::bom(16))
+    }
+
+    /// The scalar filter the lane-batched [`retain_matching`] replaced,
+    /// kept as its differential oracle: one eject, reset, inject and
+    /// observed run per candidate.
+    fn retain_matching_scalar(
+        candidates: &mut Vec<FaultKind>,
+        program: &TestProgram,
+        observed: &[u64],
+        scratch: &mut Ram,
+    ) {
+        let mut buf = Vec::new();
+        candidates.retain(|fault| {
+            scratch.eject_faults();
+            scratch.reset_to(0);
+            if scratch.inject(fault.clone()).is_err() {
+                return false;
+            }
+            buf.clear();
+            if program.execute_observed(scratch, false, None, &mut |v| buf.push(v)).is_err() {
+                return false;
+            }
+            buf.as_slice() == observed
+        });
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The lane-batched filter keeps exactly the candidates the scalar
+        /// oracle keeps, in the same order, for every probe shape the
+        /// localizer issues: 2–201 candidates (one to four lane chunks,
+        /// the last one partial) drawn from a BOM or WOM universe, plus
+        /// the device's own fault and one fault invalid for the geometry,
+        /// which both filters must drop.
+        #[test]
+        fn batched_filter_equals_scalar_oracle(
+            n in 4usize..=40,
+            width in prop_oneof![Just(1u32), Just(2u32), Just(4u32), Just(8u32)],
+            full_spec in any::<bool>(),
+            probe in 0usize..5,
+            faulty in any::<bool>(),
+            count in 1usize..=200,
+            seed in any::<u64>(),
+        ) {
+            let geom = if width == 1 { Geometry::bom(n) } else { Geometry::wom(n, width).unwrap() };
+            let spec = if full_spec { UniverseSpec::full() } else { UniverseSpec::paper_claim() };
+            let universe = FaultUniverse::enumerate(geom, &spec);
+            let mut rng = SplitMix64::new(seed);
+            let pick = |rng: &mut SplitMix64| {
+                universe.faults()[rng.next_below(universe.len() as u64) as usize].clone()
+            };
+            let victim = rng.next_below(n as u64) as usize;
+            let program = match probe {
+                0 => Executor::new().compile(&library::march_diag(), geom),
+                1 => {
+                    let lo = rng.next_below(n as u64) as usize;
+                    let hi = lo + 1 + rng.next_below((n - lo) as u64) as usize;
+                    Executor::new().compile_window(&library::march_diag(), geom, lo..hi)
+                }
+                2 => solo_probe(geom, victim),
+                3 => {
+                    let set: Vec<usize> =
+                        (0..n).filter(|&c| c != victim && rng.next_bool()).collect();
+                    toggle_probe(geom, victim, &set)
+                }
+                _ => {
+                    let partner = (victim + 1 + rng.next_below(n as u64 - 1) as usize) % n;
+                    pair_probe(geom, victim, partner)
+                }
+            };
+            let mut candidates: Vec<FaultKind> = (0..count).map(|_| pick(&mut rng)).collect();
+            let mut device = Ram::with_ports(geom, program.ports()).unwrap();
+            if faulty {
+                let fault = pick(&mut rng);
+                device.inject(fault.clone()).unwrap();
+                let at = rng.next_below(candidates.len() as u64 + 1) as usize;
+                candidates.insert(at, fault);
+            }
+            let invalid = FaultKind::StuckAt { cell: n, bit: 0, value: 1 };
+            let at = rng.next_below(candidates.len() as u64 + 1) as usize;
+            candidates.insert(at, invalid);
+            let mut observed = Vec::new();
+            program.execute_observed(&mut device, false, None, &mut |v| observed.push(v)).unwrap();
+
+            let mut scalar = candidates.clone();
+            let mut scratch = Ram::with_ports(geom, program.ports()).unwrap();
+            retain_matching_scalar(&mut scalar, &program, &observed, &mut scratch);
+            let mut lanes = LaneRam::with_ports(geom, program.ports()).unwrap();
+            retain_matching(&mut candidates, &program, &observed, &mut lanes);
+            prop_assert_eq!(candidates, scalar);
+        }
     }
 
     #[test]

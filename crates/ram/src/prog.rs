@@ -378,6 +378,22 @@ impl TestProgram {
         &self.maps
     }
 
+    /// The device operations and cycles `op` costs on every lane — the one
+    /// counting rule behind [`Execution::ops`] and [`Execution::cycles`]
+    /// of a full run: a scalar access is one op and one cycle, an
+    /// accumulator set is neither, and a multi-port cycle is one cycle
+    /// plus one op per non-idle slot.
+    pub(crate) fn op_cost(&self, op: MemOp) -> (u64, u64) {
+        match op {
+            MemOp::AccSet { .. } => (0, 0),
+            MemOp::CycleN { start, len } => {
+                let slots = &self.slots[start as usize..start as usize + len as usize];
+                (slots.iter().filter(|s| !matches!(s, SlotOp::Idle)).count() as u64, 1)
+            }
+            _ => (1, 1),
+        }
+    }
+
     /// Number of [`MemOp::ReadCapture`] ops (capacity needed by the
     /// capture buffer).
     pub fn captures(&self) -> usize {
@@ -527,8 +543,17 @@ impl TestProgram {
     /// per lane it equals the scalar
     /// `execute_observed(ram, false, None, ..)` summary on a [`Ram`]
     /// carrying that lane's fault — counts, first mismatch, ops and
-    /// cycles (property-tested in `tests/batch.rs`). Returns the mask of
-    /// active lanes whose trial was flagged on either channel.
+    /// cycles (property-tested in `tests/batch.rs`). Every lane runs every
+    /// op, so the op and cycle totals are lane-independent: one walk of
+    /// the op list counts them, and the pass builds no [`ActivityIndex`].
+    /// Returns the mask of active lanes whose trial was flagged on either
+    /// channel.
+    ///
+    /// Besides measurement, this pass is the candidate filter of
+    /// adaptive localization (`prt_diag::Localizer`): the observer ORs
+    /// each read's planes against the device's observed word into a
+    /// per-lane mismatch mask, so one pass re-simulates a whole chunk of
+    /// candidate faults against a probe.
     ///
     /// Lanes frozen by a multi-port write-write conflict mirror the
     /// scalar error-as-escape convention for the *whole* execution: the
@@ -553,8 +578,11 @@ impl TestProgram {
         execs: &mut [Execution],
         observer: &mut dyn FnMut(&[LaneChunk<K>]),
     ) -> Result<LaneChunk<K>, RamError> {
-        let index = self.activity_index();
-        self.lane_pass(ram, None, Observe::new(execs, observer, &index))
+        let totals = self.ops.iter().fold((0, 0), |(ops, cycles), &op| {
+            let (o, c) = self.op_cost(op);
+            (ops + o, cycles + c)
+        });
+        self.lane_pass(ram, None, Observe::new(execs, observer, totals))
     }
 
     /// [`TestProgram::try_execute_batch_observed`] in **sliced execution
@@ -588,7 +616,8 @@ impl TestProgram {
         execs: &mut [Execution],
         observer: &mut dyn FnMut(&[LaneChunk<K>]),
     ) -> Result<LaneChunk<K>, RamError> {
-        self.lane_pass(ram, Some((index, active)), Observe::new(execs, observer, index))
+        let totals = (index.total_ops, index.total_cycles);
+        self.lane_pass(ram, Some((index, active)), Observe::new(execs, observer, totals))
     }
 
     /// The one batch lane interpreter behind the four `try_*batch*`
@@ -633,7 +662,7 @@ impl TestProgram {
         let mut next = 0u32;
         for opi in listed.iter().copied().chain(rest) {
             if let Some((index, active)) = slice {
-                sink.skipped(next..opi);
+                sink.skipped(index, next..opi);
                 self.splice_gap(ram, index, active, base_time, sof, next..opi);
             }
             let idx = opi as usize;
@@ -691,8 +720,8 @@ impl TestProgram {
             }
             next = opi + 1;
         }
-        if slice.is_some() {
-            sink.skipped(next..n);
+        if let Some((index, _)) = slice {
+            sink.skipped(index, next..n);
         }
         Ok(sink.finish(flagged, frozen, full))
     }
@@ -1053,8 +1082,9 @@ trait LaneSink<const K: usize> {
     ) {
     }
 
-    /// A sliced pass skipped the ops in `gap`.
-    fn skipped(&mut self, _gap: Range<u32>) {}
+    /// A sliced pass skipped the ops in `gap`; `index` holds their
+    /// fault-free reference.
+    fn skipped(&mut self, _index: &ActivityIndex, _gap: Range<u32>) {}
 
     /// The pass result from its flagged, frozen and active lanes.
     fn finish(
@@ -1084,10 +1114,9 @@ impl<const K: usize> LaneSink<K> for Detect {
 struct Observe<'a, const K: usize> {
     execs: &'a mut [Execution],
     observer: &'a mut dyn FnMut(&[LaneChunk<K>]),
-    /// The program's activity index: the reference responses of skipped
-    /// reads and the lane-independent op and cycle totals.
-    index: &'a ActivityIndex,
-    /// Broadcast scratch for the reference responses.
+    /// The lane-independent full-pass `(ops, cycles)` totals.
+    totals: (u64, u64),
+    /// Broadcast scratch for the reference responses of skipped reads.
     planes: Vec<LaneChunk<K>>,
 }
 
@@ -1095,10 +1124,9 @@ impl<'a, const K: usize> Observe<'a, K> {
     fn new(
         execs: &'a mut [Execution],
         observer: &'a mut dyn FnMut(&[LaneChunk<K>]),
-        index: &'a ActivityIndex,
+        totals: (u64, u64),
     ) -> Observe<'a, K> {
-        let planes = vec![LaneChunk::ZERO; index.geometry().width() as usize];
-        Observe { execs, observer, index, planes }
+        Observe { execs, observer, totals, planes: Vec::new() }
     }
 }
 
@@ -1135,10 +1163,11 @@ impl<const K: usize> LaneSink<K> for Observe<'_, K> {
         });
     }
 
-    fn skipped(&mut self, gap: Range<u32>) {
-        let lo = self.index.responses_before[gap.start as usize] as usize;
-        let hi = self.index.responses_before[gap.end as usize] as usize;
-        for &expect in &self.index.responses[lo..hi] {
+    fn skipped(&mut self, index: &ActivityIndex, gap: Range<u32>) {
+        self.planes.resize(index.geometry().width() as usize, LaneChunk::ZERO);
+        let lo = index.responses_before[gap.start as usize] as usize;
+        let hi = index.responses_before[gap.end as usize] as usize;
+        for &expect in &index.responses[lo..hi] {
             for (j, plane) in self.planes.iter_mut().enumerate() {
                 *plane = LaneChunk::broadcast(expect, j as u32);
             }
@@ -1159,8 +1188,7 @@ impl<const K: usize> LaneSink<K> for Observe<'_, K> {
             if frozen.get(lane) {
                 *e = Execution::default();
             } else {
-                e.ops = self.index.total_ops;
-                e.cycles = self.index.total_cycles;
+                (e.ops, e.cycles) = self.totals;
             }
         }
         flagged & !frozen & full
@@ -1459,7 +1487,7 @@ impl ProgramBuilder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::FaultKind;
 
@@ -1978,10 +2006,11 @@ mod tests {
         }
     }
 
-    fn dual_port_march(geom: Geometry) -> TestProgram {
-        // A dual-port March-like schedule: paired read/write cycles that
-        // sweep the array, exercising read slots and write slots on both
-        // ports, plus an accumulator slot pair.
+    /// A dual-port March-like schedule: paired read/write cycles that
+    /// sweep the array, exercising read slots and write slots on both
+    /// ports, an accumulator slot pair and a cycle with an idle port
+    /// (shared with the activity index's totals test).
+    pub(crate) fn dual_port_march(geom: Geometry) -> TestProgram {
         let n = geom.cells();
         let mut b = ProgramBuilder::new(geom);
         let id = b.identity_map();
@@ -2006,6 +2035,7 @@ mod tests {
             SlotOp::WriteAcc { addr: 1, lane: 0 }, // pre-cycle acc: writes 0
         );
         b.read_expect(1, 0);
+        b.cycle2(SlotOp::ReadExpect { addr: 1, expect: 0 }, SlotOp::Idle);
         for a in (0..n).rev() {
             b.read_any(a);
         }

@@ -224,9 +224,6 @@ impl ActivityIndex {
                 MemOp::Write { addr, data } => {
                     touch(&mut idx.ops_by_addr, addr, opi);
                     cells[addr as usize] = data;
-                    time += 1;
-                    idx.total_ops += 1;
-                    idx.total_cycles += 1;
                 }
                 MemOp::ReadExpect { addr, expect }
                 | MemOp::ReadStale { addr, expect }
@@ -243,18 +240,12 @@ impl ActivityIndex {
                         // must execute in every sliced pass.
                         idx.always_active.push(opi);
                     }
-                    time += 1;
-                    idx.total_ops += 1;
-                    idx.total_cycles += 1;
                 }
                 MemOp::ReadAny { addr } => {
                     touch(&mut idx.ops_by_addr, addr, opi);
                     let v = cells[addr as usize];
                     idx.read_refs.push((addr, v));
                     last_read[0] = (opi, v);
-                    time += 1;
-                    idx.total_ops += 1;
-                    idx.total_cycles += 1;
                 }
                 MemOp::AccSet { lane, value } => {
                     idx.always_active.push(opi);
@@ -267,22 +258,15 @@ impl ActivityIndex {
                     idx.read_refs.push((addr, v));
                     last_read[0] = (opi, v);
                     acc[lane as usize] ^= apply_map(&maps[map as usize], v);
-                    time += 1;
-                    idx.total_ops += 1;
-                    idx.total_cycles += 1;
                 }
                 MemOp::WriteAcc { addr, lane } => {
                     idx.always_active.push(opi);
                     idx.forced.push(addr);
                     touch(&mut idx.ops_by_addr, addr, opi);
                     cells[addr as usize] = acc[lane as usize] & mask;
-                    time += 1;
-                    idx.total_ops += 1;
-                    idx.total_cycles += 1;
                 }
                 MemOp::CycleN { start, len } => {
                     let slots = &slot_tab[start as usize..start as usize + len as usize];
-                    idx.total_cycles += 1;
                     let mut write_addrs = [0u32; MAX_PORTS];
                     let mut nw = 0usize;
                     let mut vals = [0u64; MAX_PORTS];
@@ -290,7 +274,7 @@ impl ActivityIndex {
                     // Reads observe the pre-cycle state.
                     for (port, &slot) in slots.iter().enumerate() {
                         match slot {
-                            SlotOp::Idle => continue,
+                            SlotOp::Idle => {}
                             SlotOp::ReadAcc { addr, .. }
                             | SlotOp::ReadExpect { addr, .. }
                             | SlotOp::ReadStale { addr, .. }
@@ -307,8 +291,6 @@ impl ActivityIndex {
                                 nw += 1;
                             }
                         }
-                        time += 1;
-                        idx.total_ops += 1;
                     }
                     // A program-level duplicate write address freezes
                     // every lane regardless of the chunk's faults: the
@@ -357,7 +339,12 @@ impl ActivityIndex {
                     }
                 }
             }
+            // The device clock ticks once per device op.
+            let (op_ops, op_cycles) = program.op_cost(*op);
+            time += op_ops;
+            idx.total_cycles += op_cycles;
         }
+        idx.total_ops = time;
         idx.time_before.push(time);
         idx.responses_before.push(idx.responses.len() as u32);
         idx.read_ref_offsets.push(idx.read_refs.len() as u32);
@@ -513,13 +500,21 @@ mod tests {
 
     #[test]
     fn totals_match_full_execution() {
-        let p = sample_program();
-        let idx = ActivityIndex::build(&p);
-        let mut ram = crate::Ram::new(p.geometry());
-        let exec = p.execute(&mut ram, false, None).unwrap();
-        assert_eq!(idx.total_ops, exec.ops);
-        assert_eq!(idx.total_cycles, exec.cycles);
-        assert_eq!(*idx.time_before.last().unwrap(), exec.ops, "every device op ticks the clock");
+        // The dual-port program adds multi-port cycles, an idle slot and
+        // accumulator ops, none of which the single-port sample has.
+        let dual = crate::prog::tests::dual_port_march(Geometry::bom(8));
+        for (name, p) in [("sample", sample_program()), ("dual-port", dual)] {
+            let idx = ActivityIndex::build(&p);
+            let mut ram = crate::Ram::with_ports(p.geometry(), p.ports()).unwrap();
+            let exec = p.execute(&mut ram, false, None).unwrap();
+            assert_eq!(idx.total_ops, exec.ops, "{name}");
+            assert_eq!(idx.total_cycles, exec.cycles, "{name}");
+            assert_eq!(
+                *idx.time_before.last().unwrap(),
+                exec.ops,
+                "every device op ticks the clock"
+            );
+        }
     }
 
     #[test]
