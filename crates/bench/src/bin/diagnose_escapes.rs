@@ -74,7 +74,14 @@ fn full_coverage_growth(ns: &[usize]) {
 }
 
 fn report(scheme: &PrtScheme, u: &FaultUniverse, label: &str) {
-    let escapes = Campaign::new(u, scheme).escapes();
+    let program = match scheme.compile(u.geometry()) {
+        Ok(program) => program,
+        Err(e) => {
+            println!("{label}: FAILED: {e}");
+            return;
+        }
+    };
+    let escapes = Campaign::new(u, &program).escapes();
     for &i in escapes.iter().take(25) {
         println!("  escape: {}", u.faults()[i]);
     }

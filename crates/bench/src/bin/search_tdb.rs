@@ -37,12 +37,14 @@ fn ordered_instances(n: usize) -> (Geometry, Vec<FaultKind>) {
 }
 
 fn first_escape(scheme: &PrtScheme, sets: &[(Geometry, Vec<FaultKind>)]) -> Option<FaultKind> {
-    // Sequential campaigns: each candidate schedule is checked fail-fast
-    // against hardness-ordered instances, and the odometer visits millions
-    // of candidates — pooled memories matter here, thread fan-out would
-    // not amortise per candidate.
+    // Sequential campaigns: each candidate schedule is compiled once per
+    // geometry it reaches and checked fail-fast against hardness-ordered
+    // instances, and the odometer visits millions of candidates — pooled
+    // memories matter here, thread fan-out would not amortise per
+    // candidate.
     for (geom, faults) in sets {
-        let found = Campaign::over(*geom, faults, scheme)
+        let program = scheme.compile(*geom).expect("GF(2) schedules compile for BOM n >= 9");
+        let found = Campaign::over(*geom, faults, &program)
             .with_parallelism(Parallelism::Sequential)
             .first_escape();
         if let Some(i) = found {

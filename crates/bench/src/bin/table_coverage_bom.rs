@@ -16,7 +16,7 @@
 use prt_bench::{pct, Table};
 use prt_core::PrtScheme;
 use prt_gf::Field;
-use prt_march::{coverage, coverage::MarchRunner, library, CoverageReport, Executor};
+use prt_march::{coverage, library, CoverageReport, Executor};
 use prt_ram::{FaultUniverse, Geometry, UniverseSpec};
 use prt_sim::Campaign;
 
@@ -40,25 +40,37 @@ fn main() {
             .with_final_readback(true)
             .with_name(format!("π×{iters}"));
         let ops = format!("{}n", s.ops_per_cell());
-        schemes.push((format!("π×{iters} (pre-read)"), s.coverage(&universe), ops));
+        schemes.push((
+            format!("π×{iters} (pre-read)"),
+            s.coverage(&universe).expect("GF(2) compiles for BOM"),
+            ops,
+        ));
     }
     let s3 = PrtScheme::standard3(field()).expect("standard3");
     let ops3 = format!("{}n", s3.ops_per_cell());
-    schemes.push(("π×3 standard3 (paper's claim)".to_string(), s3.coverage(&universe), ops3));
+    schemes.push((
+        "π×3 standard3 (paper's claim)".to_string(),
+        s3.coverage(&universe).expect("GF(2) compiles for BOM"),
+        ops3,
+    ));
     let s4 = PrtScheme::standard4(field()).expect("standard4");
     let ops4 = format!("{}n", s4.ops_per_cell());
-    schemes.push(("π×4 standard4".to_string(), s4.coverage(&universe), ops4));
+    schemes.push((
+        "π×4 standard4".to_string(),
+        s4.coverage(&universe).expect("GF(2) compiles for BOM"),
+        ops4,
+    ));
     let (full, verified) =
         PrtScheme::full_coverage(field(), Geometry::bom(n)).expect("synthesis converges");
     assert_eq!(verified, universe.len());
     let ops = format!("{}n", full.ops_per_cell());
     let label = format!("π×{} synthesized", full.iterations().len());
-    schemes.push((label, full.coverage(&universe), ops));
+    schemes.push((label, full.coverage(&universe).expect("GF(2) compiles for BOM"), ops));
 
     let plain = PrtScheme::plain(field(), 3).expect("plain");
     schemes.push((
         "π×3 plain (paper cost)".to_string(),
-        plain.coverage(&universe),
+        plain.coverage(&universe).expect("GF(2) compiles for BOM"),
         format!("{}n", plain.ops_per_cell()),
     ));
 
@@ -91,24 +103,23 @@ fn main() {
     // E3b: topological NPSF (type-1 static, von Neumann neighbourhoods) —
     // beyond the paper's universe, measuring how the schemes fare on
     // pattern-sensitive faults.
-    let layout = prt_ram::Layout::squarish(Geometry::bom(16)).expect("layout");
+    let npsf_geom = Geometry::bom(16);
+    let layout = prt_ram::Layout::squarish(npsf_geom).expect("layout");
     let npsf = layout.npsf_universe(0);
     println!("\nE3b: type-1 static NPSF on a 4×4 layout ({} instances)", npsf.len());
     let candidates: Vec<(String, PrtScheme)> = vec![
         ("π×3 standard3".into(), PrtScheme::standard3(field()).expect("s3")),
-        (
-            "π×5 synthesized".into(),
-            PrtScheme::full_coverage(field(), Geometry::bom(16)).expect("synth").0,
-        ),
+        ("π×5 synthesized".into(), PrtScheme::full_coverage(field(), npsf_geom).expect("synth").0),
     ];
     for (name, scheme) in &candidates {
-        let detected = Campaign::over(Geometry::bom(16), &npsf, scheme).count_detected();
+        let program = scheme.compile(npsf_geom).expect("GF(2) compiles for BOM");
+        let detected = Campaign::over(npsf_geom, &npsf, &program).count_detected();
         println!("  {name}: {}", pct(100.0 * detected as f64 / npsf.len() as f64));
     }
     let ex = Executor::new().stop_at_first_mismatch();
     for test in [library::march_c_minus(), library::march_ss()] {
-        let detected =
-            Campaign::over(Geometry::bom(16), &npsf, MarchRunner::new(&test, &ex)).count_detected();
+        let program = ex.compile(&test, npsf_geom);
+        let detected = Campaign::over(npsf_geom, &npsf, &program).count_detected();
         println!("  {}: {}", test.name(), pct(100.0 * detected as f64 / npsf.len() as f64));
     }
     println!(

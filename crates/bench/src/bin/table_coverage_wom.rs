@@ -45,7 +45,7 @@ fn main() {
         ("π×6 plain", PrtScheme::plain(field(), 6).expect("plain")),
     ];
     for (name, scheme) in schemes {
-        let report = scheme.coverage(&universe);
+        let report = scheme.coverage(&universe).expect("GF(16) schemes compile for 4-bit words");
         let mut row = vec![name.to_string()];
         for class in classes {
             row.push(report.class(class).map_or("—".into(), |r| pct(r.percent())));
@@ -74,7 +74,7 @@ fn main() {
     // The PRT-side analogue: decorrelated bit-plane rounds.
     let planes = prt_core::plane::PlaneScheme::standard(Poly2::from_bits(0b111), m, 8)
         .expect("plane scheme");
-    let plane_report = planes.coverage(&universe);
+    let plane_report = planes.coverage(&universe).expect("plane scheme compiles");
     let mut row = vec!["plane π×8 (decorrelated)".to_string()];
     for class in classes {
         row.push(plane_report.class(class).map_or("—".into(), |r| pct(r.percent())));

@@ -212,8 +212,14 @@ impl BistController {
     ///
     /// # Errors
     ///
-    /// Propagates [`BistController::step`] errors.
+    /// [`PrtError::WidthMismatch`] before any cycle when the memory's cell
+    /// width differs from the field degree (as [`PiTest::run`]); otherwise
+    /// propagates [`BistController::step`] errors.
     pub fn run_to_completion(&mut self, ram: &mut Ram) -> Result<bool, PrtError> {
+        let (field_bits, memory_bits) = (self.pi.field().degree(), ram.geometry().width());
+        if field_bits != memory_bits {
+            return Err(PrtError::WidthMismatch { field_bits, memory_bits });
+        }
         while !self.done() {
             self.step(ram)?;
         }
@@ -252,14 +258,21 @@ impl BistController {
 
 /// Cross-checks the hardware FSM against the algorithmic runner over an
 /// entire fault universe — the §4 faithfulness argument, run as two pooled
-/// campaigns (one driving a [`BistController`] per instance, one driving
-/// [`PiTest::run`]) whose verdict tables are then compared element-wise.
+/// campaigns (one driving a [`BistController`] per instance through a
+/// closure, one running the compiled π-program, which is verdict-identical
+/// to [`PiTest::run`]) whose verdict tables are then compared element-wise.
 ///
 /// Returns the indices of the fault instances on which the two models
 /// disagree; an empty result means the cycle-level controller is
 /// observationally equivalent to the algorithmic view on that universe.
-pub fn cross_check(pi: &PiTest, universe: &prt_ram::FaultUniverse) -> Vec<usize> {
+///
+/// # Errors
+///
+/// As [`PiTest::compile`]: a geometry that cannot host the automaton is
+/// refused before either campaign runs.
+pub fn cross_check(pi: &PiTest, universe: &prt_ram::FaultUniverse) -> Result<Vec<usize>, PrtError> {
     use prt_sim::Campaign;
+    let program = pi.compile(universe.geometry())?;
     let n = universe.geometry().cells();
     let hw_runner = |ram: &mut Ram, _bg: u64| {
         BistController::new(pi.clone(), n)
@@ -268,14 +281,8 @@ pub fn cross_check(pi: &PiTest, universe: &prt_ram::FaultUniverse) -> Vec<usize>
             .unwrap_or(false)
     };
     let hw = Campaign::new(universe, hw_runner).detections();
-    // The algorithmic side runs the compiled π-program (one compile, one
-    // interpreter pass per trial); a geometry the automaton cannot host
-    // falls back to the interpreted runner with its error-as-escape rule.
-    let sw = match pi.compile(universe.geometry()) {
-        Ok(program) => Campaign::new(universe, &program).detections(),
-        Err(_) => Campaign::new(universe, pi).detections(),
-    };
-    hw.iter().zip(&sw).enumerate().filter_map(|(i, (h, s))| (h != s).then_some(i)).collect()
+    let sw = Campaign::new(universe, &program).detections();
+    Ok(hw.iter().zip(&sw).enumerate().filter_map(|(i, (h, s))| (h != s).then_some(i)).collect())
 }
 
 #[cfg(test)]
@@ -325,7 +332,7 @@ mod tests {
         use prt_ram::{FaultUniverse, UniverseSpec};
         let pi = PiTest::figure_1a().unwrap();
         let universe = FaultUniverse::enumerate(Geometry::bom(12), &UniverseSpec::paper_claim());
-        let disagreements = cross_check(&pi, &universe);
+        let disagreements = cross_check(&pi, &universe).unwrap();
         assert!(
             disagreements.is_empty(),
             "controller disagrees with the algorithmic runner on {} of {} instances \
@@ -334,6 +341,33 @@ mod tests {
             universe.len(),
             universe.faults()[disagreements[0]]
         );
+    }
+
+    #[test]
+    fn cross_check_refuses_a_width_mismatched_universe() {
+        use prt_ram::{FaultUniverse, UniverseSpec};
+        let pi = PiTest::figure_1b().unwrap(); // GF(16): 4-bit cells
+        let universe = FaultUniverse::enumerate(Geometry::bom(9), &UniverseSpec::paper_claim());
+        assert_eq!(
+            cross_check(&pi, &universe),
+            Err(PrtError::WidthMismatch { field_bits: 4, memory_bits: 1 })
+        );
+    }
+
+    #[test]
+    fn controller_refuses_a_memory_of_the_wrong_width() {
+        // Whether a wrong-width run failed used to depend on the data it
+        // wrote: this stuck-at-0 cell let a GF(16) run on 1-bit cells
+        // finish with a verdict.
+        let pi = PiTest::figure_1b().unwrap();
+        let mut ram = Ram::new(Geometry::bom(9));
+        ram.inject(FaultKind::StuckAt { cell: 1, bit: 0, value: 0 }).unwrap();
+        let mut ctrl = BistController::new(pi, 9).unwrap();
+        assert_eq!(
+            ctrl.run_to_completion(&mut ram),
+            Err(PrtError::WidthMismatch { field_bits: 4, memory_bits: 1 })
+        );
+        assert_eq!(ctrl.cycles(), 0, "refused before the first cycle");
     }
 
     #[test]

@@ -743,14 +743,6 @@ impl PiTest {
     }
 }
 
-/// A single π-iteration drives fault-simulation campaigns directly
-/// (single-port schedule); a run error counts as an escape.
-impl prt_sim::FaultRunner for &PiTest {
-    fn detect(&self, ram: &mut Ram, _background: u64) -> bool {
-        self.run(ram).map(|res| res.detected()).unwrap_or(false)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,8 +19,8 @@
 use crate::{PiResult, PrtError, Trajectory};
 use prt_gf::Poly2;
 use prt_lfsr::BitLfsr;
-use prt_ram::{Geometry, MemoryDevice, ProgramBuilder, Ram, SplitMix64, TestProgram};
-use prt_sim::{Campaign, FaultRunner};
+use prt_ram::{Geometry, MemoryDevice, ProgramBuilder, SplitMix64, TestProgram};
+use prt_sim::Campaign;
 
 /// How the `m` bit-plane automata are seeded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -340,31 +340,19 @@ impl PlaneScheme {
     }
 
     /// Coverage over a fault universe (any round detecting counts), run as
-    /// the **compiled** scheme program on the campaign engine: pooled
-    /// memories, parallel fan-out, deterministic aggregation. Falls back
-    /// to the interpreted runner (errors count as escapes) when the
-    /// geometry cannot host the automaton.
-    pub fn coverage(&self, universe: &prt_ram::FaultUniverse) -> prt_march::CoverageReport {
-        let name = format!("plane scheme ×{}", self.rounds.len());
-        match self.compile(universe.geometry()) {
-            Ok(program) => Campaign::new(universe, &program).with_name(name).run(),
-            Err(_) => Campaign::new(universe, self).with_name(name).run(),
-        }
-    }
-}
-
-/// A plane scheme drives campaigns directly: any round detecting counts,
-/// and a run error counts as an escape.
-impl FaultRunner for &PlaneScheme {
-    fn detect(&self, ram: &mut Ram, _background: u64) -> bool {
-        self.run(ram).map(|rs| rs.iter().any(PiResult::detected)).unwrap_or(false)
-    }
-}
-
-/// A single parallel-plane iteration as a campaign runner.
-impl FaultRunner for &BitPlanePi {
-    fn detect(&self, ram: &mut Ram, _background: u64) -> bool {
-        self.run(ram).map(|res| res.detected()).unwrap_or(false)
+    /// the **compiled** scheme program on the campaign engine:
+    /// lane-batched, parallel fan-out, deterministic aggregation.
+    ///
+    /// # Errors
+    ///
+    /// As [`PlaneScheme::compile`]: a geometry that cannot host the
+    /// automaton is refused before any trial runs.
+    pub fn coverage(
+        &self,
+        universe: &prt_ram::FaultUniverse,
+    ) -> Result<prt_march::CoverageReport, PrtError> {
+        let program = self.compile(universe.geometry())?;
+        Ok(Campaign::new(universe, &program).with_name(program.name().to_string()).run())
     }
 }
 
@@ -490,8 +478,8 @@ mod tests {
         };
         let geom = Geometry::wom(9, 4).unwrap();
         let u = FaultUniverse::enumerate(geom, &spec);
-        let few = PlaneScheme::standard(poly(), 4, 2).unwrap().coverage(&u);
-        let many = PlaneScheme::standard(poly(), 4, 8).unwrap().coverage(&u);
+        let few = PlaneScheme::standard(poly(), 4, 2).unwrap().coverage(&u).unwrap();
+        let many = PlaneScheme::standard(poly(), 4, 8).unwrap().coverage(&u).unwrap();
         assert!(
             many.overall_percent() > few.overall_percent(),
             "more decorrelated rounds must add coverage: {} vs {}",
@@ -499,6 +487,17 @@ mod tests {
             few.overall_percent()
         );
         assert!(many.overall_percent() > 60.0);
+    }
+
+    #[test]
+    fn plane_coverage_refuses_a_memory_too_small() {
+        // A degree-2 automaton needs 3 cells: the compile error comes back
+        // typed instead of as an all-escape report.
+        use prt_ram::{FaultUniverse, UniverseSpec};
+        let u =
+            FaultUniverse::enumerate(Geometry::wom(2, 4).unwrap(), &UniverseSpec::paper_claim());
+        let scheme = PlaneScheme::standard(poly(), 4, 2).unwrap();
+        assert!(matches!(scheme.coverage(&u), Err(PrtError::MemoryTooSmall { .. })));
     }
 
     #[test]
@@ -517,15 +516,21 @@ mod tests {
         for seeding in [PlaneSeeding::Parallel { seed: 0b10 }, PlaneSeeding::Random { seed: 5 }] {
             let pi = BitPlanePi::new(poly(), seeding).unwrap();
             let prog = pi.compile(geom).unwrap();
-            let compiled = prt_sim::Campaign::new(&u, &prog).detections();
-            let interpreted = prt_sim::Campaign::new(&u, &pi).detections();
+            let compiled = Campaign::new(&u, &prog).detections();
+            let interpreted = Campaign::new(&u, |ram: &mut Ram, _bg: u64| {
+                pi.run(ram).is_ok_and(|r| r.detected())
+            })
+            .detections();
             assert_eq!(compiled, interpreted);
         }
         let scheme = PlaneScheme::standard(poly(), 4, 3).unwrap();
         let prog = scheme.compile(geom).unwrap();
         assert_eq!(prog.marks().len(), 3);
-        let compiled = prt_sim::Campaign::new(&u, &prog).detections();
-        let interpreted = prt_sim::Campaign::new(&u, &scheme).detections();
+        let compiled = Campaign::new(&u, &prog).detections();
+        let interpreted = Campaign::new(&u, |ram: &mut Ram, _bg: u64| {
+            scheme.run(ram).is_ok_and(|rs| rs.iter().any(PiResult::detected))
+        })
+        .detections();
         assert_eq!(compiled, interpreted);
     }
 

@@ -31,7 +31,7 @@ use prt_march::CoverageReport;
 use prt_ram::{
     FaultKind, FaultUniverse, Geometry, MemoryDevice, ProgramBuilder, Ram, SlotOp, TestProgram,
 };
-use prt_sim::{Campaign, FaultRunner};
+use prt_sim::Campaign;
 
 /// One iteration of a PRT scheme: seed, affine term and trajectory.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -289,10 +289,6 @@ impl PrtScheme {
         }
         let spec = UniverseSpec { intra_word: true, ..UniverseSpec::paper_claim() };
         let universe = FaultUniverse::enumerate(geom, &spec);
-        // Surface runner errors (e.g. MemoryTooSmall) precisely, up front:
-        // campaign runners map per-trial errors to escapes, which would
-        // otherwise misreport an infrastructure failure as a greedy stall.
-        PrtScheme::standard3(field.clone())?.run(&mut Ram::new(geom))?;
         let mask = field.mask();
         let feedback: Vec<u64> = if field.degree() == 1 { vec![1, 1, 1] } else { vec![1, 2, 2] };
         let c_sum = field.add(1, field.add(feedback[1], feedback[2]));
@@ -636,27 +632,18 @@ impl PrtScheme {
     }
 
     /// Measures this scheme's coverage over a fault universe, in the same
-    /// report format as the March engine (E3/E4 driver). Runs the
-    /// **compiled** scheme program on the campaign engine (pooled
-    /// memories, parallel fan-out, deterministic aggregation): the
-    /// iteration specs are lowered to the IR once, then every trial is a
-    /// pure interpreter pass. A scheme the geometry cannot host falls
-    /// back to the interpreted runner, whose per-trial errors count as
-    /// escapes — the historical convention.
-    pub fn coverage(&self, universe: &FaultUniverse) -> CoverageReport {
-        match self.compile(universe.geometry()) {
-            Ok(program) => Campaign::new(universe, &program).with_name(self.name.clone()).run(),
-            Err(_) => Campaign::new(universe, self).with_name(self.name.clone()).run(),
-        }
-    }
-}
-
-/// PRT schemes drive campaigns directly; a run error (e.g. a memory too
-/// small for the automaton) counts as an escape, mirroring the historical
-/// sweep loops.
-impl FaultRunner for &PrtScheme {
-    fn detect(&self, ram: &mut Ram, _background: u64) -> bool {
-        self.run(ram).map(|res| res.detected()).unwrap_or(false)
+    /// report format as the March engine (E3/E4 driver). Compiles the
+    /// scheme once for the universe's geometry and runs the program on
+    /// the campaign engine (lane-batched, parallel fan-out, deterministic
+    /// aggregation).
+    ///
+    /// # Errors
+    ///
+    /// As [`PrtScheme::compile`]: a geometry that cannot host the
+    /// automaton is refused before any trial runs.
+    pub fn coverage(&self, universe: &FaultUniverse) -> Result<CoverageReport, PrtError> {
+        let program = self.compile(universe.geometry())?;
+        Ok(Campaign::new(universe, &program).with_name(self.name.clone()).run())
     }
 }
 
@@ -689,9 +676,15 @@ fn checkerboard(width: u32) -> u64 {
 /// candidates). Candidate seeds are drawn from `seed_pool` (each a `k`-
 /// element init), affine terms from `{0}`, trajectories from `{⇑, ⇓}`.
 ///
-/// Returns `(best_scheme, best_report)`. This is the derivation tool behind
+/// Returns `(best_scheme, best_report)`, or `None` when no candidate
+/// schedule is a valid scheme. This is the derivation tool behind
 /// [`PrtScheme::standard3`]; the `search_tdb` binary in `prt-bench` prints
 /// its trace.
+///
+/// # Errors
+///
+/// As [`PrtScheme::coverage`]: a universe whose geometry cannot host the
+/// automaton.
 pub fn search_tdb(
     field: &Field,
     feedback: &[u64],
@@ -699,7 +692,7 @@ pub fn search_tdb(
     iters: usize,
     preread: bool,
     universe: &FaultUniverse,
-) -> Option<(PrtScheme, CoverageReport)> {
+) -> Result<Option<(PrtScheme, CoverageReport)>, PrtError> {
     let mut candidates: Vec<IterationSpec> = Vec::new();
     for init in seed_pool {
         for traj in [Trajectory::Up, Trajectory::Down] {
@@ -708,14 +701,14 @@ pub fn search_tdb(
     }
     let mut best: Option<(PrtScheme, CoverageReport, f64)> = None;
     let mut stack = vec![0usize; iters];
-    loop {
+    'odometer: loop {
         let specs: Vec<IterationSpec> = stack.iter().map(|&i| candidates[i].clone()).collect();
         if let Ok(scheme) = PrtScheme::new(field.clone(), feedback, specs) {
             let scheme = scheme
                 .with_preread(preread)
                 .with_final_readback(preread)
                 .with_name(format!("search {stack:?}"));
-            let report = scheme.coverage(universe);
+            let report = scheme.coverage(universe)?;
             let pct = report.overall_percent();
             let better = match &best {
                 Some((_, _, b)) => pct > *b,
@@ -733,8 +726,7 @@ pub fn search_tdb(
         let mut pos = iters;
         loop {
             if pos == 0 {
-                let (s, r, _) = best?;
-                return Some((s, r));
+                break 'odometer;
             }
             pos -= 1;
             stack[pos] += 1;
@@ -744,7 +736,7 @@ pub fn search_tdb(
             stack[pos] = 0;
         }
     }
-    best.map(|(s, r, _)| (s, r))
+    Ok(best.map(|(s, r, _)| (s, r)))
 }
 
 #[cfg(test)]
@@ -785,7 +777,7 @@ mod tests {
         // (EXPERIMENTS.md E3 documents the argument).
         let scheme = PrtScheme::standard3(gf2()).unwrap();
         let u = FaultUniverse::enumerate(Geometry::bom(9), &UniverseSpec::paper_claim());
-        let report = scheme.coverage(&u);
+        let report = scheme.coverage(&u).unwrap();
         for row in report.rows() {
             if row.class == "CFid" {
                 assert_eq!(
@@ -811,7 +803,7 @@ mod tests {
             ..UniverseSpec::paper_claim()
         };
         let u = FaultUniverse::enumerate(Geometry::wom(9, 4).unwrap(), &spec);
-        let report = scheme.coverage(&u);
+        let report = scheme.coverage(&u).unwrap();
         for row in report.rows() {
             match row.class {
                 // The 3-iteration structural gap (as in the BOM case)…
@@ -840,8 +832,8 @@ mod tests {
     #[test]
     fn standard4_narrows_the_cfid_gap() {
         let u = FaultUniverse::enumerate(Geometry::bom(9), &UniverseSpec::paper_claim());
-        let r3 = PrtScheme::standard3(gf2()).unwrap().coverage(&u);
-        let r4 = PrtScheme::standard4(gf2()).unwrap().coverage(&u);
+        let r3 = PrtScheme::standard3(gf2()).unwrap().coverage(&u).unwrap();
+        let r4 = PrtScheme::standard4(gf2()).unwrap().coverage(&u).unwrap();
         let (c3, c4) = (r3.class("CFid").unwrap(), r4.class("CFid").unwrap());
         assert!(c4.detected > c3.detected, "4 iterations must beat 3 on CFid");
         for row in r4.rows() {
@@ -859,14 +851,14 @@ mod tests {
         assert!(verified > 700);
         assert!(scheme.iterations().len() <= 6);
         let u = FaultUniverse::enumerate(Geometry::bom(9), &UniverseSpec::paper_claim());
-        assert!(scheme.coverage(&u).complete());
+        assert!(scheme.coverage(&u).unwrap().complete());
     }
 
     #[test]
     fn full_coverage_surfaces_memory_too_small() {
-        // The campaign runner maps per-trial run errors to escapes, so the
-        // synthesis probes the geometry up front: a memory too small for
-        // the automaton must surface as the precise error, not as a stall.
+        // The synthesis compiles every schedule it sweeps, so a memory too
+        // small for the automaton surfaces as the precise compile error,
+        // not as a greedy stall.
         assert!(matches!(
             PrtScheme::full_coverage(gf2(), Geometry::bom(2)),
             Err(PrtError::MemoryTooSmall { .. })
@@ -874,10 +866,22 @@ mod tests {
     }
 
     #[test]
+    fn coverage_refuses_a_width_mismatched_universe() {
+        // GF(16) needs 4-bit cells: the compile error comes back typed
+        // instead of as an all-escape report.
+        let scheme = PrtScheme::standard3(Field::new(4, 0b1_0011).unwrap()).unwrap();
+        let u = FaultUniverse::enumerate(Geometry::bom(9), &UniverseSpec::paper_claim());
+        assert_eq!(
+            scheme.coverage(&u),
+            Err(PrtError::WidthMismatch { field_bits: 4, memory_bits: 1 })
+        );
+    }
+
+    #[test]
     fn plain_mode_covers_saf_tf_but_not_couplings() {
         let scheme = PrtScheme::plain(gf2(), 4).unwrap();
         let u = FaultUniverse::enumerate(Geometry::bom(9), &UniverseSpec::paper_claim());
-        let report = scheme.coverage(&u);
+        let report = scheme.coverage(&u).unwrap();
         for class in ["SAF", "TF"] {
             let row = report.class(class).unwrap();
             assert!(row.complete(), "{class}: {}/{}", row.detected, row.total);
@@ -945,8 +949,8 @@ mod tests {
 
     #[test]
     fn compiled_scheme_matches_interpreted_over_universe() {
-        // The coverage path now executes the compiled flat program; the
-        // interpreted runner must agree on every single verdict.
+        // The coverage path executes the compiled flat program; the
+        // interpreted oracle must agree on every single verdict.
         let u = FaultUniverse::enumerate(Geometry::bom(9), &UniverseSpec::paper_claim());
         for scheme in [
             PrtScheme::standard3(gf2()).unwrap(),
@@ -955,7 +959,10 @@ mod tests {
         ] {
             let program = scheme.compile(u.geometry()).unwrap();
             let compiled = Campaign::new(&u, &program).detections();
-            let interpreted = Campaign::new(&u, &scheme).detections();
+            let interpreted = Campaign::new(&u, |ram: &mut Ram, _bg: u64| {
+                scheme.run(ram).is_ok_and(|res| res.detected())
+            })
+            .detections();
             assert_eq!(compiled, interpreted, "{}", scheme.name());
         }
     }
@@ -1016,7 +1023,10 @@ mod tests {
         // dual-port compilation over the whole paper-claim universe.
         let u = FaultUniverse::enumerate(Geometry::bom(9), &UniverseSpec::paper_claim());
         let scheme = PrtScheme::standard3(gf2()).unwrap();
-        let single = Campaign::new(&u, &scheme).detections();
+        let single = Campaign::new(&u, |ram: &mut Ram, _bg: u64| {
+            scheme.run(ram).is_ok_and(|res| res.detected())
+        })
+        .detections();
         let dual_prog = scheme.compile_dual_port(u.geometry()).unwrap();
         let dual = Campaign::new(&u, &dual_prog).with_ports(2).detections();
         // The two schedules are not observation-identical: a dual-port
@@ -1053,7 +1063,7 @@ mod tests {
         let field = gf2();
         let pool = vec![vec![0, 1], vec![1, 0], vec![1, 1], vec![0, 0]];
         let u = FaultUniverse::enumerate(Geometry::bom(6), &UniverseSpec::single_cell());
-        let found = search_tdb(&field, &[1, 1, 1], &pool, 3, true, &u);
+        let found = search_tdb(&field, &[1, 1, 1], &pool, 3, true, &u).expect("GF(2) on BOM");
         let (_, report) = found.expect("search returns something");
         assert!(report.complete(), "3 pre-read iterations must cover SAF+TF");
     }

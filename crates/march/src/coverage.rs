@@ -13,33 +13,10 @@
 
 use crate::executor::Executor;
 use crate::notation::MarchTest;
-use prt_ram::{FaultUniverse, Ram};
-use prt_sim::{Campaign, FaultRunner, ProgramBank};
+use prt_ram::FaultUniverse;
+use prt_sim::{Campaign, ProgramBank};
 
 pub use prt_sim::{ClassTally, CoverageReport, CoverageRow};
-
-/// Campaign adapter that re-interprets the March notation on every trial —
-/// kept as the pre-compilation reference the compiled path is
-/// property-tested against. The evaluators below compile the test once
-/// per (geometry, background) instead ([`compile_bank`]).
-#[derive(Debug, Clone, Copy)]
-pub struct MarchRunner<'a> {
-    test: &'a MarchTest,
-    executor: &'a Executor,
-}
-
-impl<'a> MarchRunner<'a> {
-    /// Pairs a test with executor settings.
-    pub fn new(test: &'a MarchTest, executor: &'a Executor) -> MarchRunner<'a> {
-        MarchRunner { test, executor }
-    }
-}
-
-impl FaultRunner for MarchRunner<'_> {
-    fn detect(&self, ram: &mut Ram, background: u64) -> bool {
-        self.executor.clone().with_background(background).run(self.test, ram).detected()
-    }
-}
 
 /// Measures the coverage of `test` over `universe`.
 ///
@@ -138,10 +115,19 @@ pub fn standard_backgrounds(m: u32) -> Vec<u64> {
 mod tests {
     use super::*;
     use crate::library;
-    use prt_ram::{Geometry, UniverseSpec};
+    use prt_ram::{Geometry, Ram, UniverseSpec};
 
     fn universe(n: usize) -> FaultUniverse {
         FaultUniverse::enumerate(Geometry::bom(n), &UniverseSpec::paper_claim())
+    }
+
+    /// The interpreted oracle as a campaign runner: re-reads the March
+    /// notation on every trial, under the trial's background.
+    fn interpreted_runner<'a>(
+        test: &'a MarchTest,
+        ex: &'a Executor,
+    ) -> impl Fn(&mut Ram, u64) -> bool + Sync + 'a {
+        move |ram: &mut Ram, bg: u64| ex.clone().with_background(bg).run(test, ram).detected()
     }
 
     #[test]
@@ -251,7 +237,7 @@ mod tests {
         let test = library::march_c_minus();
         let ex = Executor::new().stop_at_first_mismatch();
         let make = |p: Parallelism| {
-            Campaign::new(&u, MarchRunner::new(&test, &ex))
+            Campaign::new(&u, interpreted_runner(&test, &ex))
                 .with_name(test.name())
                 .with_parallelism(p)
                 .run()
@@ -261,8 +247,8 @@ mod tests {
             assert_eq!(sequential, make(Parallelism::Threads(threads)), "threads={threads}");
         }
         // …and equals what the seed's fresh-Ram-per-trial loop produced.
-        let reference = Campaign::new(&u, MarchRunner::new(&test, &ex)).detections_reference();
-        let pooled = Campaign::new(&u, MarchRunner::new(&test, &ex)).detections();
+        let reference = Campaign::new(&u, interpreted_runner(&test, &ex)).detections_reference();
+        let pooled = Campaign::new(&u, interpreted_runner(&test, &ex)).detections();
         assert_eq!(reference, pooled);
     }
 
@@ -279,20 +265,20 @@ mod tests {
         let test = library::march_ss();
         let ex = Executor::new().stop_at_first_mismatch();
         let bgs = standard_backgrounds(4);
-        let campaign = Campaign::new(&u, MarchRunner::new(&test, &ex)).with_backgrounds(&bgs);
+        let campaign = Campaign::new(&u, interpreted_runner(&test, &ex)).with_backgrounds(&bgs);
         assert_eq!(campaign.detections(), campaign.detections_reference());
     }
 
     #[test]
     fn compiled_evaluation_matches_interpreted_runner() {
-        // The evaluators now run compiled programs; the interpreted
-        // MarchRunner path must agree report-for-report.
+        // The evaluators run compiled programs; the interpreted oracle
+        // must agree report-for-report.
         let u = universe(8);
         let ex = Executor::new().stop_at_first_mismatch();
         for test in [library::mats_plus(), library::march_c_minus(), library::march_ss()] {
             let compiled = evaluate(&test, &u, &ex);
             let interpreted =
-                Campaign::new(&u, MarchRunner::new(&test, &ex)).with_name(test.name()).run();
+                Campaign::new(&u, interpreted_runner(&test, &ex)).with_name(test.name()).run();
             assert_eq!(compiled, interpreted, "{}", test.name());
         }
     }
@@ -310,7 +296,7 @@ mod tests {
         let ex = Executor::new().stop_at_first_mismatch();
         let bgs = standard_backgrounds(4);
         let compiled = evaluate_multi_background(&test, &u, &ex, &bgs);
-        let interpreted = Campaign::new(&u, MarchRunner::new(&test, &ex))
+        let interpreted = Campaign::new(&u, interpreted_runner(&test, &ex))
             .with_backgrounds(&bgs)
             .with_name(test.name())
             .run();

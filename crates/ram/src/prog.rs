@@ -447,8 +447,7 @@ impl TestProgram {
     /// heap nowhere; multi-port cycles go through the [`Ram::cycle_ref`]
     /// scratch); a device error (a geometry-mismatched device, or e.g. a
     /// decoder-fault write conflict on a multi-port cycle) counts as *not
-    /// detected*, mirroring the interpreted runners' error-as-escape
-    /// convention.
+    /// detected* — the campaigns' per-trial error-as-escape convention.
     pub fn detect(&self, ram: &mut Ram) -> bool {
         self.run(ram, true, None, None).map(|e| e.detected()).unwrap_or(false)
     }

@@ -52,17 +52,16 @@
 //! assert!(!report.class("TF").unwrap().complete()); // down-TFs escape
 //! ```
 //!
-//! The higher layers provide ready-made runners: `prt-march` adapts March
-//! tests (`MarchRunner`), `prt-core` implements [`FaultRunner`] for
-//! `PiTest`, `PrtScheme`, `BitPlanePi` and `PlaneScheme` directly.
-//!
-//! The fastest path is a **pre-compiled program**: every test family
-//! compiles to the [`prt_ram::prog`] IR (`Executor::compile`,
-//! `PiTest::compile`, `PrtScheme::compile`, `PlaneScheme::compile`), and
-//! `&TestProgram` / [`ProgramBank`] implement [`FaultRunner`], so the
-//! per-trial notation-interpretation tax is paid once per campaign instead
-//! of once per fault.
-
+//! Exactly three kinds of runner exist. Closures are the explicit scalar
+//! runner: one fault at a time on a pooled [`Ram`]. The other two are
+//! **compiled programs**: every test family compiles to the
+//! [`prt_ram::prog`] IR (`Executor::compile`, `PiTest::compile`,
+//! `PrtScheme::compile`, `PlaneScheme::compile`), and `&TestProgram` /
+//! `&`[`ProgramBank`] implement [`FaultRunner`]. A compiled campaign is
+//! lane-batched and validated upfront, so the notation is interpreted
+//! once per campaign instead of once per fault. The families' interpreted
+//! `run` methods are oracles for tests, not runners; a campaign drives
+//! one only through an explicit closure.
 //!
 //! # Resilience
 //!
@@ -410,11 +409,15 @@ pub trait FaultRunner: Sync {
 
     /// The compiled program this runner would execute for `background`,
     /// if it can expose one — the hook the **lane-batched** campaign path
-    /// dispatches through ([`Campaign::detections`] packs 64 batchable
-    /// fault trials per interpreter pass when every background resolves
-    /// to a single-port program). Runners without a compiled program
-    /// (closures, notation-interpreting adapters) keep the default `None`
-    /// and campaigns fall back to the scalar path.
+    /// dispatches through ([`Campaign::detections`] packs
+    /// [`LaneWidth::lanes`] fault trials per interpreter pass when every
+    /// background resolves to a program). Closures keep the default
+    /// `None` and run on the scalar path.
+    ///
+    /// Campaigns call [`FaultRunner::validate`] before they ask for a
+    /// program and then run what this returns without checking it again,
+    /// so a runner's `validate` must accept every program that
+    /// `batch_program` returns for the validated backgrounds.
     fn batch_program(&self, background: u64) -> Option<&TestProgram> {
         let _ = background;
         None
@@ -437,11 +440,14 @@ pub trait FaultRunner: Sync {
 }
 
 /// The program-vs-campaign checks shared by the compiled runners: same
-/// geometry, enough pooled ports.
+/// geometry, enough pooled ports, and a baked-in background (if the
+/// program declares one) equal to every trial background in
+/// `backgrounds`.
 fn validate_program(
     program: &TestProgram,
     geom: Geometry,
     ports: usize,
+    backgrounds: &[u64],
 ) -> Result<(), CampaignError> {
     if geom != program.geometry() {
         return Err(CampaignError::GeometryMismatch {
@@ -457,6 +463,15 @@ fn validate_program(
             pooled: ports,
         });
     }
+    if let Some(baked) = program.background() {
+        if let Some(&requested) = backgrounds.iter().find(|&&bg| bg != baked) {
+            return Err(CampaignError::BackgroundMismatch {
+                program: program.name().to_string(),
+                compiled: baked,
+                requested,
+            });
+        }
+    }
     Ok(())
 }
 
@@ -470,9 +485,9 @@ where
 }
 
 // NOTE: no blanket `impl FaultRunner for &R` — it would overlap with the
-// closure impl above. Engine-aware types implement the trait on their
-// reference type instead (`impl FaultRunner for &PrtScheme`, …), so
-// campaigns can borrow the runner.
+// closure impl above. The two compiled runners implement the trait on
+// their reference types (`&TestProgram`, `&ProgramBank`), so campaigns
+// borrow the program.
 
 /// A pre-compiled program drives campaigns directly: compilation happened
 /// once, so every trial is a pure interpreter pass (allocation-free, early
@@ -493,14 +508,8 @@ impl FaultRunner for &TestProgram {
         detect_checked(self, ram, background)
     }
 
-    fn batch_program(&self, background: u64) -> Option<&TestProgram> {
-        match self.background() {
-            // A baked-in background that differs from the trial's is a
-            // configuration error — decline the batch path so the scalar
-            // path surfaces it with its usual loud panic.
-            Some(baked) if baked != background => None,
-            _ => Some(self),
-        }
+    fn batch_program(&self, _background: u64) -> Option<&TestProgram> {
+        Some(self)
     }
 
     fn validate(
@@ -509,19 +518,7 @@ impl FaultRunner for &TestProgram {
         ports: usize,
         backgrounds: &[u64],
     ) -> Result<(), CampaignError> {
-        validate_program(self, geom, ports)?;
-        if let Some(baked) = self.background() {
-            for &bg in backgrounds {
-                if baked != bg {
-                    return Err(CampaignError::BackgroundMismatch {
-                        program: self.name().to_string(),
-                        compiled: baked,
-                        requested: bg,
-                    });
-                }
-            }
-        }
-        Ok(())
+        validate_program(self, geom, ports, backgrounds)
     }
 }
 
@@ -649,16 +646,7 @@ impl FaultRunner for &ProgramBank {
         for &bg in backgrounds {
             let program =
                 self.program(bg).ok_or(CampaignError::UnknownBackground { background: bg })?;
-            validate_program(program, geom, ports)?;
-            if let Some(baked) = program.background() {
-                if baked != bg {
-                    return Err(CampaignError::BackgroundMismatch {
-                        program: program.name().to_string(),
-                        compiled: baked,
-                        requested: bg,
-                    });
-                }
-            }
+            validate_program(program, geom, ports, &[bg])?;
         }
         Ok(())
     }
@@ -1572,20 +1560,15 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
 
     /// The compiled programs (one per background) to batch with, when the
     /// campaign is eligible: batching enabled and every background
-    /// resolves to a program on this geometry. Every program batches,
-    /// multi-port `CycleN` schedules included.
+    /// resolves to a program. Every program batches, multi-port `CycleN`
+    /// schedules included. Callers validate the runner first
+    /// ([`FaultRunner::validate`]), so every program here fits the
+    /// campaign's geometry, ports and backgrounds.
     fn batch_plan(&self) -> Option<Vec<&TestProgram>> {
         if !self.lane_batching {
             return None;
         }
-        let programs: Vec<&TestProgram> = self
-            .backgrounds
-            .iter()
-            .map(|&bg| self.runner.batch_program(bg))
-            .collect::<Option<_>>()?;
-        // Geometry mismatches fall through to the scalar path, which
-        // surfaces them with its usual loud panic.
-        programs.iter().all(|p| p.geometry() == self.geom).then_some(programs)
+        self.backgrounds.iter().map(|&bg| self.runner.batch_program(bg)).collect()
     }
 
     /// The seed's original inner loop — a fresh [`Ram`] allocated per
@@ -1628,13 +1611,18 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     ///
     /// # Panics
     ///
-    /// As [`Campaign::detections`]: a trial panic resumes with its
-    /// original payload at any thread count, and a deadline or
-    /// cancellation that stops the scan before the answer is known
-    /// raises [`CampaignError::DeadlineExceeded`] /
-    /// [`CampaignError::Cancelled`].
+    /// As [`Campaign::detections`]: the configuration is validated
+    /// upfront ([`FaultRunner::validate`] and the port count), so a
+    /// mismatch panics with its typed error's message before any trial
+    /// runs; a trial panic resumes with its original payload at any
+    /// thread count, and a deadline or cancellation that stops the scan
+    /// before the answer is known raises
+    /// [`CampaignError::DeadlineExceeded`] / [`CampaignError::Cancelled`].
     pub fn first_escape(&self) -> Option<usize> {
-        validate_ports(self.geom, self.ports).unwrap_or_else(|e| e.raise());
+        self.runner
+            .validate(self.geom, self.ports, &self.backgrounds)
+            .and_then(|()| validate_ports(self.geom, self.ports))
+            .unwrap_or_else(|e| e.raise());
         let count = self.faults.len();
         let workers = self.parallelism.workers(count, available_cores);
         let chunk = chunk_len(count, workers);
@@ -1903,6 +1891,17 @@ mod tests {
             assert!(message(payload).starts_with("deadline exceeded"), "{parallelism:?}");
         }
         assert_eq!(calls.load(Ordering::Relaxed), 0, "a stopped scan must not run trials");
+    }
+
+    #[test]
+    #[should_panic(expected = "(campaign Geometry")]
+    fn first_escape_validates_the_runner_upfront() {
+        // A wrong-geometry program is refused with the typed
+        // `GeometryMismatch` before the scan starts, not by the
+        // per-trial assert inside a worker.
+        let u = FaultUniverse::enumerate(Geometry::bom(4), &UniverseSpec::single_cell());
+        let prog = toy_program(Geometry::bom(8));
+        let _ = Campaign::new(&u, &prog).first_escape();
     }
 
     #[test]

@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("{:<28} {:>8} {:>10} {:>9}", "schedule", "ops", "coverage", "complete");
     for scheme in &candidates {
-        let report = scheme.coverage(&universe);
+        let report = scheme.coverage(&universe)?;
         println!(
             "{:<28} {:>7}n {:>9.2}% {:>9}",
             scheme.name(),

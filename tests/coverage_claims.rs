@@ -35,7 +35,7 @@ fn simulator_calibration_march_textbook_table() {
 fn standard3_reproduces_paper_claim_except_cfid() {
     let scheme = PrtScheme::standard3(gf2()).expect("scheme");
     let universe = FaultUniverse::enumerate(Geometry::bom(10), &UniverseSpec::paper_claim());
-    let report = scheme.coverage(&universe);
+    let report = scheme.coverage(&universe).expect("compile");
     for class in ["SAF", "TF", "AF", "CFin", "CFst"] {
         assert!(
             report.class(class).expect("class").complete(),
@@ -54,7 +54,7 @@ fn full_coverage_scheme_is_complete_and_size_stable() {
         assert!(verified > 0);
         assert_eq!(scheme.iterations().len(), 5, "5 iterations suffice at n={n}");
         let universe = FaultUniverse::enumerate(Geometry::bom(n), &UniverseSpec::paper_claim());
-        assert!(scheme.coverage(&universe).complete(), "n={n}");
+        assert!(scheme.coverage(&universe).expect("compile").complete(), "n={n}");
     }
 }
 
@@ -76,7 +76,7 @@ fn full_coverage_also_handles_extended_fault_families() {
         ..UniverseSpec::default()
     };
     let universe = FaultUniverse::enumerate(Geometry::bom(10), &spec);
-    let report = scheme.coverage(&universe);
+    let report = scheme.coverage(&universe).expect("compile");
     for row in report.rows() {
         if row.class == "WDF" {
             assert!(!row.complete(), "WDF should expose the all-transition blind spot");
@@ -98,7 +98,7 @@ fn full_coverage_also_handles_extended_fault_families() {
         .expect("extended scheme")
         .with_preread(true)
         .with_final_readback(true);
-    let report = extended.coverage(&universe);
+    let report = extended.coverage(&universe).expect("compile");
     assert!(
         report.class("WDF").expect("class").complete(),
         "a repeated iteration must complete WDF coverage"
@@ -169,7 +169,7 @@ fn standard3_claim_is_scramble_invariant() {
     let geom = Geometry::bom(16);
     for (scramble, topology) in representative_scrambles(geom.cells()) {
         let universe = FaultUniverse::enumerate_with(geom, &UniverseSpec::paper_claim(), topology);
-        let report = scheme.coverage(&universe);
+        let report = scheme.coverage(&universe).expect("compile");
         for class in ["SAF", "TF", "AF", "CFin", "CFst"] {
             assert!(
                 report.class(class).expect("class").complete(),
@@ -253,7 +253,7 @@ fn wom_standard3_on_word_universe() {
         ..UniverseSpec::default()
     };
     let universe = FaultUniverse::enumerate(Geometry::wom(8, 4).expect("geometry"), &spec);
-    let report = scheme.coverage(&universe);
+    let report = scheme.coverage(&universe).expect("compile");
     assert!(report.complete(), "SAF/TF/AF/CFin must be complete on WOM");
 }
 

@@ -135,5 +135,5 @@ fn analysis_predictions_match_scheme_behaviour() {
     let scheme = PrtScheme::standard3(Field::new(1, 0b11).expect("GF(2)")).expect("scheme");
     let spec = UniverseSpec { saf: true, ..UniverseSpec::default() };
     let u = FaultUniverse::enumerate(Geometry::bom(12), &spec);
-    assert!(scheme.coverage(&u).complete());
+    assert!(scheme.coverage(&u).expect("compile").complete());
 }

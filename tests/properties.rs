@@ -269,9 +269,10 @@ proptest! {
         let compiled = Campaign::new(&u, &program)
             .with_parallelism(Parallelism::Threads(threads))
             .detections();
-        let interpreted = Campaign::new(&u, &scheme)
-            .with_parallelism(Parallelism::Sequential)
-            .detections();
+        let interpreted =
+            Campaign::new(&u, |ram: &mut Ram, _bg: u64| scheme.run(ram).is_ok_and(|r| r.detected()))
+                .with_parallelism(Parallelism::Sequential)
+                .detections();
         prop_assert_eq!(compiled, interpreted);
     }
 
