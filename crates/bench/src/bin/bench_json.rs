@@ -5,21 +5,21 @@
 //! Run: `cargo run --release -p prt-bench --bin bench_json [out.json]`
 //!
 //! Writes `BENCH_campaign.json` (or the given path) in the
-//! **`campaign-v5` schema**: the header records the measurement budget,
-//! the detected CPU core count, the default lane-chunk width and the git
-//! revision (so perf trajectories stay comparable across runners), then
-//! one row per (group, n, variant) with faults/second — including the
-//! `batch_*` variants of the lane-sliced engine at 64 (`batch_sequential`,
-//! the baseline), 256 (`batch256`) and 512 (`batch512`) lanes per pass,
-//! the `sliced_*` variants of the activity-driven program slicer against
-//! those full-pass rows, and a `campaign_threads_sweep` group scheduling
-//! whole lane chunks across 1/2/4/8 workers — plus the diagnosis
-//! subsystem rows (dictionary build and adaptive localization
-//! throughput), the micro-benchmark groups (`pi_iteration`,
-//! `complete_tests`, `gf`, `lfsr`, `mult_synth`; `n` is the memory size,
-//! 0 where no memory is involved) and a `service` group measuring the
-//! campaign server's localhost latency (submit→first-delta and
-//! submit→done, `median_ns` is the latency).
+//! **`campaign-v6` schema**: the header records the measurement budget,
+//! the detected CPU core count and the git revision (so perf
+//! trajectories stay comparable across runners), then one row per
+//! (group, n, variant) with faults/second — the scalar engine
+//! (`compiled_sequential`, a closure over the same program), the
+//! full-pass lane engine (`batch512`, `batch_parallel`) and the
+//! activity-sliced default (`sliced512`, `sliced_parallel`), every lane
+//! row at the campaigns' 512 lanes per pass, and a
+//! `campaign_threads_sweep` group scheduling whole lane chunks across
+//! 1/2/4/8 workers — plus the diagnosis subsystem rows (dictionary build
+//! and adaptive localization throughput), the micro-benchmark groups
+//! (`pi_iteration`, `complete_tests`, `gf`, `lfsr`, `mult_synth`; `n` is
+//! the memory size, 0 where no memory is involved) and a `service` group
+//! measuring the campaign server's localhost latency (submit→first-delta
+//! and submit→done, `median_ns` is the latency).
 //!
 //! Every row is [`SAMPLES`] timed samples of `iters` calls each; it
 //! reports the median time per call (`median_ns`, which `throughput` is
@@ -32,12 +32,12 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use prt_core::{PiTest, PrtScheme};
-use prt_diag::{FaultDictionary, Localizer};
+use prt_diag::{FaultDictionary, Localizer, Observation, SignatureCollector};
 use prt_gf::{mult_synth, Field, Poly2, SynthesisStrategy};
 use prt_lfsr::WordLfsr;
 use prt_march::{coverage, library, Executor};
 use prt_ram::{FaultUniverse, Geometry, Ram, Scrambler, Topology, UniverseSpec};
-use prt_sim::{Campaign, LaneWidth, Parallelism};
+use prt_sim::{Campaign, FaultRunner, Parallelism};
 
 /// Timed samples per row; the row reports their median.
 const SAMPLES: usize = 5;
@@ -99,26 +99,46 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// The compiled-program campaign variants every group measures:
-/// `(variant, lane batching, parallelism, lane width, activity slicing)`.
-/// The `compiled_sequential` row pins the scalar engine the `batch_*`
-/// rows are compared against; `batch_sequential` stays pinned to 64 lanes
-/// as the cross-revision baseline, `batch256`/`batch512` measure the wide
-/// chunks against it, and `batch_parallel` runs the default width across
-/// all cores. The `batch_*` rows pin `with_slicing(false)` — the
-/// full-pass engine — so the `sliced_*` rows isolate the activity-slicing
-/// win at matching width/parallelism (64-lane sequential, 512-lane
-/// sequential, 512-lane all-cores).
-const PROGRAM_VARIANTS: [(&str, bool, Parallelism, LaneWidth, bool); 8] = [
-    ("compiled_sequential", false, Parallelism::Sequential, LaneWidth::X64, false),
-    ("batch_sequential", true, Parallelism::Sequential, LaneWidth::X64, false),
-    ("batch256", true, Parallelism::Sequential, LaneWidth::X256, false),
-    ("batch512", true, Parallelism::Sequential, LaneWidth::X512, false),
-    ("batch_parallel", true, Parallelism::Auto, LaneWidth::X512, false),
-    ("sliced_sequential", true, Parallelism::Sequential, LaneWidth::X64, true),
-    ("sliced512", true, Parallelism::Sequential, LaneWidth::X512, true),
-    ("sliced_parallel", true, Parallelism::Auto, LaneWidth::X512, true),
+/// The campaign variants every program group measures:
+/// `(variant, parallelism, activity slicing)`. [`SCALAR`] runs a closure
+/// over the same program or bank — the pooled scalar engine the lane rows
+/// are compared against (its slicing flag is unused). The `batch*` rows
+/// pin `with_slicing(false)`, the full-pass lane engine, so the
+/// `sliced*` rows isolate the activity-slicing win at matching
+/// parallelism; `sliced_parallel` is the default configuration.
+const PROGRAM_VARIANTS: [(&str, Parallelism, bool); 5] = [
+    (SCALAR, Parallelism::Sequential, false),
+    ("batch512", Parallelism::Sequential, false),
+    ("batch_parallel", Parallelism::Auto, false),
+    ("sliced512", Parallelism::Sequential, true),
+    ("sliced_parallel", Parallelism::Auto, true),
 ];
+
+/// The scalar-engine variant of [`PROGRAM_VARIANTS`].
+const SCALAR: &str = "compiled_sequential";
+
+/// One campaign of `variant` over `u` with `runner` (a `&TestProgram` or
+/// `&ProgramBank`) under `backgrounds`: [`SCALAR`] through a closure over
+/// the runner, every other variant on the runner's lane engine.
+fn detections<R: FaultRunner + Copy>(
+    u: &FaultUniverse,
+    runner: R,
+    backgrounds: &[u64],
+    (variant, parallelism, slicing): (&str, Parallelism, bool),
+) -> Vec<bool> {
+    if variant == SCALAR {
+        let scalar = |ram: &mut Ram, bg: u64| runner.detect(ram, bg);
+        return Campaign::new(u, scalar)
+            .with_backgrounds(backgrounds)
+            .with_parallelism(parallelism)
+            .detections();
+    }
+    Campaign::new(u, runner)
+        .with_backgrounds(backgrounds)
+        .with_slicing(slicing)
+        .with_parallelism(parallelism)
+        .detections()
+}
 
 /// The git revision of the working tree, for cross-runner trajectory
 /// comparisons (`GIT_REVISION` overrides; "unknown" when git is absent).
@@ -205,23 +225,18 @@ fn main() {
     for n in [16usize, 32] {
         let u = FaultUniverse::enumerate(Geometry::bom(n), &UniverseSpec::paper_claim());
         let len = u.len();
-        for (variant, batching, par, width, slicing) in PROGRAM_VARIANTS {
-            bench.row("campaign_march_c_minus", n, variant, len, || {
+        for config in PROGRAM_VARIANTS {
+            bench.row("campaign_march_c_minus", n, config.0, len, || {
                 let program = ex.compile(&test, u.geometry());
-                let _ = Campaign::new(&u, &program)
-                    .with_lane_batching(batching)
-                    .with_lane_width(width)
-                    .with_slicing(slicing)
-                    .with_parallelism(par)
-                    .detections();
+                detections(&u, &program, &[0], config)
             });
         }
     }
 
-    // Threads × lane-chunk scheduling sweep: March C- at n = 32, default
-    // lane width, whole chunks fanned out across an explicit worker
-    // count. On a single-core runner the rows flatline — the group is
-    // still emitted so multi-core runners chart the scaling curve.
+    // Threads × lane-chunk scheduling sweep: March C- at n = 32, 512-lane
+    // chunks fanned out across an explicit worker count. On a
+    // single-core runner the rows flatline — the group is still emitted
+    // so multi-core runners chart the scaling curve.
     {
         let n = 32usize;
         let u = FaultUniverse::enumerate(Geometry::bom(n), &UniverseSpec::paper_claim());
@@ -244,27 +259,22 @@ fn main() {
         }
     }
 
-    // Wide-chunk scaling at large n: the single-cell universe on a 1 Kib
-    // BOM array spreads the faults thin (4 per cell), so per-pass
-    // dispatch — not fault enforcement — dominates and the wider chunks
-    // amortize it across more lanes. This is the group where the
-    // 256/512-lane widths separate from the legacy 64-lane baseline
-    // (batch-only: the scalar interpreter needs seconds per pass here).
+    // Large n: the single-cell universe on a 1 Kib BOM array spreads the
+    // faults thin (4 per cell), so per-pass dispatch — not fault
+    // enforcement — dominates, and most ops of a pass miss a chunk's
+    // spans: the group where activity slicing pays (lane rows only: the
+    // scalar interpreter needs seconds per pass here).
     {
         let n = 1024usize;
         let u = FaultUniverse::enumerate(Geometry::bom(n), &UniverseSpec::single_cell());
         let len = u.len();
         let program = ex.compile(&test, u.geometry());
-        for (variant, batching, par, width, slicing) in PROGRAM_VARIANTS {
-            if !batching {
+        for config in PROGRAM_VARIANTS {
+            if config.0 == SCALAR {
                 continue;
             }
-            bench.row("campaign_march_large", n, variant, len, || {
-                let _ = Campaign::new(&u, &program)
-                    .with_lane_width(width)
-                    .with_slicing(slicing)
-                    .with_parallelism(par)
-                    .detections();
+            bench.row("campaign_march_large", n, config.0, len, || {
+                detections(&u, &program, &[0], config)
             });
         }
         // The same sweep under a bit-reversal scramble: the universe is
@@ -278,17 +288,13 @@ fn main() {
         let su =
             FaultUniverse::enumerate_with(Geometry::bom(n), &UniverseSpec::single_cell(), topology);
         assert_eq!(su.len(), len, "a bijection cannot change the universe size");
-        for (variant, par, width, slicing) in [
-            ("scrambled_batch_sequential", Parallelism::Sequential, LaneWidth::X64, false),
-            ("scrambled_sliced_sequential", Parallelism::Sequential, LaneWidth::X64, true),
-            ("scrambled_sliced_parallel", Parallelism::Auto, LaneWidth::X512, true),
+        for config in [
+            ("scrambled_batch512", Parallelism::Sequential, false),
+            ("scrambled_sliced512", Parallelism::Sequential, true),
+            ("scrambled_sliced_parallel", Parallelism::Auto, true),
         ] {
-            bench.row("campaign_march_large", n, variant, len, || {
-                let _ = Campaign::new(&su, &program)
-                    .with_lane_width(width)
-                    .with_slicing(slicing)
-                    .with_parallelism(par)
-                    .detections();
+            bench.row("campaign_march_large", n, config.0, len, || {
+                detections(&su, &program, &[0], config)
             });
         }
     }
@@ -301,18 +307,13 @@ fn main() {
         let n = 16usize;
         let u = FaultUniverse::enumerate(Geometry::bom(n), &UniverseSpec::paper_claim());
         let len = u.len();
-        for (variant, batching, par, width, slicing) in PROGRAM_VARIANTS {
-            if par != Parallelism::Sequential {
+        for config in PROGRAM_VARIANTS {
+            if config.1 != Parallelism::Sequential {
                 continue;
             }
-            bench.row(group, n, variant, len, || {
+            bench.row(group, n, config.0, len, || {
                 let program = ex.compile(&test, u.geometry());
-                let _ = Campaign::new(&u, &program)
-                    .with_lane_batching(batching)
-                    .with_lane_width(width)
-                    .with_slicing(slicing)
-                    .with_parallelism(par)
-                    .detections();
+                detections(&u, &program, &[0], config)
             });
         }
     }
@@ -334,18 +335,13 @@ fn main() {
         };
         let u = FaultUniverse::enumerate(Geometry::bom(n), &spec);
         let len = u.len();
-        for (variant, batching, par, width, slicing) in PROGRAM_VARIANTS {
-            if par != Parallelism::Sequential {
+        for config in PROGRAM_VARIANTS {
+            if config.1 != Parallelism::Sequential {
                 continue;
             }
-            bench.row("campaign_march_rwlogic_sof_af", n, variant, len, || {
+            bench.row("campaign_march_rwlogic_sof_af", n, config.0, len, || {
                 let program = ex.compile(&test, u.geometry());
-                let _ = Campaign::new(&u, &program)
-                    .with_lane_batching(batching)
-                    .with_lane_width(width)
-                    .with_slicing(slicing)
-                    .with_parallelism(par)
-                    .detections();
+                detections(&u, &program, &[0], config)
             });
         }
     }
@@ -356,15 +352,10 @@ fn main() {
         let n = 24usize;
         let u = FaultUniverse::enumerate(Geometry::bom(n), &UniverseSpec::paper_claim());
         let len = u.len();
-        for (variant, batching, par, width, slicing) in PROGRAM_VARIANTS {
-            bench.row("campaign_prt_standard3", n, variant, len, || {
+        for config in PROGRAM_VARIANTS {
+            bench.row("campaign_prt_standard3", n, config.0, len, || {
                 let program = scheme.compile(u.geometry()).expect("compile");
-                let _ = Campaign::new(&u, &program)
-                    .with_lane_batching(batching)
-                    .with_lane_width(width)
-                    .with_slicing(slicing)
-                    .with_parallelism(par)
-                    .detections();
+                detections(&u, &program, &[0], config)
             });
         }
     }
@@ -380,16 +371,10 @@ fn main() {
         };
         let u = FaultUniverse::enumerate(Geometry::wom(n, 4).expect("geometry"), &spec);
         let len = u.len();
-        for (variant, batching, par, width, slicing) in PROGRAM_VARIANTS {
-            bench.row("campaign_march_multibg_wom", n, variant, len, || {
+        for config in PROGRAM_VARIANTS {
+            bench.row("campaign_march_multibg_wom", n, config.0, len, || {
                 let bank = coverage::compile_bank(&test, u.geometry(), &ex, &bgs);
-                let _ = Campaign::new(&u, &bank)
-                    .with_backgrounds(&bgs)
-                    .with_lane_batching(batching)
-                    .with_lane_width(width)
-                    .with_slicing(slicing)
-                    .with_parallelism(par)
-                    .detections();
+                detections(&u, &bank, &bgs, config)
             });
         }
     }
@@ -402,12 +387,16 @@ fn main() {
         let len = u.len();
         let program = Executor::new().compile(&library::march_diag(), geom);
         let poly = Poly2::from_bits(0b1_0001_1011);
-        // Dictionary builds run the batched map_trials mode by default;
-        // the scalar row pins the engine they are measured against.
+        // Dictionary builds run the batched map_trials mode; the scalar
+        // row times the observation sweep it is measured against (one
+        // scalar `collect` per fault, without the bucket inversion).
+        let collector = SignatureCollector::new(&program, poly).expect("collector");
+        let escape = Observation { signature: collector.reference(), exec: Default::default() };
         bench.row("campaign_diagnosis", n, "dictionary_build_scalar", len, || {
-            let _ =
-                FaultDictionary::build_with_batching(&u, &program, poly, Parallelism::Auto, false)
-                    .expect("build");
+            prt_sim::map_trials(geom, 1, len, Parallelism::Auto, |i, ram| {
+                ram.inject(u.faults()[i].clone()).expect("valid");
+                collector.collect(&program, ram).unwrap_or(escape)
+            })
         });
         bench.row("campaign_diagnosis", n, "dictionary_build_batched", len, || {
             let _ = FaultDictionary::build(&u, &program, poly, Parallelism::Auto).expect("build");
@@ -542,10 +531,9 @@ fn main() {
     let cpu_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": \"prt-bench/campaign-v5\",\n");
+    json.push_str("  \"schema\": \"prt-bench/campaign-v6\",\n");
     json.push_str(&format!("  \"measure_ms\": {budget_ms},\n"));
     json.push_str(&format!("  \"cpu_cores\": {cpu_cores},\n"));
-    json.push_str(&format!("  \"lane_width\": {},\n", LaneWidth::default().lanes()));
     json.push_str(&format!("  \"git_revision\": \"{}\",\n", json_escape(&git_revision())));
     json.push_str("  \"rows\": [\n");
     let body: Vec<String> = bench.rows.iter().map(Row::json).collect();

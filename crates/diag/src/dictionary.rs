@@ -33,7 +33,11 @@ use crate::{DiagError, Observation, SignatureCollector};
 use prt_gf::Poly2;
 use prt_ram::{FaultKind, FaultUniverse, Geometry, TestProgram, Topology};
 use prt_sim::checkpoint::{self, FingerprintBuilder};
-use prt_sim::{try_map_trials, try_map_trials_batched, CampaignError, LaneWidth, Parallelism};
+use prt_sim::{try_map_trials_batched, CampaignError, Parallelism};
+
+/// Words per lane chunk of a dictionary build: `LaneRam<8>`, 512 trials
+/// per interpreter pass, as in a campaign.
+const CHUNK_WORDS: usize = 8;
 
 /// Aggregate dictionary statistics.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -209,29 +213,19 @@ fn index_observations(
     (buckets, stats)
 }
 
-/// Measures one segment of the universe at lane-chunk width `K` — the
-/// monomorphised body the build loop dispatches to per [`LaneWidth`].
-/// With `lane_batching` off the segment runs on the scalar engine (the
-/// differential oracle). A trial whose device errors out records the
-/// escape observation: the reference signature with a default execution.
-fn observe_segment<const K: usize>(
+/// Measures one segment of the universe, one lane chunk per interpreter
+/// pass. A trial whose device errors out records the escape observation:
+/// the reference signature with a default execution.
+fn observe_segment(
     collector: &SignatureCollector,
     program: &TestProgram,
     faults: &[FaultKind],
     parallelism: Parallelism,
-    lane_batching: bool,
 ) -> Result<Vec<Observation>, CampaignError> {
-    let (geom, ports) = (program.geometry(), program.ports());
     let escape = || Observation { signature: collector.reference(), exec: Default::default() };
-    if !lane_batching {
-        return try_map_trials(geom, ports, faults.len(), parallelism, |i, ram| {
-            ram.inject(faults[i].clone()).expect("enumerated faults are valid");
-            collector.collect(program, ram).unwrap_or_else(|_| escape())
-        });
-    }
-    try_map_trials_batched::<K, _, _, _>(
-        geom,
-        ports,
+    try_map_trials_batched::<CHUNK_WORDS, _, _, _>(
+        program.geometry(),
+        program.ports(),
         faults,
         parallelism,
         |lanes, out| collector.collect_batch(program, lanes, out),
@@ -249,12 +243,11 @@ impl FaultDictionary {
     /// convention.
     ///
     /// Every program — single- or multi-port — runs **lane-batched**: one
-    /// interpreter pass simulates a whole lane chunk of trials
+    /// interpreter pass simulates a 512-lane chunk of trials
     /// ([`prt_sim::try_map_trials_batched`] +
-    /// [`SignatureCollector::collect_batch`] at the default
-    /// [`LaneWidth`]), with per-fault signatures and statistics identical
-    /// to the scalar build ([`FaultDictionary::build_with_batching`] pins
-    /// the scalar engine for differential tests and benchmarks).
+    /// [`SignatureCollector::collect_batch`]), with per-fault signatures
+    /// identical to a scalar [`prt_sim::map_trials`] sweep of
+    /// [`SignatureCollector::collect`] (the differential tests' oracle).
     ///
     /// # Errors
     ///
@@ -271,25 +264,7 @@ impl FaultDictionary {
         poly: Poly2,
         parallelism: Parallelism,
     ) -> Result<FaultDictionary, DiagError> {
-        FaultDictionary::build_with_batching(universe, program, poly, parallelism, true)
-    }
-
-    /// [`FaultDictionary::build`] with the lane-batched engine explicitly
-    /// enabled or disabled — the dictionary counterpart of
-    /// `Campaign::with_lane_batching(false)`, for differential testing
-    /// and scalar-baseline benchmarks.
-    ///
-    /// # Errors
-    ///
-    /// As [`FaultDictionary::build`].
-    pub fn build_with_batching(
-        universe: &FaultUniverse,
-        program: &TestProgram,
-        poly: Poly2,
-        parallelism: Parallelism,
-        lane_batching: bool,
-    ) -> Result<FaultDictionary, DiagError> {
-        FaultDictionary::build_segments(universe, program, poly, parallelism, lane_batching, None)
+        FaultDictionary::build_segments(universe, program, poly, parallelism, None)
     }
 
     /// [`FaultDictionary::build`] with progress checkpointed to `path`
@@ -323,11 +298,11 @@ impl FaultDictionary {
         every: usize,
     ) -> Result<FaultDictionary, DiagError> {
         let spool = Some((path.as_ref(), every.max(1)));
-        FaultDictionary::build_segments(universe, program, poly, parallelism, true, spool)
+        FaultDictionary::build_segments(universe, program, poly, parallelism, spool)
     }
 
-    /// The one build loop behind [`FaultDictionary::build_with_batching`]
-    /// and [`FaultDictionary::build_with_checkpoint`]: sweeps the universe
+    /// The one build loop behind [`FaultDictionary::build`] and
+    /// [`FaultDictionary::build_with_checkpoint`]: sweeps the universe
     /// in segments of `every` faults, resuming from and saving to `path`
     /// when `spool = Some((path, every))` — without one, the whole
     /// universe is a single segment and no file is touched.
@@ -336,7 +311,6 @@ impl FaultDictionary {
         program: &TestProgram,
         poly: Poly2,
         parallelism: Parallelism,
-        lane_batching: bool,
         spool: Option<(&Path, usize)>,
     ) -> Result<FaultDictionary, DiagError> {
         assert_eq!(
@@ -362,18 +336,7 @@ impl FaultDictionary {
         while observations.len() < total {
             let end = observations.len().saturating_add(step).min(total);
             let segment = &universe.faults()[observations.len()..end];
-            let attempt = match LaneWidth::default() {
-                LaneWidth::X64 => {
-                    observe_segment::<1>(&collector, program, segment, parallelism, lane_batching)
-                }
-                LaneWidth::X256 => {
-                    observe_segment::<4>(&collector, program, segment, parallelism, lane_batching)
-                }
-                LaneWidth::X512 => {
-                    observe_segment::<8>(&collector, program, segment, parallelism, lane_batching)
-                }
-            };
-            match attempt {
+            match observe_segment(&collector, program, segment, parallelism) {
                 Ok(segment_obs) => observations.extend(segment_obs),
                 Err(e) => {
                     // The completed prefix survives the failure: save it
@@ -417,10 +380,10 @@ impl FaultDictionary {
     /// Fingerprint of everything that determines a dictionary's
     /// observation table: geometry, the fault universe, the compiled
     /// diagnostic program and the MISR polynomial. Two builds with equal
-    /// fingerprints produce bit-identical dictionaries (parallelism and
-    /// lane width are deliberately excluded), which is what makes the
-    /// fingerprint a sound **cache key** — [`crate::DictionaryStore`]
-    /// keys its shared dictionaries and its on-disk files with it.
+    /// fingerprints produce bit-identical dictionaries (parallelism is
+    /// deliberately excluded), which is what makes the fingerprint a
+    /// sound **cache key** — [`crate::DictionaryStore`] keys its shared
+    /// dictionaries and its on-disk files with it.
     pub fn fingerprint(universe: &FaultUniverse, program: &TestProgram, poly: Poly2) -> u64 {
         dictionary_fingerprint(universe, program, poly)
     }
@@ -694,18 +657,25 @@ mod tests {
         // The lane-batched dictionary build must produce bit-identical
         // per-fault observations (signature AND execution summary) to the
         // scalar map_trials sweep, over a universe spanning every family
-        // — including the read/write-logic, SOF and AF instances.
+        // — including the read/write-logic, SOF and AF instances — and so
+        // the same statistics as a dictionary indexed from that sweep.
         let geom = Geometry::bom(12);
         let universe = FaultUniverse::enumerate(geom, &UniverseSpec::full());
         let program = Executor::new().compile(&library::march_diag(), geom);
-        let scalar = FaultDictionary::build_with_batching(
-            &universe,
-            &program,
-            poly8(),
+        let collector = SignatureCollector::new(&program, poly8()).unwrap();
+        let escape = Observation { signature: collector.reference(), exec: Default::default() };
+        let observations = prt_sim::map_trials(
+            geom,
+            program.ports(),
+            universe.len(),
             Parallelism::Sequential,
-            false,
-        )
-        .unwrap();
+            |i, ram| {
+                ram.inject(universe.faults()[i].clone()).unwrap();
+                collector.collect(&program, ram).unwrap_or(escape)
+            },
+        );
+        let scalar =
+            FaultDictionary::from_observations(&universe, &program, collector, observations);
         for parallelism in [Parallelism::Sequential, Parallelism::Threads(4)] {
             let batched =
                 FaultDictionary::build(&universe, &program, poly8(), parallelism).unwrap();

@@ -52,16 +52,20 @@
 //! assert!(!report.class("TF").unwrap().complete()); // down-TFs escape
 //! ```
 //!
-//! Exactly three kinds of runner exist. Closures are the explicit scalar
-//! runner: one fault at a time on a pooled [`Ram`]. The other two are
-//! **compiled programs**: every test family compiles to the
-//! [`prt_ram::prog`] IR (`Executor::compile`, `PiTest::compile`,
-//! `PrtScheme::compile`, `PlaneScheme::compile`), and `&TestProgram` /
-//! `&`[`ProgramBank`] implement [`FaultRunner`]. A compiled campaign is
-//! lane-batched and validated upfront, so the notation is interpreted
-//! once per campaign instead of once per fault. The families' interpreted
-//! `run` methods are oracles for tests, not runners; a campaign drives
-//! one only through an explicit closure.
+//! Exactly three kinds of runner exist, and the runner alone picks the
+//! engine. Closures are the explicit scalar runner: one fault at a time
+//! on a pooled [`Ram`]. The other two are **compiled programs**: every
+//! test family compiles to the [`prt_ram::prog`] IR (`Executor::compile`,
+//! `PiTest::compile`, `PrtScheme::compile`, `PlaneScheme::compile`), and
+//! `&TestProgram` / `&`[`ProgramBank`] implement [`FaultRunner`]. A
+//! compiled campaign is validated upfront and lane-batched, 512 trials
+//! per interpreter pass, so the notation is interpreted once per
+//! campaign instead of once per fault. [`Campaign::with_slicing`] is the
+//! one engine setting: it pins the full interpreter pass, the oracle of
+//! the activity-sliced default. The families' interpreted `run` methods
+//! are oracles for tests, not runners; a campaign drives one, or runs a
+//! compiled program on the scalar engine, only through an explicit
+//! closure.
 //!
 //! # Resilience
 //!
@@ -212,9 +216,14 @@ impl<'i, S> WorkerPool<'i, S> {
     }
 }
 
-/// One lane worker's pooled state: its device, its active-set scratch
-/// and its per-batch result buffer.
-type LaneState<const K: usize> = (LaneRam<K>, ActiveSet, Vec<bool>);
+/// Words per lane chunk of every campaign lane batch: `LaneRam<8>`, 512
+/// trials per interpreter pass. The lane engine is exact per lane at any
+/// width, so verdicts, reports and checkpoints do not depend on it.
+const CHUNK_WORDS: usize = 8;
+
+/// One campaign lane worker's pooled state: its device, its active-set
+/// scratch and its per-batch result buffer.
+type LaneState = (LaneRam<CHUNK_WORDS>, ActiveSet, Vec<bool>);
 
 /// The one lane-batch runner behind every batched sweep (campaign
 /// segments and [`try_map_trials_batched`]): everything one lane batch
@@ -320,43 +329,6 @@ fn pooled_ram(geom: Geometry, ports: usize) -> Ram {
     Ram::with_ports(geom, ports).expect("valid port count")
 }
 
-/// How many trial lanes one batched interpreter pass carries — the
-/// campaign-facing selector for the const-generic [`LaneRam`] chunk
-/// width. Wider chunks amortise the per-pass interpreter walk over more
-/// trials and give the plane loops whole `[u64; K]` words to
-/// auto-vectorise; narrow chunks waste less work on small universes.
-/// The campaign drives exactly the configured width, on the full pass
-/// and the sliced pass alike.
-/// Verdicts, reports and checkpoints are bit-identical at every width
-/// (property-tested in `tests/batch.rs` and `tests/resilience.rs`), so
-/// the width — like the thread count — is a pure throughput knob and is
-/// deliberately excluded from the checkpoint fingerprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LaneWidth {
-    /// One `u64` of lanes: 64 trials per pass (the PR-4 baseline).
-    X64,
-    /// `[u64; 4]` chunks: 256 trials per pass.
-    X256,
-    /// `[u64; 8]` chunks: 512 trials per pass (the default — ≈3× the
-    /// 64-lane throughput on large arrays, where per-pass dispatch
-    /// dominates and wide chunks amortise it; small universes with
-    /// mostly-empty chunks run somewhat faster at `X64`, see
-    /// `BENCH_campaign.json`).
-    #[default]
-    X512,
-}
-
-impl LaneWidth {
-    /// Trial lanes per batched interpreter pass at this width.
-    pub fn lanes(self) -> usize {
-        match self {
-            LaneWidth::X64 => LaneRam::<1>::LANES,
-            LaneWidth::X256 => LaneRam::<4>::LANES,
-            LaneWidth::X512 => LaneRam::<8>::LANES,
-        }
-    }
-}
-
 /// How a campaign distributes its trials.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
@@ -408,11 +380,12 @@ pub trait FaultRunner: Sync {
     fn detect(&self, ram: &mut Ram, background: u64) -> bool;
 
     /// The compiled program this runner would execute for `background`,
-    /// if it can expose one — the hook the **lane-batched** campaign path
-    /// dispatches through ([`Campaign::detections`] packs
-    /// [`LaneWidth::lanes`] fault trials per interpreter pass when every
-    /// background resolves to a program). Closures keep the default
-    /// `None` and run on the scalar path.
+    /// if it can expose one — the hook that selects the **lane-batched**
+    /// engine ([`Campaign::detections`] packs 512 fault trials per
+    /// interpreter pass when every background resolves to a program).
+    /// Closures keep the default `None` and run on the scalar engine, so
+    /// a closure over a compiled program is how a caller pins the scalar
+    /// engine as an oracle.
     ///
     /// Campaigns call [`FaultRunner::validate`] before they ask for a
     /// program and then run what this returns without checking it again,
@@ -754,7 +727,7 @@ fn validate_ports(geom: Geometry, ports: usize) -> Result<(), CampaignError> {
 /// family lane-batches, so there is no scalar remainder and
 /// `scalar_trial` serves only as the degradation oracle. Results land by
 /// **fault index**, so the output is deterministic and identical for any
-/// parallelism policy *and any lane width* — and, when the two trial
+/// parallelism policy *and any chunk width `K`* — and, when the two trial
 /// functions measure the same thing (the contract callers are
 /// property-tested against), identical to the all-scalar [`map_trials`]
 /// sweep.
@@ -842,8 +815,6 @@ pub struct Campaign<'a, R> {
     backgrounds: Vec<u64>,
     ports: usize,
     parallelism: Parallelism,
-    lane_batching: bool,
-    lane_width: LaneWidth,
     slicing: bool,
     topology: Option<Topology>,
     name: String,
@@ -938,8 +909,6 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             backgrounds: vec![0],
             ports: 1,
             parallelism: Parallelism::Auto,
-            lane_batching: true,
-            lane_width: LaneWidth::default(),
             slicing: true,
             topology: None,
             name: "campaign".to_string(),
@@ -977,41 +946,19 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         self
     }
 
-    /// Enables or disables the lane-sliced batch path (default enabled).
-    /// With batching on, a campaign whose runner exposes a compiled
-    /// program for every background ([`FaultRunner::batch_program`])
-    /// evaluates its universe in lane chunks —
-    /// [`LaneWidth::lanes`] trials per interpreter pass. There is no
-    /// scalar remainder left: every modelled fault family and every
-    /// program, multi-port π schedules included, batches; verdicts are
-    /// bit-identical to the scalar path either way. Disable to measure
-    /// or differential-test the scalar engine.
-    pub fn with_lane_batching(mut self, enabled: bool) -> Campaign<'a, R> {
-        self.lane_batching = enabled;
-        self
-    }
-
-    /// Selects the lane-chunk width for the batched path (default
-    /// [`LaneWidth::X512`]). Every lane batch, full or sliced, runs at
-    /// exactly this width. A pure throughput knob: the verdict table,
-    /// reports and checkpoints are bit-identical at every width, so
-    /// checkpoints taken at one width resume correctly at another.
-    pub fn with_lane_width(mut self, width: LaneWidth) -> Campaign<'a, R> {
-        self.lane_width = width;
-        self
-    }
-
     /// Enables or disables activity-driven program slicing on the batched
-    /// path (default enabled). With slicing on, each lane batch walks only
-    /// the program ops whose address intersects the batch's span union —
-    /// the cells its faults can actually perturb — and splices precomputed
-    /// fault-free reference deltas over the gaps
-    /// ([`prt_ram::ActivityIndex`]). The campaign additionally assembles
-    /// batches in fault-locality order ([`prt_ram::locality_order`]) so
-    /// the faults sharing a chunk have tight span unions. Verdicts, reports
-    /// and checkpoints are **bit-identical** either way (slicing, like the
-    /// lane width, is deliberately not fingerprinted); disable to pin the
-    /// full-pass oracle for measurement or differential testing.
+    /// path (default enabled) — the one engine setting a campaign has;
+    /// the runner decides scalar versus lane-batched. With slicing on,
+    /// each lane batch walks only the program ops whose address
+    /// intersects the batch's span union — the cells its faults can
+    /// actually perturb — and splices precomputed fault-free reference
+    /// deltas over the gaps ([`prt_ram::ActivityIndex`]). The campaign
+    /// additionally assembles batches in fault-locality order
+    /// ([`prt_ram::locality_order`]) so the faults sharing a chunk have
+    /// tight span unions. Verdicts, reports and checkpoints are
+    /// **bit-identical** either way (slicing is deliberately not
+    /// fingerprinted); disable to pin the full-pass oracle for
+    /// measurement or differential testing.
     pub fn with_slicing(mut self, enabled: bool) -> Campaign<'a, R> {
         self.slicing = enabled;
         self
@@ -1096,9 +1043,9 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     /// `every` is clamped to ≥ 1. The sink runs on the driving thread,
     /// between segments — a slow sink throttles the campaign, not the
     /// verdicts. A segment boundary costs one sink call and nothing
-    /// else: the engine, the lane width and the workers' pooled devices
-    /// are chosen once per run and carry over from segment to segment,
-    /// so a fine cadence does not rebuild devices.
+    /// else: the engine and the workers' pooled devices are chosen once
+    /// per run and carry over from segment to segment, so a fine
+    /// cadence does not rebuild devices.
     pub fn with_progress(
         mut self,
         every: usize,
@@ -1171,8 +1118,9 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
 
     /// Per-fault verdicts in enumeration order. Deterministic: the result
     /// is independent of the parallelism policy because every trial is
-    /// isolated on its own (pooled) memory — and of the lane-batching
-    /// policy, because the batch engine is bitwise-exact per lane
+    /// isolated on its own (pooled) memory — and a compiled runner's
+    /// lane-batched verdicts equal those of a closure over the same
+    /// program, because the batch engine is bitwise-exact per lane
     /// (property-tested in `tests/batch.rs`).
     ///
     /// # Panics
@@ -1222,9 +1170,9 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
 
     /// The resilient driver every campaign entry point sits on: validates
     /// the configuration upfront, then picks the engine once for the
-    /// whole campaign — scalar, or lane-batched at the configured
-    /// [`LaneWidth`] — and runs every segment of it on that engine
-    /// ([`Campaign::drive_segments`]).
+    /// whole campaign from the runner — scalar for a closure, lane-batched
+    /// for a compiled program — and runs every segment of it on that
+    /// engine, on one pool of devices ([`Campaign::drive_segments`]).
     fn try_progress(&self) -> Result<Progress, CampaignError> {
         self.runner.validate(self.geom, self.ports, &self.backgrounds)?;
         validate_ports(self.geom, self.ports)?;
@@ -1241,31 +1189,13 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         let slice: Option<Vec<Arc<ActivityIndex>>> =
             self.slicing.then(|| programs.iter().map(|p| p.activity_index()).collect());
         let slice = slice.as_deref();
-        // The chunk width is a const generic: monomorphise the whole
-        // segment loop per width and dispatch on the knob once.
-        match self.lane_width {
-            LaneWidth::X64 => self.drive_lanes::<1>(&programs, slice),
-            LaneWidth::X256 => self.drive_lanes::<4>(&programs, slice),
-            LaneWidth::X512 => self.drive_lanes::<8>(&programs, slice),
-        }
-    }
-
-    /// Every segment of a lane-batched campaign at width `K`, on one pool
-    /// of lane devices.
-    fn drive_lanes<const K: usize>(
-        &self,
-        programs: &[&TestProgram],
-        slice: Option<&[Arc<ActivityIndex>]>,
-    ) -> Result<Progress, CampaignError> {
         self.drive_segments(
             || {
-                let ram =
-                    LaneRam::<K>::with_ports(self.geom, self.ports).expect("valid port count");
+                let ram = LaneRam::<CHUNK_WORDS>::with_ports(self.geom, self.ports)
+                    .expect("valid port count");
                 (ram, ActiveSet::new(), Vec::new())
             },
-            |seg, workers, ctx, pool| {
-                self.drive_batched::<K>(seg, workers, programs, slice, ctx, pool)
-            },
+            |seg, workers, ctx, pool| self.drive_batched(seg, workers, &programs, slice, ctx, pool),
         )
     }
 
@@ -1376,10 +1306,10 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     /// table: geometry, ports, backgrounds, the fault universe and the
     /// compiled program per background. The **schedule** is fingerprinted
     /// only by its discipline name — verdict slots are keyed by fault
-    /// index, so thread count, chunking, lane packing and the lane-chunk
-    /// width ([`LaneWidth`]) never change the table: a checkpoint taken
-    /// at 64 lanes resumes correctly at 512 and vice versa, which is why
-    /// the width is deliberately **not** hashed here.
+    /// index, so thread count, chunking, lane packing and slicing never
+    /// change the table, which is why none of them is hashed here: a
+    /// checkpoint taken by a full-pass run resumes correctly under
+    /// slicing and vice versa.
     ///
     /// A non-identity [`Topology`] (see [`Campaign::with_topology`]) is
     /// hashed so a checkpoint written under one scramble refuses to
@@ -1447,27 +1377,26 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     }
 
     /// Lane-batched segment `seg` on `workers` pooled lane devices:
-    /// faults are packed `LaneRam::<K>::LANES` per [`LaneRam`] chunk (one
-    /// interpreter pass per batch per background, with the
-    /// cross-background early exit per lane) and run by the shared
-    /// scheduler and lane-batch runner, so threads × lanes trials are in
-    /// flight while verdicts stay keyed by fault index — bit-identical at
-    /// any thread count and any width. A batch whose pass panics degrades
-    /// to the scalar oracle. With an activity-slice plan, batches are
-    /// assembled in fault-locality order and each pass walks only the ops
-    /// intersecting the batch's span union
+    /// faults are packed 512 per [`LaneRam`] chunk (one interpreter pass
+    /// per batch per background, with the cross-background early exit
+    /// per lane) and run by the shared scheduler and lane-batch runner,
+    /// so threads × lanes trials are in flight while verdicts stay keyed
+    /// by fault index — bit-identical at any thread count. A batch whose
+    /// pass panics degrades to the scalar oracle. With an activity-slice
+    /// plan, batches are assembled in fault-locality order and each pass
+    /// walks only the ops intersecting the batch's span union
     /// ([`TestProgram::try_detect_batch_sliced`]) — still bit-identical.
-    fn drive_batched<const K: usize>(
+    fn drive_batched(
         &self,
         seg: Range<usize>,
         workers: usize,
         programs: &[&TestProgram],
         slice: Option<&[Arc<ActivityIndex>]>,
         ctx: &DriveCtx<'_>,
-        pool: &mut WorkerPool<'_, LaneState<K>>,
+        pool: &mut WorkerPool<'_, LaneState>,
     ) -> Result<Option<StopCause>, CampaignError> {
         let Range { start, end } = seg;
-        let lanes = LaneRam::<K>::LANES;
+        let lanes = LaneRam::<CHUNK_WORDS>::LANES;
         let count = end - start;
         let n_batches = count.div_ceil(lanes);
         // Locality-aware chunk assembly: with slicing on, the segment is
@@ -1523,16 +1452,16 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     /// One lane batch's verdicts: every background program in turn on
     /// the injected `ram`, stopping once every lane is flagged (the
     /// per-fault early exit across backgrounds, lane style).
-    fn detect_lanes<const K: usize>(
+    fn detect_lanes(
         &self,
-        ram: &mut LaneRam<K>,
+        ram: &mut LaneRam<CHUNK_WORDS>,
         programs: &[&TestProgram],
         slice: Option<&[Arc<ActivityIndex>]>,
         batch: &[u32],
         active: &mut ActiveSet,
-    ) -> LaneChunk<K> {
+    ) -> LaneChunk<CHUNK_WORDS> {
         let full = ram.active_lanes();
-        let mut detected = LaneChunk::<K>::ZERO;
+        let mut detected = LaneChunk::ZERO;
         for (bi, program) in programs.iter().enumerate() {
             if bi > 0 {
                 if detected == full {
@@ -1558,16 +1487,13 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         detected
     }
 
-    /// The compiled programs (one per background) to batch with, when the
-    /// campaign is eligible: batching enabled and every background
-    /// resolves to a program. Every program batches, multi-port `CycleN`
-    /// schedules included. Callers validate the runner first
-    /// ([`FaultRunner::validate`]), so every program here fits the
-    /// campaign's geometry, ports and backgrounds.
+    /// The compiled programs (one per background) to batch with, when
+    /// every background resolves to a program — always for the compiled
+    /// runners, never for a closure, which therefore runs scalar. Every
+    /// program batches, multi-port `CycleN` schedules included. Callers
+    /// validate the runner first ([`FaultRunner::validate`]), so every
+    /// program here fits the campaign's geometry, ports and backgrounds.
     fn batch_plan(&self) -> Option<Vec<&TestProgram>> {
-        if !self.lane_batching {
-            return None;
-        }
         self.backgrounds.iter().map(|&bg| self.runner.batch_program(bg)).collect()
     }
 
@@ -2033,16 +1959,22 @@ mod tests {
         }
     }
 
+    /// A closure over `runner`: the same program or bank on the pooled
+    /// scalar engine, the oracle the lane-batched campaigns match.
+    fn scalar_runner<R: FaultRunner + Copy>(
+        runner: R,
+    ) -> impl Fn(&mut Ram, u64) -> bool + Sync + Copy {
+        move |ram, bg| runner.detect(ram, bg)
+    }
+
     #[test]
     fn lane_batched_campaign_matches_scalar_engine() {
-        // The full() universe mixes batchable (SAF/TF/CF…) and
-        // scalar-only (AF/SOF/RDF…) families, so the partition and the
-        // remainder path are both exercised. Verdicts must be identical
-        // to the scalar engine for any thread count.
+        // The full() universe spans every fault family, AF/SOF/RDF
+        // included. Verdicts must be identical to the scalar engine for
+        // any thread count.
         let u = universe();
         let prog = toy_program(u.geometry());
-        let scalar = Campaign::new(&u, &prog)
-            .with_lane_batching(false)
+        let scalar = Campaign::new(&u, scalar_runner(&prog))
             .with_parallelism(Parallelism::Sequential)
             .detections();
         for parallelism in
@@ -2053,7 +1985,7 @@ mod tests {
         }
         // The aggregated report is identical too.
         let a = Campaign::new(&u, &prog).with_name("toy").run();
-        let b = Campaign::new(&u, &prog).with_name("toy").with_lane_batching(false).run();
+        let b = Campaign::new(&u, scalar_runner(&prog)).with_name("toy").run();
         assert_eq!(a, b);
     }
 
@@ -2079,8 +2011,7 @@ mod tests {
             }
             (bg, b.build())
         }));
-        let scalar =
-            Campaign::new(&u, &bank).with_backgrounds(&bgs).with_lane_batching(false).detections();
+        let scalar = Campaign::new(&u, scalar_runner(&bank)).with_backgrounds(&bgs).detections();
         for threads in [1usize, 4] {
             let batched = Campaign::new(&u, &bank)
                 .with_backgrounds(&bgs)
@@ -2122,7 +2053,7 @@ mod tests {
         let plan = c.batch_plan().expect("dual-port programs batch now");
         assert_eq!(plan.len(), 1, "one background, one compiled program");
         assert_eq!(c.detections(), vec![true, false]);
-        let scalar = Campaign::over(geom, &faults, &prog).with_ports(2).with_lane_batching(false);
+        let scalar = Campaign::over(geom, &faults, scalar_runner(&prog)).with_ports(2);
         assert_eq!(scalar.detections(), vec![true, false]);
     }
 
@@ -2439,24 +2370,26 @@ mod tests {
     /// checks that the sink saw in-order, gap-free segments of at most
     /// `cadence` trials whose verdicts equal the unhooked run's, and that
     /// hooking left the report unchanged.
-    fn assert_streams_like_unhooked(
+    fn assert_streams_like_unhooked<R: FaultRunner + Copy>(
         geom: Geometry,
         faults: &[FaultKind],
-        prog: &TestProgram,
+        runner: R,
         cadence: usize,
-        configure: &dyn for<'c> Fn(Campaign<'c, &'c TestProgram>) -> Campaign<'c, &'c TestProgram>,
+        configure: &dyn for<'c> Fn(Campaign<'c, R>) -> Campaign<'c, R>,
     ) {
-        let unhooked = configure(Campaign::over(geom, faults, prog));
+        let unhooked = configure(Campaign::over(geom, faults, runner));
         let (oracle, plain) = (unhooked.detections(), unhooked.run());
         let seen: Mutex<Vec<(usize, usize, Vec<bool>)>> = Mutex::new(Vec::new());
-        let report = configure(Campaign::over(geom, faults, prog))
+        let report = configure(Campaign::over(geom, faults, runner))
             .with_progress(cadence, |seg: SegmentProgress<'_>| {
                 seen.lock().unwrap().push((seg.start, seg.end, seg.verdicts.to_vec()));
             })
             .run();
         let case = format!(
-            "batching {}, {:?}, slicing {}, {:?}, cadence {cadence}",
-            unhooked.lane_batching, unhooked.lane_width, unhooked.slicing, unhooked.parallelism
+            "batched {}, slicing {}, {:?}, cadence {cadence}",
+            unhooked.batch_plan().is_some(),
+            unhooked.slicing,
+            unhooked.parallelism
         );
         assert_eq!(report, plain, "hooking must not perturb the report: {case}");
         let mut cursor = 0;
@@ -2479,11 +2412,8 @@ mod tests {
         // on both engines — and hooking must not perturb the report.
         let u = universe();
         let prog = toy_program(u.geometry());
-        for batching in [true, false] {
-            assert_streams_like_unhooked(u.geometry(), u.faults(), &prog, 7, &|c| {
-                c.with_lane_batching(batching)
-            });
-        }
+        assert_streams_like_unhooked(u.geometry(), u.faults(), &prog, 7, &|c| c);
+        assert_streams_like_unhooked(u.geometry(), u.faults(), scalar_runner(&prog), 7, &|c| c);
         // Every segment reuses its workers' pooled devices. Coupling and
         // retention faults leave state in a device, so a March C- sweep
         // over them checks that reuse at cadences below, at and just
@@ -2497,17 +2427,13 @@ mod tests {
         let march = march_c_minus_program(geom);
         for cadence in [1, 63, 512, 513] {
             for parallelism in [Parallelism::Sequential, Parallelism::Threads(2)] {
-                assert_streams_like_unhooked(geom, &faults, &march, cadence, &|c| {
-                    c.with_lane_batching(false).with_parallelism(parallelism)
+                assert_streams_like_unhooked(geom, &faults, scalar_runner(&march), cadence, &|c| {
+                    c.with_parallelism(parallelism)
                 });
                 for slicing in [true, false] {
-                    for width in [LaneWidth::X64, LaneWidth::X256, LaneWidth::X512] {
-                        assert_streams_like_unhooked(geom, &faults, &march, cadence, &|c| {
-                            c.with_slicing(slicing)
-                                .with_lane_width(width)
-                                .with_parallelism(parallelism)
-                        });
-                    }
+                    assert_streams_like_unhooked(geom, &faults, &march, cadence, &|c| {
+                        c.with_slicing(slicing).with_parallelism(parallelism)
+                    });
                 }
             }
         }

@@ -4,7 +4,7 @@
 //! The suite's batch tools answer "what does this March test cover?"
 //! one process at a time. This crate turns the same engines into a
 //! long-running **service**: clients submit campaign jobs (geometry,
-//! fault-universe spec, test family, lane width, deadline) over a
+//! fault-universe spec, test family, backgrounds, deadline) over a
 //! length-prefixed TCP protocol ([`proto`]); the server shards each
 //! job's universe into lane-chunk segments across a worker pool and
 //! **streams** per-segment coverage deltas back as they complete, so a

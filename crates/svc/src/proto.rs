@@ -376,7 +376,9 @@ pub struct JobSpec {
     /// Data backgrounds (one compiled program per entry; a fault counts
     /// as detected when any background flags it). Must be non-empty.
     pub backgrounds: Vec<u64>,
-    /// Lane-chunk width: `0` = server default, else 64 / 256 / 512.
+    /// Lane-chunk width, accepted for wire compatibility: it selects
+    /// nothing (every campaign lane batch is 512 lanes). The server
+    /// takes `0`, 64, 256 and 512 and refuses any other value.
     pub lane_width: u16,
     /// Time budget in milliseconds (`0` = none). An expired budget ends
     /// the stream with a `Deadline` [`JobDone`], not an error.

@@ -46,9 +46,7 @@ use prt_diag::DictionaryStore;
 use prt_gf::Poly2;
 use prt_march::{library, MarchTest};
 use prt_ram::{FaultKind, FaultUniverse, Geometry, LazyUniverse, Topology};
-use prt_sim::{
-    Campaign, CancelToken, LaneWidth, Parallelism, ProgramBank, SegmentProgress, StopCause,
-};
+use prt_sim::{Campaign, CancelToken, Parallelism, ProgramBank, SegmentProgress, StopCause};
 
 /// The default MISR polynomial for dictionary lookups (`x⁸+x⁴+x³+x+1`,
 /// the suite-wide 8-bit compaction default).
@@ -325,13 +323,12 @@ fn run_job(stream: TcpStream, reader: TcpStream, shared: &Shared, job: JobSpec) 
     if job.backgrounds.is_empty() {
         return refuse(1, "at least one data background required".to_string());
     }
-    let lane_width = match job.lane_width {
-        0 => None,
-        64 => Some(LaneWidth::X64),
-        256 => Some(LaneWidth::X256),
-        512 => Some(LaneWidth::X512),
-        other => return refuse(1, format!("unsupported lane width {other} (64/256/512)")),
-    };
+    // The lane width is a wire field kept for old clients: the values
+    // they may send are accepted and select nothing (every campaign lane
+    // batch is 512 lanes); anything else is refused.
+    if !matches!(job.lane_width, 0 | 64 | 256 | 512) {
+        return refuse(1, format!("unsupported lane width {} (64/256/512)", job.lane_width));
+    }
 
     // Physical topology: validated against the geometry up front, then
     // threaded into the enumeration (faults keep logical addresses, so
@@ -425,9 +422,6 @@ fn run_job(stream: TcpStream, reader: TcpStream, shared: &Shared, job: JobSpec) 
                     sink_token.cancel();
                 }
             });
-        if let Some(width) = lane_width {
-            campaign = campaign.with_lane_width(width);
-        }
         if let Some(budget) = deadline {
             match budget.checked_sub(started.elapsed()) {
                 Some(remaining) => campaign = campaign.with_deadline(remaining),

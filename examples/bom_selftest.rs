@@ -58,6 +58,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Spot-check: inject one fault of each modelled kind and show verdicts.
+    // The schedule is synthesized and verified over the qualified
+    // universe only, so detection is asserted only for probes inside it.
     println!("\nspot checks (full-coverage schedule):");
     let probes: Vec<FaultKind> = vec![
         FaultKind::StuckAt { cell: n / 2, bit: 0, value: 1 },
@@ -79,8 +81,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut ram = Ram::new(geom);
         ram.inject(fault.clone())?;
         let res = full.run(&mut ram)?;
-        println!("  {fault}: detected = {}", res.detected());
-        assert!(res.detected(), "full-coverage schedule must catch {fault}");
+        if universe.faults().contains(&fault) {
+            println!("  {fault}: detected = {}", res.detected());
+            assert!(res.detected(), "full-coverage schedule must catch {fault}");
+        } else {
+            println!("  {fault}: detected = {} (outside the qualified universe)", res.detected());
+        }
     }
     Ok(())
 }

@@ -55,6 +55,6 @@ pub mod prelude {
     };
     pub use prt_sim::{
         Campaign, CampaignError, CancelToken, CheckpointError, CoverageReport, FaultRunner,
-        LaneWidth, Parallelism, PartialCoverage, ProgramBank, SegmentProgress, StopCause,
+        Parallelism, PartialCoverage, ProgramBank, SegmentProgress, StopCause,
     };
 }

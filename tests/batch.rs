@@ -7,9 +7,13 @@
 //! model landed — any lane position and any thread count; and the
 //! batched `map_trials` measurement mode must reproduce the scalar
 //! per-fault MISR signatures exactly, single- and multi-port. The scalar
-//! path is the oracle — these are the acceptance tests of the
-//! lane-sliced refactor.
+//! path — a closure over the same program, or a `map_trials` sweep of
+//! `SignatureCollector::collect` — is the oracle; these are the
+//! acceptance tests of the lane-sliced refactor.
 
+mod common;
+
+use common::{mixed_universe, scalar, scalar_observations, test_threads};
 use proptest::prelude::*;
 use prt_suite::prelude::*;
 
@@ -17,35 +21,13 @@ fn gf16() -> Field {
     Field::new(4, 0b1_0011).expect("GF(16)")
 }
 
-/// The mixed universe every campaign property sweeps: **every** modelled
-/// family — SAF/TF/CFin/CFid/CFst (intra-word included on WOM) plus AF,
-/// SOF and the read/write-logic families. All of it batches now; the
-/// sweep proves the per-lane decoder/sense/read-logic models against the
-/// scalar oracle.
-fn mixed_universe(geom: Geometry) -> FaultUniverse {
-    let spec = UniverseSpec {
-        coupling_radius: Some(2),
-        intra_word: geom.width() > 1,
-        ..UniverseSpec::full()
-    };
-    FaultUniverse::enumerate(geom, &spec)
-}
-
-/// Thread count for the batch differential sweeps: `PRT_TEST_THREADS`
-/// overrides the proptest-chosen count, so CI pins every sweep to a fixed
-/// multi-worker configuration (the thread-count-invariance guard).
-fn test_threads(chosen: usize) -> usize {
-    std::env::var("PRT_TEST_THREADS").ok().and_then(|s| s.parse().ok()).unwrap_or(chosen)
-}
-
 /// Batched (given thread count) vs scalar-sequential verdicts of the same
 /// campaign must be identical.
 fn assert_batch_equals_scalar(universe: &FaultUniverse, program: &TestProgram, threads: usize) {
     let threads = test_threads(threads);
     let backgrounds = [program.background().unwrap_or(0)];
-    let scalar = Campaign::new(universe, program)
+    let scalar = Campaign::new(universe, scalar(program))
         .with_backgrounds(&backgrounds)
-        .with_lane_batching(false)
         .with_parallelism(Parallelism::Sequential)
         .detections();
     let batched = Campaign::new(universe, program)
@@ -104,9 +86,8 @@ proptest! {
         let bgs = prt_march::coverage::standard_backgrounds(4);
         let bank = prt_march::coverage::compile_bank(test, geom, &ex, &bgs);
         let threads = test_threads(threads);
-        let scalar = Campaign::new(&u, &bank)
+        let scalar = Campaign::new(&u, scalar(&bank))
             .with_backgrounds(&bgs)
-            .with_lane_batching(false)
             .with_parallelism(Parallelism::Sequential)
             .detections();
         let batched = Campaign::new(&u, &bank)
@@ -209,38 +190,6 @@ proptest! {
         let want = program.detect(&mut scalar);
         check_at::<1>(&program, &fault, lane, want);
         check_at::<8>(&program, &fault, lane + 7 * LANES, want);
-    }
-
-    /// WIDTH INVARIANCE: the campaign verdict table is bit-identical at
-    /// every lane-chunk width (64 ≡ 256 ≡ 512 ≡ scalar), for random March
-    /// programs, geometries and thread counts.
-    #[test]
-    fn campaign_verdicts_invariant_across_lane_widths(
-        test_idx in 0usize..15,
-        n in 2usize..12,
-        wom in any::<bool>(),
-        threads in 1usize..5,
-    ) {
-        let geom = if wom { Geometry::wom(n, 4).expect("geometry") } else { Geometry::bom(n) };
-        let u = mixed_universe(geom);
-        let tests = march_library::all();
-        let test = &tests[test_idx % tests.len()];
-        let program = Executor::new().stop_at_first_mismatch().compile(test, geom);
-        let scalar = Campaign::new(&u, &program)
-            .with_lane_batching(false)
-            .with_parallelism(Parallelism::Sequential)
-            .detections();
-        let threads = test_threads(threads);
-        for width in [LaneWidth::X64, LaneWidth::X256, LaneWidth::X512] {
-            let batched = Campaign::new(&u, &program)
-                .with_lane_width(width)
-                .with_parallelism(Parallelism::Threads(threads))
-                .detections();
-            prop_assert_eq!(
-                &scalar, &batched,
-                "{} lanes={} threads={}", test.name(), width.lanes(), threads
-            );
-        }
     }
 }
 
@@ -424,30 +373,16 @@ fn multi_port_batch_matches_interpreted_oracle() {
         })
         .collect();
     for threads in [1usize, 4] {
-        for width in [LaneWidth::X64, LaneWidth::X512] {
-            let got = Campaign::over(geom, u.faults(), &dual)
-                .with_ports(2)
-                .with_lane_width(width)
-                .with_parallelism(Parallelism::Threads(threads))
-                .detections();
-            assert_eq!(
-                dual_oracle,
-                got,
-                "dual-port verdicts diverged (lanes={}, threads={threads})",
-                width.lanes()
-            );
-            let got = Campaign::over(geom, u.faults(), &quad)
-                .with_ports(4)
-                .with_lane_width(width)
-                .with_parallelism(Parallelism::Threads(threads))
-                .detections();
-            assert_eq!(
-                quad_oracle,
-                got,
-                "quad-port verdicts diverged (lanes={}, threads={threads})",
-                width.lanes()
-            );
-        }
+        let got = Campaign::over(geom, u.faults(), &dual)
+            .with_ports(2)
+            .with_parallelism(Parallelism::Threads(threads))
+            .detections();
+        assert_eq!(dual_oracle, got, "dual-port verdicts diverged (threads={threads})");
+        let got = Campaign::over(geom, u.faults(), &quad)
+            .with_ports(4)
+            .with_parallelism(Parallelism::Threads(threads))
+            .detections();
+        assert_eq!(quad_oracle, got, "quad-port verdicts diverged (threads={threads})");
     }
 }
 
@@ -483,23 +418,23 @@ fn geometry_mismatched_detect_batch_is_loud() {
     );
 }
 
-/// BATCHED DICTIONARY ≡ SCALAR DICTIONARY: a `FaultDictionary` built on
-/// the lane-batched `map_trials` mode must carry identical per-fault
-/// signatures (and identical aggregate statistics) to the scalar build,
-/// over a universe spanning every family.
+/// BATCHED DICTIONARY ≡ SCALAR SWEEP: a `FaultDictionary` built on the
+/// lane-batched `map_trials` mode must carry, per fault, the observation
+/// (MISR signature and execution summary) the scalar `collect` sweep
+/// measures, over a universe spanning every family. Equal observations
+/// index to equal statistics (the prt-diag unit test pins that step).
 #[test]
 fn dictionary_build_batched_equals_scalar() {
     let geom = Geometry::bom(16);
     let u = mixed_universe(geom);
     let program = Executor::new().compile(&march_library::march_diag(), geom);
     let poly = Poly2::from_bits(0b1_0001_1011);
-    let scalar =
-        FaultDictionary::build_with_batching(&u, &program, poly, Parallelism::Sequential, false)
-            .expect("scalar build");
+    let scalar = scalar_observations(&u, &program, poly);
     for threads in [1usize, 4] {
         let batched = FaultDictionary::build(&u, &program, poly, Parallelism::Threads(threads))
             .expect("batched build");
-        for (i, (s, b)) in scalar.observations().iter().zip(batched.observations()).enumerate() {
+        assert_eq!(scalar.len(), batched.observations().len());
+        for (i, (s, b)) in scalar.iter().zip(batched.observations()).enumerate() {
             assert_eq!(
                 s.signature,
                 b.signature,
@@ -508,7 +443,6 @@ fn dictionary_build_batched_equals_scalar() {
             );
             assert_eq!(s, b, "observation diverged on {}", &u.faults()[i]);
         }
-        assert_eq!(scalar.stats(), batched.stats(), "threads={threads}");
     }
 }
 
@@ -522,9 +456,8 @@ fn coverage_reports_identical_across_engines_and_threads() {
     let ex = Executor::new().stop_at_first_mismatch();
     for test in march_library::all() {
         let program = ex.compile(&test, geom);
-        let scalar = Campaign::new(&u, &program)
+        let scalar = Campaign::new(&u, scalar(&program))
             .with_name(test.name())
-            .with_lane_batching(false)
             .with_parallelism(Parallelism::Sequential)
             .run();
         for threads in [1usize, 3, 8] {

@@ -7,28 +7,15 @@
 //! checkpoint produces a report bit-identical to an uninterrupted run, at
 //! any thread count.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod common;
+
 use std::sync::Arc;
 
+use common::temp_ckpt;
 use proptest::prelude::*;
 use prt_sim::chaos::{self, ChaosPlan};
 use prt_sim::checkpoint;
 use prt_suite::prelude::*;
-
-/// Per-process unique checkpoint paths (proptest cases run many files).
-static CASE: AtomicUsize = AtomicUsize::new(0);
-
-fn temp_ckpt(tag: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "prt-resilience-{}-{tag}-{}.ckpt",
-        std::process::id(),
-        CASE.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_file(&p);
-    p
-}
 
 /// The full mixed universe: every modelled fault family.
 fn universe(n: usize) -> FaultUniverse {
@@ -198,82 +185,28 @@ proptest! {
     /// A lane batch killed mid-interpreter-pass degrades to the scalar
     /// oracle: the campaign completes with exact verdicts and a nonzero
     /// degradation counter — never a typed error, never wrong coverage.
-    /// Batch boundaries depend on the lane-chunk width, so the kill
-    /// target is computed from the width under test (not a hardcoded 64).
     #[test]
     fn killed_batch_degrades_to_exact_verdicts(
         n in 6usize..10,
         pick in any::<u64>(),
         threads in 1usize..5,
-        width_pick in 0usize..3,
     ) {
-        let width = [LaneWidth::X64, LaneWidth::X256, LaneWidth::X512][width_pick];
         let u = universe(n);
         let prog = march_program(u.geometry());
         let clean = Campaign::new(&u, &prog).with_name("resilient").run();
-        // Batches are contiguous lane-width chunks over the whole universe
-        // (no partition predicate anymore) — batch b starts at b·lanes.
-        let starts: Vec<usize> = (0..u.len()).step_by(width.lanes()).collect();
+        // Chaos keys a batch by its schedule position: campaign batches
+        // are 512-lane chunks, so batch b starts at b·512.
+        let starts: Vec<usize> = (0..u.len()).step_by(LaneRam::<8>::LANES).collect();
         let target = starts[pick as usize % starts.len()];
         let plan = Arc::new(ChaosPlan::new().panic_on_batch(target));
         let degraded = Campaign::new(&u, &prog)
             .with_name("resilient")
             .with_parallelism(Parallelism::Threads(threads))
-            .with_lane_width(width)
             .with_chaos(plan)
             .run();
         prop_assert!(degraded.degraded_batches() >= 1, "batch kill must be counted");
         prop_assert!(degraded.partial().is_none(), "degradation is not a partial run");
         prop_assert_eq!(clean.rows(), degraded.rows());
-    }
-
-    /// WIDTH-CROSSING RESUME: the checkpoint fingerprint deliberately
-    /// excludes the lane width, so a campaign checkpointed at one width
-    /// resumes at ANOTHER width (and thread count) to a report
-    /// bit-identical to an uninterrupted run — the lane width is a pure
-    /// throughput knob, invisible in every output. The checkpoint is
-    /// rewound to an arbitrary prefix, exactly the file a killed run
-    /// leaves behind (its cursor need not sit on a lane-chunk boundary of
-    /// either width).
-    #[test]
-    fn checkpoint_resumes_across_lane_widths(
-        n in 6usize..10,
-        cut_permille in 0usize..1000,
-        every in 5usize..60,
-        threads in 1usize..5,
-        widths_pick in 0usize..6,
-    ) {
-        let pairs = [
-            (LaneWidth::X64, LaneWidth::X256),
-            (LaneWidth::X64, LaneWidth::X512),
-            (LaneWidth::X256, LaneWidth::X64),
-            (LaneWidth::X256, LaneWidth::X512),
-            (LaneWidth::X512, LaneWidth::X64),
-            (LaneWidth::X512, LaneWidth::X256),
-        ];
-        let (first_width, resume_width) = pairs[widths_pick];
-        let u = universe(n);
-        let prog = march_program(u.geometry());
-        let baseline = Campaign::new(&u, &prog).with_name("resilient").run();
-        let path = temp_ckpt("width");
-        let full = Campaign::new(&u, &prog)
-            .with_name("resilient")
-            .with_lane_width(first_width)
-            .with_checkpoint(&path, every)
-            .run();
-        prop_assert_eq!(&baseline, &full);
-        let fp = checkpoint::peek_fingerprint(&path).unwrap();
-        let saved: Vec<bool> = checkpoint::load_records(&path, fp, u.len()).unwrap().unwrap();
-        let cut = saved.len() * cut_permille / 1000;
-        checkpoint::save_records(&path, fp, u.len(), &saved[..cut]).unwrap();
-        let resumed = Campaign::new(&u, &prog)
-            .with_name("resilient")
-            .with_parallelism(Parallelism::Threads(threads))
-            .with_lane_width(resume_width)
-            .with_checkpoint(&path, every)
-            .run();
-        prop_assert_eq!(&baseline, &resumed);
-        let _ = std::fs::remove_file(&path);
     }
 }
 

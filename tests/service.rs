@@ -311,3 +311,31 @@ fn bad_requests_are_refused_with_typed_errors() {
     let (_aggregate, _deltas, done) = drain_checked(server.addr(), &good);
     assert_eq!(done.cause, StopKind::Complete);
 }
+
+/// The `lane_width` wire field is kept for old clients and selects
+/// nothing: a job sent with 64, 256 or 512 streams the aggregate and the
+/// terminal `Done` of the same job sent with 0.
+#[test]
+fn retained_lane_width_field_selects_nothing() {
+    let server = spawn_server("lane-width");
+    let job = JobSpec {
+        family: "March C-".to_string(),
+        cells: 24,
+        width: 1,
+        spec: UniverseSpec::paper_claim(),
+        backgrounds: vec![0],
+        lane_width: 0,
+        deadline_ms: 0,
+        segment: 64,
+        topology: None,
+    };
+    let (want, _, want_done) = drain_checked(server.addr(), &job);
+    assert_eq!(want_done.cause, StopKind::Complete);
+    assert_eq!(want, batch_aggregate(&job));
+    for lane_width in [64, 256, 512] {
+        let (aggregate, _, done) =
+            drain_checked(server.addr(), &JobSpec { lane_width, ..job.clone() });
+        assert_eq!(aggregate, want, "lane_width {lane_width}");
+        assert_eq!(done, want_done, "lane_width {lane_width}");
+    }
+}

@@ -3,79 +3,37 @@
 //! first-mismatch op indices, observed response streams, MISR
 //! signatures, dictionary builds, coverage reports and checkpoints all
 //! bit-identical to the full interpreter pass — across every compiled
-//! test family, every fault family, every lane-chunk width and any
-//! thread count. The full pass (`with_slicing(false)`) is the oracle —
-//! these are the acceptance tests of the slicing layer, alongside the
-//! locality-sorted chunk-assembly invariance the campaign scheduler
-//! promises for reports and checkpoints.
+//! test family, every fault family and any thread count. The full pass
+//! (`with_slicing(false)`) is the oracle — these are the acceptance
+//! tests of the slicing layer, alongside the locality-sorted
+//! chunk-assembly invariance the campaign scheduler promises for reports
+//! and checkpoints.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod common;
 
+use common::{mixed_universe, scalar, scalar_observations, temp_ckpt, test_threads};
 use proptest::prelude::*;
 use prt_sim::checkpoint;
 use prt_suite::prelude::*;
 
-/// Per-process unique checkpoint paths (proptest cases run many files).
-static CASE: AtomicUsize = AtomicUsize::new(0);
-
-fn temp_ckpt(tag: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "prt-slicing-{}-{tag}-{}.ckpt",
-        std::process::id(),
-        CASE.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_file(&p);
-    p
-}
-
-/// The mixed universe every slicing property sweeps: every modelled
-/// family — the single-cell families with tight spans, the coupling
-/// families whose spans straddle aggressor/victim windows, and the
-/// decoder/stuck-open/read-logic families with always-active footprints.
-fn mixed_universe(geom: Geometry) -> FaultUniverse {
-    let spec = UniverseSpec {
-        coupling_radius: Some(2),
-        intra_word: geom.width() > 1,
-        ..UniverseSpec::full()
-    };
-    FaultUniverse::enumerate(geom, &spec)
-}
-
-/// Thread count for the differential sweeps: `PRT_TEST_THREADS`
-/// overrides the proptest-chosen count, so CI pins every sweep to a
-/// fixed multi-worker configuration.
-fn test_threads(chosen: usize) -> usize {
-    std::env::var("PRT_TEST_THREADS").ok().and_then(|s| s.parse().ok()).unwrap_or(chosen)
-}
-
 /// Sliced and full-pass campaign verdicts over `universe` must be
-/// identical — at the given width and thread count, and both must match
-/// the scalar interpreter.
-fn assert_sliced_equals_full(
-    universe: &FaultUniverse,
-    program: &TestProgram,
-    width: LaneWidth,
-    threads: usize,
-) {
+/// identical at the given thread count, and both must match the scalar
+/// engine.
+fn assert_sliced_equals_full(universe: &FaultUniverse, program: &TestProgram, threads: usize) {
     let threads = test_threads(threads);
     let backgrounds = [program.background().unwrap_or(0)];
-    let scalar = Campaign::new(universe, program)
+    let scalar = Campaign::new(universe, scalar(program))
         .with_backgrounds(&backgrounds)
-        .with_lane_batching(false)
         .with_parallelism(Parallelism::Sequential)
         .detections();
     let full = Campaign::new(universe, program)
         .with_backgrounds(&backgrounds)
         .with_slicing(false)
-        .with_lane_width(width)
         .with_parallelism(Parallelism::Threads(threads))
         .detections();
     let sliced = Campaign::new(universe, program)
         .with_backgrounds(&backgrounds)
         .with_slicing(true)
-        .with_lane_width(width)
         .with_parallelism(Parallelism::Threads(threads))
         .detections();
     assert_eq!(scalar, full, "{}: full pass diverged from scalar", program.name());
@@ -83,10 +41,9 @@ fn assert_sliced_equals_full(
         assert_eq!(
             f,
             s,
-            "{}: sliced verdict diverged on {} (lanes={}, threads={})",
+            "{}: sliced verdict diverged on {} (threads={})",
             program.name(),
             universe.faults()[i],
-            width.lanes(),
             threads
         );
     }
@@ -96,15 +53,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// SLICED ≡ FULL (March): every library algorithm, random geometry
-    /// (BOM and 4-bit WOM), background, lane width and thread count,
-    /// over the full mixed universe.
+    /// (BOM and 4-bit WOM), background and thread count, over the full
+    /// mixed universe.
     #[test]
     fn march_sliced_campaign_equals_full(
         test_idx in 0usize..15,
         bg in 0u64..16,
         n in 2usize..12,
         wom in any::<bool>(),
-        width_pick in 0usize..3,
         threads in 1usize..5,
     ) {
         let geom = if wom { Geometry::wom(n, 4).expect("geometry") } else { Geometry::bom(n) };
@@ -114,8 +70,7 @@ proptest! {
         let test = &tests[test_idx % tests.len()];
         let program =
             Executor::new().with_background(bg).stop_at_first_mismatch().compile(test, geom);
-        let width = [LaneWidth::X64, LaneWidth::X256, LaneWidth::X512][width_pick];
-        assert_sliced_equals_full(&u, &program, width, threads);
+        assert_sliced_equals_full(&u, &program, threads);
     }
 
     /// SLICED ≡ FULL (π-test): the compiled π program exercises the
@@ -125,7 +80,6 @@ proptest! {
         s0 in 0u64..16,
         s1 in 0u64..16,
         n in 3usize..14,
-        width_pick in 0usize..3,
         threads in 1usize..5,
     ) {
         let field = Field::new(4, 0b1_0011).expect("GF(16)");
@@ -133,8 +87,7 @@ proptest! {
         let geom = Geometry::wom(n, 4).expect("geometry");
         let u = mixed_universe(geom);
         let program = pi.compile(geom).expect("compile");
-        let width = [LaneWidth::X64, LaneWidth::X256, LaneWidth::X512][width_pick];
-        assert_sliced_equals_full(&u, &program, width, threads);
+        assert_sliced_equals_full(&u, &program, threads);
     }
 
     /// SLICED ≡ FULL (PRT / bit-plane schemes): stale-channel pre-reads
@@ -143,10 +96,8 @@ proptest! {
     fn scheme_sliced_campaign_equals_full(
         which in 0usize..4,
         n in 3usize..12,
-        width_pick in 0usize..3,
         threads in 1usize..5,
     ) {
-        let width = [LaneWidth::X64, LaneWidth::X256, LaneWidth::X512][width_pick];
         if which < 2 {
             let field = Field::new(1, 0b11).expect("GF(2)");
             let scheme = if which == 0 {
@@ -157,7 +108,7 @@ proptest! {
             let geom = Geometry::bom(n);
             let u = mixed_universe(geom);
             let program = scheme.compile(geom).expect("compile");
-            assert_sliced_equals_full(&u, &program, width, threads);
+            assert_sliced_equals_full(&u, &program, threads);
         } else {
             let rounds = which - 1; // 1 or 2
             let scheme =
@@ -165,7 +116,7 @@ proptest! {
             let geom = Geometry::wom(n, 4).expect("geometry");
             let u = mixed_universe(geom);
             let program = scheme.compile(geom).expect("compile");
-            assert_sliced_equals_full(&u, &program, width, threads);
+            assert_sliced_equals_full(&u, &program, threads);
         }
     }
 
@@ -272,15 +223,14 @@ proptest! {
     /// ASSEMBLY-ORDER INVARIANCE: the locality-sorted chunk assembly the
     /// sliced scheduler uses must be invisible in the published coverage
     /// report — sliced and full-pass runs (different batch compositions
-    /// entirely) produce identical reports at any width/thread count,
-    /// and so does a sliced run over a pre-shuffled fault list versus
-    /// its own full-pass twin.
+    /// entirely) produce identical reports at any thread count, and so
+    /// does a sliced run over a pre-shuffled fault list versus its own
+    /// full-pass twin.
     #[test]
     fn reports_invariant_under_chunk_assembly(
         test_idx in 0usize..15,
         n in 4usize..10,
         seed in any::<u64>(),
-        width_pick in 0usize..3,
         threads in 1usize..5,
     ) {
         let geom = Geometry::bom(n);
@@ -288,17 +238,14 @@ proptest! {
         let tests = march_library::all();
         let test = &tests[test_idx % tests.len()];
         let program = Executor::new().stop_at_first_mismatch().compile(test, geom);
-        let width = [LaneWidth::X64, LaneWidth::X256, LaneWidth::X512][width_pick];
         let threads = test_threads(threads);
         let full = Campaign::new(&u, &program)
             .with_name("assembly")
             .with_slicing(false)
-            .with_lane_width(width)
             .with_parallelism(Parallelism::Threads(threads))
             .run();
         let sliced = Campaign::new(&u, &program)
             .with_name("assembly")
-            .with_lane_width(width)
             .with_parallelism(Parallelism::Threads(threads))
             .run();
         prop_assert_eq!(&full, &sliced, "report changed under locality assembly");
@@ -310,12 +257,10 @@ proptest! {
         let full_shuffled = Campaign::over(geom, &shuffled, &program)
             .with_name("assembly")
             .with_slicing(false)
-            .with_lane_width(width)
             .with_parallelism(Parallelism::Threads(threads))
             .run();
         let sliced_shuffled = Campaign::over(geom, &shuffled, &program)
             .with_name("assembly")
-            .with_lane_width(width)
             .with_parallelism(Parallelism::Threads(threads))
             .run();
         prop_assert_eq!(&full_shuffled, &sliced_shuffled);
@@ -363,10 +308,11 @@ proptest! {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// SLICED DICTIONARY ≡ SCALAR DICTIONARY: the batched dictionary
-    /// build slices through the `SignatureCollector`'s activity index —
-    /// every per-fault signature, execution summary and the aggregate
-    /// statistics must match the scalar build exactly.
+    /// SLICED DICTIONARY ≡ SCALAR SWEEP: the batched dictionary build
+    /// slices through the `SignatureCollector`'s activity index — every
+    /// per-fault signature and execution summary must match the scalar
+    /// `collect` sweep exactly (equal observations index to equal
+    /// statistics).
     #[test]
     fn sliced_dictionary_build_equals_scalar(
         test_idx in 0usize..3,
@@ -379,45 +325,38 @@ proptest! {
             [march_library::march_diag(), march_library::march_c_minus(), march_library::mats_plus()];
         let program = Executor::new().compile(&tests[test_idx], geom);
         let poly = Poly2::from_bits(0b1_0001_1011);
-        let scalar = FaultDictionary::build_with_batching(
-            &u, &program, poly, Parallelism::Sequential, false,
-        )
-        .expect("scalar build");
+        let scalar = scalar_observations(&u, &program, poly);
         let sliced =
             FaultDictionary::build(&u, &program, poly, Parallelism::Threads(test_threads(threads)))
                 .expect("sliced batched build");
-        for (i, (s, b)) in scalar.observations().iter().zip(sliced.observations()).enumerate() {
+        prop_assert_eq!(scalar.len(), sliced.observations().len());
+        for (i, (s, b)) in scalar.iter().zip(sliced.observations()).enumerate() {
             prop_assert_eq!(
                 s, b,
                 "observation diverged on {} ({})", &u.faults()[i], tests[test_idx].name()
             );
         }
-        prop_assert_eq!(scalar.stats(), sliced.stats());
     }
 }
 
 /// The single-thread fast path (no claim counter, no fan-out) is verdict-
-/// and report-identical to the multi-worker schedule, sliced and full,
-/// across widths — the guard for the `workers <= 1` bypass.
+/// and report-identical to the multi-worker schedule, sliced and full —
+/// the guard for the `workers <= 1` bypass.
 #[test]
 fn single_thread_fast_path_matches_fanout() {
     let u = mixed_universe(Geometry::bom(12));
     let program = Executor::new().compile(&march_library::march_c_minus(), u.geometry());
     for slicing in [false, true] {
-        for width in [LaneWidth::X64, LaneWidth::X512] {
-            let sequential = Campaign::new(&u, &program)
-                .with_name("fast-path")
-                .with_slicing(slicing)
-                .with_lane_width(width)
-                .with_parallelism(Parallelism::Sequential)
-                .run();
-            let threaded = Campaign::new(&u, &program)
-                .with_name("fast-path")
-                .with_slicing(slicing)
-                .with_lane_width(width)
-                .with_parallelism(Parallelism::Threads(4))
-                .run();
-            assert_eq!(sequential, threaded, "slicing={slicing} lanes={}", width.lanes());
-        }
+        let sequential = Campaign::new(&u, &program)
+            .with_name("fast-path")
+            .with_slicing(slicing)
+            .with_parallelism(Parallelism::Sequential)
+            .run();
+        let threaded = Campaign::new(&u, &program)
+            .with_name("fast-path")
+            .with_slicing(slicing)
+            .with_parallelism(Parallelism::Threads(4))
+            .run();
+        assert_eq!(sequential, threaded, "slicing={slicing}");
     }
 }
