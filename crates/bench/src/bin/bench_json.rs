@@ -5,14 +5,16 @@
 //! Run: `cargo run --release -p prt-bench --bin bench_json [out.json]`
 //!
 //! Writes `BENCH_campaign.json` (or the given path) in the
-//! **`campaign-v6` schema**: the header records the measurement budget,
+//! **`campaign-v7` schema**: the header records the measurement budget,
 //! the detected CPU core count and the git revision (so perf
 //! trajectories stay comparable across runners), then one row per
 //! (group, n, variant) with faults/second — the scalar engine
 //! (`compiled_sequential`, a closure over the same program), the
-//! full-pass lane engine (`batch512`, `batch_parallel`) and the
-//! activity-sliced default (`sliced512`, `sliced_parallel`), every lane
-//! row at the campaigns' 512 lanes per pass, and a
+//! full-pass lane engine (`batch512`, `batch_parallel`), the
+//! activity-sliced lane engine (`sliced512`, `sliced_parallel`) and the
+//! configuration a caller gets by default (`default`: no engine
+//! override, so each segment is planned), every lane row at the
+//! campaigns' 512 lanes per pass, and a
 //! `campaign_threads_sweep` group scheduling whole lane chunks across
 //! 1/2/4/8 workers — plus the diagnosis subsystem rows (dictionary build
 //! and adaptive localization throughput), the micro-benchmark groups
@@ -100,22 +102,27 @@ fn json_escape(s: &str) -> String {
 }
 
 /// The campaign variants every program group measures:
-/// `(variant, parallelism, activity slicing)`. [`SCALAR`] runs a closure
+/// `(variant, parallelism, slicing override)`. [`SCALAR`] runs a closure
 /// over the same program or bank — the pooled scalar engine the lane rows
 /// are compared against (its slicing flag is unused). The `batch*` rows
 /// pin `with_slicing(false)`, the full-pass lane engine, so the
-/// `sliced*` rows isolate the activity-slicing win at matching
-/// parallelism; `sliced_parallel` is the default configuration.
-const PROGRAM_VARIANTS: [(&str, Parallelism, bool); 5] = [
-    (SCALAR, Parallelism::Sequential, false),
-    ("batch512", Parallelism::Sequential, false),
-    ("batch_parallel", Parallelism::Auto, false),
-    ("sliced512", Parallelism::Sequential, true),
-    ("sliced_parallel", Parallelism::Auto, true),
+/// `sliced*` rows (`with_slicing(true)`) isolate the activity-slicing win
+/// at matching parallelism. [`DEFAULT`] sets no override — the planned
+/// engine `Campaign::new` gives a caller, at `Parallelism::Auto`.
+const PROGRAM_VARIANTS: [(&str, Parallelism, Option<bool>); 6] = [
+    (SCALAR, Parallelism::Sequential, None),
+    ("batch512", Parallelism::Sequential, Some(false)),
+    ("batch_parallel", Parallelism::Auto, Some(false)),
+    ("sliced512", Parallelism::Sequential, Some(true)),
+    ("sliced_parallel", Parallelism::Auto, Some(true)),
+    (DEFAULT, Parallelism::Auto, None),
 ];
 
 /// The scalar-engine variant of [`PROGRAM_VARIANTS`].
 const SCALAR: &str = "compiled_sequential";
+
+/// The default-configuration variant of [`PROGRAM_VARIANTS`].
+const DEFAULT: &str = "default";
 
 /// One campaign of `variant` over `u` with `runner` (a `&TestProgram` or
 /// `&ProgramBank`) under `backgrounds`: [`SCALAR`] through a closure over
@@ -124,7 +131,7 @@ fn detections<R: FaultRunner + Copy>(
     u: &FaultUniverse,
     runner: R,
     backgrounds: &[u64],
-    (variant, parallelism, slicing): (&str, Parallelism, bool),
+    (variant, parallelism, slicing): (&str, Parallelism, Option<bool>),
 ) -> Vec<bool> {
     if variant == SCALAR {
         let scalar = |ram: &mut Ram, bg: u64| runner.detect(ram, bg);
@@ -133,11 +140,12 @@ fn detections<R: FaultRunner + Copy>(
             .with_parallelism(parallelism)
             .detections();
     }
-    Campaign::new(u, runner)
-        .with_backgrounds(backgrounds)
-        .with_slicing(slicing)
-        .with_parallelism(parallelism)
-        .detections()
+    let campaign =
+        Campaign::new(u, runner).with_backgrounds(backgrounds).with_parallelism(parallelism);
+    match slicing {
+        Some(enabled) => campaign.with_slicing(enabled).detections(),
+        None => campaign.detections(),
+    }
 }
 
 /// The git revision of the working tree, for cross-runner trajectory
@@ -289,9 +297,9 @@ fn main() {
             FaultUniverse::enumerate_with(Geometry::bom(n), &UniverseSpec::single_cell(), topology);
         assert_eq!(su.len(), len, "a bijection cannot change the universe size");
         for config in [
-            ("scrambled_batch512", Parallelism::Sequential, false),
-            ("scrambled_sliced512", Parallelism::Sequential, true),
-            ("scrambled_sliced_parallel", Parallelism::Auto, true),
+            ("scrambled_batch512", Parallelism::Sequential, Some(false)),
+            ("scrambled_sliced512", Parallelism::Sequential, Some(true)),
+            ("scrambled_sliced_parallel", Parallelism::Auto, Some(true)),
         ] {
             bench.row("campaign_march_large", n, config.0, len, || {
                 detections(&su, &program, &[0], config)
@@ -300,7 +308,8 @@ fn main() {
     }
 
     // The two newest library algorithms, wired into the batch campaigns
-    // (sequential variants only — enough for the batch-vs-compiled trend).
+    // (sequential variants plus the default — enough for the
+    // batch-vs-compiled trend).
     for (group, test) in
         [("campaign_march_u", library::march_u()), ("campaign_march_raw", library::march_raw())]
     {
@@ -308,7 +317,7 @@ fn main() {
         let u = FaultUniverse::enumerate(Geometry::bom(n), &UniverseSpec::paper_claim());
         let len = u.len();
         for config in PROGRAM_VARIANTS {
-            if config.1 != Parallelism::Sequential {
+            if config.1 != Parallelism::Sequential && config.0 != DEFAULT {
                 continue;
             }
             bench.row(group, n, config.0, len, || {
@@ -336,7 +345,7 @@ fn main() {
         let u = FaultUniverse::enumerate(Geometry::bom(n), &spec);
         let len = u.len();
         for config in PROGRAM_VARIANTS {
-            if config.1 != Parallelism::Sequential {
+            if config.1 != Parallelism::Sequential && config.0 != DEFAULT {
                 continue;
             }
             bench.row("campaign_march_rwlogic_sof_af", n, config.0, len, || {
@@ -531,7 +540,7 @@ fn main() {
     let cpu_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": \"prt-bench/campaign-v6\",\n");
+    json.push_str("  \"schema\": \"prt-bench/campaign-v7\",\n");
     json.push_str(&format!("  \"measure_ms\": {budget_ms},\n"));
     json.push_str(&format!("  \"cpu_cores\": {cpu_cores},\n"));
     json.push_str(&format!("  \"git_revision\": \"{}\",\n", json_escape(&git_revision())));

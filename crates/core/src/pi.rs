@@ -1050,18 +1050,22 @@ mod tests {
     fn compiled_quad_port_campaigns() {
         // The compiled program drives the campaign engine directly on
         // pooled 4-port memories, matching the interpreted runner's
-        // verdicts over the paper-claim universe.
+        // verdicts over the paper-claim universe, sliced and planned
+        // (the full pass on this dense universe).
         use prt_ram::{FaultUniverse, UniverseSpec};
         let pi = PiTest::figure_1a().unwrap();
         let u = FaultUniverse::enumerate(Geometry::bom(16), &UniverseSpec::paper_claim());
         let prog = pi.compile_quad_port(u.geometry()).unwrap();
-        let compiled = prt_sim::Campaign::new(&u, &prog).with_ports(4).detections();
+        let planned = prt_sim::Campaign::new(&u, &prog).with_ports(4).detections();
+        let sliced =
+            prt_sim::Campaign::new(&u, &prog).with_ports(4).with_slicing(true).detections();
         let interpreted = prt_sim::Campaign::new(&u, |ram: &mut Ram, _bg: u64| {
             pi.run_quad_port(ram).map(|r| r.detected()).unwrap_or(false)
         })
         .with_ports(4)
         .detections();
-        assert_eq!(compiled, interpreted);
+        assert_eq!(planned, interpreted);
+        assert_eq!(sliced, interpreted);
     }
 
     #[test]

@@ -1029,6 +1029,10 @@ mod tests {
         .detections();
         let dual_prog = scheme.compile_dual_port(u.geometry()).unwrap();
         let dual = Campaign::new(&u, &dual_prog).with_ports(2).detections();
+        // The planned default runs this dense universe on the full pass;
+        // the forced sliced engine must agree with it exactly.
+        let sliced = Campaign::new(&u, &dual_prog).with_ports(2).with_slicing(true).detections();
+        assert_eq!(dual, sliced, "sliced dual-port verdicts diverged");
         // The two schedules are not observation-identical: a dual-port
         // cycle commits simultaneous writes in port order, which decoder
         // (AF) faults can observe. Everything outside AF must agree

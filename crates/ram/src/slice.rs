@@ -45,7 +45,7 @@ pub(crate) const NO_READ: u32 = u32::MAX;
 /// pass must execute for the fault's behaviour to be bit-identical to the
 /// full pass (victim and aggressor cells, decoder addresses and their
 /// remapped images, the NPSF neighbourhood).
-pub fn fault_cells(fault: &FaultKind, visit: &mut dyn FnMut(usize)) {
+pub fn fault_cells(fault: &FaultKind, mut visit: impl FnMut(usize)) {
     match fault {
         FaultKind::StuckAt { cell, .. }
         | FaultKind::Transition { cell, .. }
@@ -87,7 +87,7 @@ pub fn fault_cells(fault: &FaultKind, visit: &mut dyn FnMut(usize)) {
 /// assembly order.
 pub fn fault_locality_key(fault: &FaultKind) -> usize {
     let mut min = usize::MAX;
-    fault_cells(fault, &mut |c| min = min.min(c));
+    fault_cells(fault, |c| min = min.min(c));
     min
 }
 
@@ -423,7 +423,13 @@ impl ActiveSet {
 
     /// Adds `fault`'s span cells to the union.
     pub fn insert_fault(&mut self, fault: &FaultKind) {
-        fault_cells(fault, &mut |c| self.insert_cell(c));
+        fault_cells(fault, |c| self.insert_cell(c));
+    }
+
+    /// Number of cells in the span union (after `finalize`, this includes
+    /// the index's forced addresses).
+    pub fn cells(&self) -> usize {
+        self.dirty.len()
     }
 
     /// `true` when `cell` is in the span union (after `finalize`, this
@@ -544,7 +550,9 @@ mod tests {
         assert_eq!(set.ops(), &idx.ops_by_addr[3][..]);
         assert!(set.contains(3));
         assert!(!set.contains(4));
+        assert_eq!(set.cells(), 1);
         set.clear();
+        assert_eq!(set.cells(), 0);
         set.insert_fault(&FaultKind::CouplingInversion {
             agg_cell: 1,
             agg_bit: 0,
@@ -554,6 +562,7 @@ mod tests {
         });
         set.finalize(&idx);
         assert!(set.contains(1) && set.contains(6) && !set.contains(3));
+        assert_eq!(set.cells(), 2);
         assert_eq!(set.ops().len(), idx.ops_by_addr[1].len() + idx.ops_by_addr[6].len());
     }
 

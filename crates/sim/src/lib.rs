@@ -60,12 +60,15 @@
 //! `&TestProgram` / `&`[`ProgramBank`] implement [`FaultRunner`]. A
 //! compiled campaign is validated upfront and lane-batched, 512 trials
 //! per interpreter pass, so the notation is interpreted once per
-//! campaign instead of once per fault. [`Campaign::with_slicing`] is the
-//! one engine setting: it pins the full interpreter pass, the oracle of
-//! the activity-sliced default. The families' interpreted `run` methods
-//! are oracles for tests, not runners; a campaign drives one, or runs a
-//! compiled program on the scalar engine, only through an explicit
-//! closure.
+//! campaign instead of once per fault. Each segment of a compiled
+//! campaign is planned: where its lane chunks touch a small part of the
+//! array they are assembled in fault-locality order and activity-sliced,
+//! elsewhere the full pass runs over chunks in the list's order.
+//! [`Campaign::with_slicing`] is the one engine override: it forces
+//! either engine, for oracles and measurement. The families' interpreted
+//! `run` methods are oracles for tests, not runners; a campaign drives
+//! one, or runs a compiled program on the scalar engine, only through an
+//! explicit closure.
 //!
 //! # Resilience
 //!
@@ -224,6 +227,51 @@ const CHUNK_WORDS: usize = 8;
 /// One campaign lane worker's pooled state: its device, its active-set
 /// scratch and its per-batch result buffer.
 type LaneState = (LaneRam<CHUNK_WORDS>, ActiveSet, Vec<bool>);
+
+/// Lane chunks of a segment [`plan_sliced`] samples.
+const PLAN_SAMPLES: usize = 8;
+
+/// The share of the array above which the mean span union of the sampled
+/// chunks makes [`plan_sliced`] choose the full pass. Where listed chunks
+/// span more, a sliced pass still walks a large share of the ops, and
+/// locality order costs more than slicing saves: faults detected late
+/// share chunks, so early exit comes late. The dense bench universes
+/// sample at 0.68–1.0 of the array and run faster on the full pass;
+/// single-cell universes of 512 to 4096 cells sample at 0.06–0.5 and
+/// run faster sliced, even at exactly one half (DESIGN.md, "Activity
+/// slicing").
+const SLICE_MAX_SPAN_SHARE: f64 = 0.5;
+
+/// The planned engine of one campaign segment over `faults` on an array
+/// of `cells` cells: `true` slices lane chunks assembled in the
+/// segment's [`locality_order`], `false` runs the full pass over chunks
+/// in list order. The plan samples the span unions of up to
+/// [`PLAN_SAMPLES`] evenly spaced lane chunks of the list as given, the
+/// chunks the full pass would run, and slices unless their mean covers
+/// more than [`SLICE_MAX_SPAN_SHARE`] of the array; the segment is
+/// sorted only once it plans sliced. Enumeration is cell-major within
+/// each family, so a listed chunk of single-cell faults is already
+/// narrow, and locality order, which also groups the families, halves
+/// it again. The plan reads the list order: a shuffled single-cell list
+/// can sample wide enough to run the full pass, and no caller builds
+/// one.
+fn plan_sliced(faults: &[FaultKind], cells: usize) -> bool {
+    let lanes = LaneRam::<CHUNK_WORDS>::LANES;
+    let chunks = faults.len().div_ceil(lanes);
+    let samples = chunks.min(PLAN_SAMPLES);
+    let mut active = ActiveSet::new();
+    let mut union = 0;
+    for s in 0..samples {
+        let c = s * chunks / samples;
+        active.clear();
+        faults[c * lanes..((c + 1) * lanes).min(faults.len())]
+            .iter()
+            .for_each(|f| active.insert_fault(f));
+        union += active.cells();
+    }
+    let mean = union as f64 / samples.max(1) as f64;
+    mean <= SLICE_MAX_SPAN_SHARE * cells as f64
+}
 
 /// The one lane-batch runner behind every batched sweep (campaign
 /// segments and [`try_map_trials_batched`]): everything one lane batch
@@ -815,7 +863,9 @@ pub struct Campaign<'a, R> {
     backgrounds: Vec<u64>,
     ports: usize,
     parallelism: Parallelism,
-    slicing: bool,
+    /// The [`Campaign::with_slicing`] override; `None` plans each
+    /// segment ([`plan_sliced`]).
+    slicing: Option<bool>,
     topology: Option<Topology>,
     name: String,
     deadline: Option<Duration>,
@@ -909,7 +959,7 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             backgrounds: vec![0],
             ports: 1,
             parallelism: Parallelism::Auto,
-            slicing: true,
+            slicing: None,
             topology: None,
             name: "campaign".to_string(),
             deadline: None,
@@ -946,21 +996,27 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         self
     }
 
-    /// Enables or disables activity-driven program slicing on the batched
-    /// path (default enabled) — the one engine setting a campaign has;
-    /// the runner decides scalar versus lane-batched. With slicing on,
-    /// each lane batch walks only the program ops whose address
-    /// intersects the batch's span union — the cells its faults can
-    /// actually perturb — and splices precomputed fault-free reference
-    /// deltas over the gaps ([`prt_ram::ActivityIndex`]). The campaign
-    /// additionally assembles batches in fault-locality order
-    /// ([`prt_ram::locality_order`]) so the faults sharing a chunk have
-    /// tight span unions. Verdicts, reports and checkpoints are
-    /// **bit-identical** either way (slicing is deliberately not
-    /// fingerprinted); disable to pin the full-pass oracle for
-    /// measurement or differential testing.
+    /// Forces the lane engine of every segment on the batched path — the
+    /// one engine override a campaign has; the runner decides scalar
+    /// versus lane-batched. `true` slices every lane batch: batches are
+    /// assembled in fault-locality order ([`prt_ram::locality_order`]) so
+    /// the faults sharing a chunk have tight span unions, and each walks
+    /// only the program ops whose address intersects that union — the
+    /// cells its faults can actually perturb — splicing precomputed
+    /// fault-free reference deltas over the gaps
+    /// ([`prt_ram::ActivityIndex`]). `false` runs the full interpreter
+    /// pass over batches in the fault list's order.
+    ///
+    /// Without the override the campaign plans each segment: it samples
+    /// the span unions of up to 8 evenly spaced 512-fault chunks of the
+    /// segment in list order, slices when their mean covers at most half
+    /// the array, and otherwise runs the full pass in list order, where
+    /// early exit comes sooner than in locality order. Verdicts,
+    /// reports and checkpoints are **bit-identical** under every plan
+    /// (the plan is deliberately not fingerprinted), so the override
+    /// only pins one engine for measurement or differential testing.
     pub fn with_slicing(mut self, enabled: bool) -> Campaign<'a, R> {
-        self.slicing = enabled;
+        self.slicing = Some(enabled);
         self
     }
 
@@ -1172,7 +1228,10 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     /// the configuration upfront, then picks the engine once for the
     /// whole campaign from the runner — scalar for a closure, lane-batched
     /// for a compiled program — and runs every segment of it on that
-    /// engine, on one pool of devices ([`Campaign::drive_segments`]).
+    /// engine, on one pool of devices ([`Campaign::drive_segments`]). A
+    /// lane-batched segment plans full pass or sliced on its own
+    /// ([`Campaign::drive_batched`]); the activity indexes are resolved
+    /// only once a segment runs sliced.
     fn try_progress(&self) -> Result<Progress, CampaignError> {
         self.runner.validate(self.geom, self.ports, &self.backgrounds)?;
         validate_ports(self.geom, self.ports)?;
@@ -1183,19 +1242,19 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             );
         };
         // Activity indexes (one per background program) for the sliced
-        // batch path: resolved once per campaign, before the segment loop
-        // (the programs cache the compiled index, so repeat campaigns
-        // over the same program share one build).
-        let slice: Option<Vec<Arc<ActivityIndex>>> =
-            self.slicing.then(|| programs.iter().map(|p| p.activity_index()).collect());
-        let slice = slice.as_deref();
+        // batch path: resolved at most once per campaign, by the first
+        // sliced segment (the programs cache the compiled index, so
+        // repeat campaigns over the same program share one build).
+        let indexes = OnceCell::new();
         self.drive_segments(
             || {
                 let ram = LaneRam::<CHUNK_WORDS>::with_ports(self.geom, self.ports)
                     .expect("valid port count");
                 (ram, ActiveSet::new(), Vec::new())
             },
-            |seg, workers, ctx, pool| self.drive_batched(seg, workers, &programs, slice, ctx, pool),
+            |seg, workers, ctx, pool| {
+                self.drive_batched(seg, workers, &programs, &indexes, ctx, pool)
+            },
         )
     }
 
@@ -1306,10 +1365,10 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     /// table: geometry, ports, backgrounds, the fault universe and the
     /// compiled program per background. The **schedule** is fingerprinted
     /// only by its discipline name — verdict slots are keyed by fault
-    /// index, so thread count, chunking, lane packing and slicing never
-    /// change the table, which is why none of them is hashed here: a
-    /// checkpoint taken by a full-pass run resumes correctly under
-    /// slicing and vice versa.
+    /// index, so thread count, chunking, lane packing and the segment
+    /// plan (sliced or full pass) never change the table, which is why
+    /// none of them is hashed here: a checkpoint taken by a full-pass run
+    /// resumes correctly under slicing and vice versa.
     ///
     /// A non-identity [`Topology`] (see [`Campaign::with_topology`]) is
     /// hashed so a checkpoint written under one scramble refuses to
@@ -1382,16 +1441,18 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     /// per lane) and run by the shared scheduler and lane-batch runner,
     /// so threads × lanes trials are in flight while verdicts stay keyed
     /// by fault index — bit-identical at any thread count. A batch whose
-    /// pass panics degrades to the scalar oracle. With an activity-slice
-    /// plan, batches are assembled in fault-locality order and each pass
-    /// walks only the ops intersecting the batch's span union
+    /// pass panics degrades to the scalar oracle. The segment's plan
+    /// ([`plan_sliced`], unless [`Campaign::with_slicing`] forces one)
+    /// either runs the full pass over batches in list order, or
+    /// assembles batches in fault-locality order and has each pass walk
+    /// only the ops intersecting the batch's span union
     /// ([`TestProgram::try_detect_batch_sliced`]) — still bit-identical.
     fn drive_batched(
         &self,
         seg: Range<usize>,
         workers: usize,
         programs: &[&TestProgram],
-        slice: Option<&[Arc<ActivityIndex>]>,
+        indexes: &OnceCell<Vec<Arc<ActivityIndex>>>,
         ctx: &DriveCtx<'_>,
         pool: &mut WorkerPool<'_, LaneState>,
     ) -> Result<Option<StopCause>, CampaignError> {
@@ -1399,17 +1460,16 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         let lanes = LaneRam::<CHUNK_WORDS>::LANES;
         let count = end - start;
         let n_batches = count.div_ceil(lanes);
-        // Locality-aware chunk assembly: with slicing on, the segment is
-        // evaluated in `(locality key, index)` order so the faults sharing
-        // a lane batch have tight span unions (coupling faults group by
-        // their aggressor/victim window). Verdicts stay keyed by fault
-        // index, so the permutation never reaches reports or checkpoints.
-        let order: Vec<u32> = if slice.is_some() {
+        let faults = &self.faults[start..end];
+        // Verdicts stay keyed by fault index, so neither the plan nor the
+        // locality permutation ever reaches reports or checkpoints.
+        let sliced = self.slicing.unwrap_or_else(|| plan_sliced(faults, self.geom.cells()));
+        let slice = sliced.then(|| {
+            indexes.get_or_init(|| programs.iter().map(|p| p.activity_index()).collect()).as_slice()
+        });
+        let order: Vec<u32> = if sliced {
             // A counting sort over cell keys, linear in the segment.
-            // Enumeration is family-major, so a segment arrives sorted
-            // only when it holds one single-cell family under the
-            // identity topology; no scan looks for that case.
-            let mut order = locality_order(&self.faults[start..end], self.geom.cells());
+            let mut order = locality_order(faults, self.geom.cells());
             order.iter_mut().for_each(|i| *i += start as u32);
             order
         } else {
@@ -2053,6 +2113,10 @@ mod tests {
         let plan = c.batch_plan().expect("dual-port programs batch now");
         assert_eq!(plan.len(), 1, "one background, one compiled program");
         assert_eq!(c.detections(), vec![true, false]);
+        for sliced in [true, false] {
+            let forced = Campaign::over(geom, &faults, &prog).with_ports(2).with_slicing(sliced);
+            assert_eq!(forced.detections(), vec![true, false], "forced sliced {sliced}");
+        }
         let scalar = Campaign::over(geom, &faults, scalar_runner(&prog)).with_ports(2);
         assert_eq!(scalar.detections(), vec![true, false]);
     }
@@ -2257,13 +2321,20 @@ mod tests {
         let prog = toy_program(u.geometry());
         let clean = Campaign::new(&u, &prog).with_name("toy").run();
         assert_eq!(clean.degraded_batches(), 0);
-        // Every fault lane-batches, so the first universe index anchors
-        // the first batch.
-        let plan = Arc::new(chaos::ChaosPlan::new().panic_on_batch(0));
-        let degraded = Campaign::new(&u, &prog).with_name("toy").with_chaos(plan).run();
-        assert!(degraded.degraded_batches() >= 1, "batch kill must be counted");
-        assert!(degraded.partial().is_none(), "degradation is not a partial run");
-        assert_eq!(clean.rows(), degraded.rows(), "degraded verdicts must stay exact");
+        // Every fault lane-batches, so schedule position 0 anchors the
+        // first batch, in list order (the planned default here) and in
+        // the locality order the forced sliced engine assembles.
+        for sliced in [false, true] {
+            let plan = Arc::new(chaos::ChaosPlan::new().panic_on_batch(0));
+            let mut c = Campaign::new(&u, &prog).with_name("toy").with_chaos(plan);
+            if sliced {
+                c = c.with_slicing(true);
+            }
+            let degraded = c.run();
+            assert!(degraded.degraded_batches() >= 1, "batch kill must be counted ({sliced})");
+            assert!(degraded.partial().is_none(), "degradation is not a partial run");
+            assert_eq!(clean.rows(), degraded.rows(), "degraded verdicts must stay exact");
+        }
     }
 
     #[test]
@@ -2386,7 +2457,7 @@ mod tests {
             })
             .run();
         let case = format!(
-            "batched {}, slicing {}, {:?}, cadence {cadence}",
+            "batched {}, slicing {:?}, {:?}, cadence {cadence}",
             unhooked.batch_plan().is_some(),
             unhooked.slicing,
             unhooked.parallelism
@@ -2430,13 +2501,74 @@ mod tests {
                 assert_streams_like_unhooked(geom, &faults, scalar_runner(&march), cadence, &|c| {
                     c.with_parallelism(parallelism)
                 });
-                for slicing in [true, false] {
+                for slicing in [Some(true), Some(false), None] {
                     assert_streams_like_unhooked(geom, &faults, &march, cadence, &|c| {
-                        c.with_slicing(slicing).with_parallelism(parallelism)
+                        let c = c.with_parallelism(parallelism);
+                        match slicing {
+                            Some(enabled) => c.with_slicing(enabled),
+                            None => c,
+                        }
                     });
                 }
             }
         }
+    }
+
+    #[test]
+    fn segments_plan_full_pass_on_dense_and_slices_sparse_universes() {
+        let plans = |faults: &[FaultKind], cells: usize, seg: usize| -> Vec<bool> {
+            faults.chunks(seg).map(|s| plan_sliced(s, cells)).collect()
+        };
+        // The dense universes: March C- on BOM-32, PRT standard3 on BOM-24,
+        // the March C- bank on WOM 12×4 (its radius-3 coupling universe)
+        // and the service's small BOM-16 job in its 512-fault segments.
+        let wom = UniverseSpec {
+            coupling_radius: Some(3),
+            intra_word: true,
+            ..UniverseSpec::paper_claim()
+        };
+        let dense = [
+            (FaultUniverse::enumerate(Geometry::bom(32), &UniverseSpec::paper_claim()), usize::MAX),
+            (FaultUniverse::enumerate(Geometry::bom(24), &UniverseSpec::paper_claim()), usize::MAX),
+            (FaultUniverse::enumerate(Geometry::wom(12, 4).unwrap(), &wom), usize::MAX),
+            (FaultUniverse::enumerate(Geometry::bom(16), &UniverseSpec::paper_claim()), 512),
+        ];
+        for (u, seg) in &dense {
+            let plan = plans(u.faults(), u.geometry().cells(), *seg);
+            assert!(!plan.contains(&true), "{:?} in {seg}", u.geometry());
+        }
+        // Single-cell universes, whole and in 512-fault segments, slice:
+        // BOM-512 samples at exactly half the array, BOM-1024 at a
+        // quarter and the seeded BOM-4096 at a sixteenth.
+        let sparse = [
+            FaultUniverse::enumerate(Geometry::bom(512), &UniverseSpec::single_cell()),
+            FaultUniverse::enumerate(Geometry::bom(1024), &UniverseSpec::single_cell()),
+            prt_ram::LazyUniverse::new_with(
+                Geometry::bom(4096),
+                UniverseSpec::single_cell(),
+                Topology::generate(4096, 7),
+            )
+            .materialize(),
+        ];
+        for u in &sparse {
+            for seg in [usize::MAX, 512] {
+                let plan = plans(u.faults(), u.geometry().cells(), seg);
+                assert!(!plan.contains(&false), "{:?} in {seg}", u.geometry());
+            }
+        }
+        // The plan reads the list order. A shuffle keeps every universe
+        // on its plan but BOM-512, whose shuffled chunks span 0.69 of the
+        // array and so run the full pass.
+        let mut rng = prt_ram::SplitMix64::new(11);
+        for u in dense.iter().map(|(u, _)| u).chain(&sparse) {
+            let mut shuffled = u.faults().to_vec();
+            rng.shuffle(&mut shuffled);
+            let cells = u.geometry().cells();
+            let want = plan_sliced(u.faults(), cells) && cells != 512;
+            assert_eq!(plan_sliced(&shuffled, cells), want, "{:?}", u.geometry());
+        }
+        assert!(plan_sliced(&[], 16));
+        assert!(plan_sliced(&[FaultKind::StuckAt { cell: 3, bit: 0, value: 1 }], 16));
     }
 
     #[test]

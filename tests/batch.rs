@@ -343,9 +343,10 @@ fn multi_port_signature_map_batched_equals_scalar() {
 /// of the compiled dual- and quad-port π programs must match the
 /// interpreted runners (`run_dual_port` / `run_quad_port`) fault for
 /// fault — device errors (multi-port write-write conflicts under decoder
-/// faults) escape on both sides. This is the acceptance property of the
-/// `CycleN` batch interpreter: multi-port schedules used to be the whole
-/// scalar remainder.
+/// faults) escape on both sides — on the forced sliced engine and on the
+/// planned default. This is the acceptance property of the `CycleN`
+/// batch interpreter: multi-port schedules used to be the whole scalar
+/// remainder.
 #[test]
 fn multi_port_batch_matches_interpreted_oracle() {
     let pi = PiTest::new(gf16(), &[1, 2, 2], &[3, 7]).expect("config");
@@ -372,17 +373,22 @@ fn multi_port_batch_matches_interpreted_oracle() {
             pi.run_quad_port(&mut ram).map(|r| r.detected()).unwrap_or(false)
         })
         .collect();
-    for threads in [1usize, 4] {
-        let got = Campaign::over(geom, u.faults(), &dual)
-            .with_ports(2)
-            .with_parallelism(Parallelism::Threads(threads))
-            .detections();
-        assert_eq!(dual_oracle, got, "dual-port verdicts diverged (threads={threads})");
-        let got = Campaign::over(geom, u.faults(), &quad)
-            .with_ports(4)
-            .with_parallelism(Parallelism::Threads(threads))
-            .detections();
-        assert_eq!(quad_oracle, got, "quad-port verdicts diverged (threads={threads})");
+    // The forced sliced engine, then the planned default (the full pass
+    // on this dense universe).
+    for (threads, sliced) in [(1usize, true), (1, false), (4, true), (4, false)] {
+        let campaign = |program: &TestProgram, ports: usize| {
+            let c = Campaign::over(geom, u.faults(), program)
+                .with_ports(ports)
+                .with_parallelism(Parallelism::Threads(threads));
+            if sliced {
+                c.with_slicing(true).detections()
+            } else {
+                c.detections()
+            }
+        };
+        let case = format!("threads={threads}, forced sliced {sliced}");
+        assert_eq!(dual_oracle, campaign(&dual, 2), "dual-port verdicts diverged ({case})");
+        assert_eq!(quad_oracle, campaign(&quad, 4), "quad-port verdicts diverged ({case})");
     }
 }
 

@@ -198,15 +198,22 @@ proptest! {
         // are 512-lane chunks, so batch b starts at b·512.
         let starts: Vec<usize> = (0..u.len()).step_by(LaneRam::<8>::LANES).collect();
         let target = starts[pick as usize % starts.len()];
-        let plan = Arc::new(ChaosPlan::new().panic_on_batch(target));
-        let degraded = Campaign::new(&u, &prog)
-            .with_name("resilient")
-            .with_parallelism(Parallelism::Threads(threads))
-            .with_chaos(plan)
-            .run();
-        prop_assert!(degraded.degraded_batches() >= 1, "batch kill must be counted");
-        prop_assert!(degraded.partial().is_none(), "degradation is not a partial run");
-        prop_assert_eq!(clean.rows(), degraded.rows());
+        // The planned default (the full pass on this dense universe),
+        // then the forced sliced engine over locality-sorted batches.
+        for sliced in [false, true] {
+            let plan = Arc::new(ChaosPlan::new().panic_on_batch(target));
+            let mut c = Campaign::new(&u, &prog)
+                .with_name("resilient")
+                .with_parallelism(Parallelism::Threads(threads))
+                .with_chaos(plan);
+            if sliced {
+                c = c.with_slicing(true);
+            }
+            let degraded = c.run();
+            prop_assert!(degraded.degraded_batches() >= 1, "batch kill must be counted");
+            prop_assert!(degraded.partial().is_none(), "degradation is not a partial run");
+            prop_assert_eq!(clean.rows(), degraded.rows(), "forced sliced {}", sliced);
+        }
     }
 }
 

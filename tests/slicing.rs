@@ -7,7 +7,9 @@
 //! (`with_slicing(false)`) is the oracle — these are the acceptance
 //! tests of the slicing layer, alongside the locality-sorted
 //! chunk-assembly invariance the campaign scheduler promises for reports
-//! and checkpoints.
+//! and checkpoints. The sliced arms force `with_slicing(true)`: the
+//! small mixed universes here are dense, so the planned default runs
+//! them on the full pass; it is checked as a third arm.
 
 mod common;
 
@@ -16,8 +18,8 @@ use proptest::prelude::*;
 use prt_sim::checkpoint;
 use prt_suite::prelude::*;
 
-/// Sliced and full-pass campaign verdicts over `universe` must be
-/// identical at the given thread count, and both must match the scalar
+/// Sliced, full-pass and planned campaign verdicts over `universe` must
+/// be identical at the given thread count, and all must match the scalar
 /// engine.
 fn assert_sliced_equals_full(universe: &FaultUniverse, program: &TestProgram, threads: usize) {
     let threads = test_threads(threads);
@@ -36,7 +38,12 @@ fn assert_sliced_equals_full(universe: &FaultUniverse, program: &TestProgram, th
         .with_slicing(true)
         .with_parallelism(Parallelism::Threads(threads))
         .detections();
+    let planned = Campaign::new(universe, program)
+        .with_backgrounds(&backgrounds)
+        .with_parallelism(Parallelism::Threads(threads))
+        .detections();
     assert_eq!(scalar, full, "{}: full pass diverged from scalar", program.name());
+    assert_eq!(full, planned, "{}: planned engine diverged (threads={threads})", program.name());
     for (i, (f, s)) in full.iter().zip(&sliced).enumerate() {
         assert_eq!(
             f,
@@ -144,6 +151,7 @@ proptest! {
             .detections();
         let sliced = Campaign::new(&u, &bank)
             .with_backgrounds(&bgs)
+            .with_slicing(true)
             .with_parallelism(Parallelism::Threads(threads))
             .detections();
         prop_assert_eq!(full, sliced, "{} n={}", test.name(), n);
@@ -222,10 +230,9 @@ proptest! {
 
     /// ASSEMBLY-ORDER INVARIANCE: the locality-sorted chunk assembly the
     /// sliced scheduler uses must be invisible in the published coverage
-    /// report — sliced and full-pass runs (different batch compositions
-    /// entirely) produce identical reports at any thread count, and so
-    /// does a sliced run over a pre-shuffled fault list versus its own
-    /// full-pass twin.
+    /// report — sliced, full-pass and planned runs (different batch
+    /// compositions entirely) produce identical reports at any thread
+    /// count, and so do the three over a pre-shuffled fault list.
     #[test]
     fn reports_invariant_under_chunk_assembly(
         test_idx in 0usize..15,
@@ -246,9 +253,15 @@ proptest! {
             .run();
         let sliced = Campaign::new(&u, &program)
             .with_name("assembly")
+            .with_slicing(true)
+            .with_parallelism(Parallelism::Threads(threads))
+            .run();
+        let planned = Campaign::new(&u, &program)
+            .with_name("assembly")
             .with_parallelism(Parallelism::Threads(threads))
             .run();
         prop_assert_eq!(&full, &sliced, "report changed under locality assembly");
+        prop_assert_eq!(&full, &planned, "report changed under the planned engine");
         // A shuffled universe: chunk compositions change again; each
         // engine must still agree with the other on the permuted list.
         let mut shuffled = u.faults().to_vec();
@@ -261,9 +274,15 @@ proptest! {
             .run();
         let sliced_shuffled = Campaign::over(geom, &shuffled, &program)
             .with_name("assembly")
+            .with_slicing(true)
+            .with_parallelism(Parallelism::Threads(threads))
+            .run();
+        let planned_shuffled = Campaign::over(geom, &shuffled, &program)
+            .with_name("assembly")
             .with_parallelism(Parallelism::Threads(threads))
             .run();
         prop_assert_eq!(&full_shuffled, &sliced_shuffled);
+        prop_assert_eq!(&full_shuffled, &planned_shuffled);
     }
 }
 

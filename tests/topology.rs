@@ -88,6 +88,7 @@ proptest! {
             .with_parallelism(Parallelism::Threads(threads))
             .detections();
         let sliced = Campaign::new(&u, &program)
+            .with_slicing(true)
             .with_parallelism(Parallelism::Threads(threads))
             .detections();
         for (i, s) in scalar.iter().enumerate() {
