@@ -396,9 +396,10 @@ fn main() {
         let len = u.len();
         let program = Executor::new().compile(&library::march_diag(), geom);
         let poly = Poly2::from_bits(0b1_0001_1011);
-        // Dictionary builds run the batched map_trials mode; the scalar
-        // row times the observation sweep it is measured against (one
-        // scalar `collect` per fault, without the bucket inversion).
+        // Dictionary builds run on the campaign's measurement terminal;
+        // the scalar row times the observation sweep it is measured
+        // against (one scalar `collect` per fault, without the bucket
+        // inversion).
         let collector = SignatureCollector::new(&program, poly).expect("collector");
         let escape = Observation { signature: collector.reference(), exec: Default::default() };
         bench.row("campaign_diagnosis", n, "dictionary_build_scalar", len, || {

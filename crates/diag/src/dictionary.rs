@@ -4,11 +4,14 @@
 //! fault, where* before a repair (row/column replacement) can be chosen.
 //! The classical answer is a **fault dictionary**: simulate every fault of
 //! the universe once at configuration time, record each one's signature,
-//! and invert the map. This module builds that dictionary on `prt-sim`'s
-//! pooled parallel engine ([`prt_sim::try_map_trials_batched`] — one
-//! compiled-program interpreter pass and one bit-sliced MISR per lane
-//! chunk, no per-trial allocation beyond the observation record), and
-//! measures what analytic formulas only bound:
+//! and invert the map. A dictionary build is a campaign that records an
+//! observation per fault where a coverage campaign records a verdict, so
+//! it runs on `prt-sim`'s campaign engine through its measurement
+//! terminal ([`prt_sim::Campaign::try_measure`]): the same segment loop,
+//! per-segment plan (full pass or activity-sliced), checkpoints and
+//! worker pool, with one compiled-program interpreter pass and one
+//! bit-sliced MISR per 512-lane chunk. On top of that it measures what
+//! analytic formulas only bound:
 //!
 //! * **aliasing** — faults whose response stream differs from the
 //!   fault-free one but whose compacted signature collides with the
@@ -31,13 +34,9 @@ use std::sync::Arc;
 
 use crate::{DiagError, Observation, SignatureCollector};
 use prt_gf::Poly2;
-use prt_ram::{FaultKind, FaultUniverse, Geometry, TestProgram, Topology};
+use prt_ram::{Execution, FaultKind, FaultUniverse, Geometry, TestProgram, Topology};
 use prt_sim::checkpoint::{self, FingerprintBuilder};
-use prt_sim::{try_map_trials_batched, CampaignError, Parallelism};
-
-/// Words per lane chunk of a dictionary build: `LaneRam<8>`, 512 trials
-/// per interpreter pass, as in a campaign.
-const CHUNK_WORDS: usize = 8;
+use prt_sim::{Campaign, CampaignError, Parallelism};
 
 /// Aggregate dictionary statistics.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -213,27 +212,6 @@ fn index_observations(
     (buckets, stats)
 }
 
-/// Measures one segment of the universe, one lane chunk per interpreter
-/// pass. A trial whose device errors out records the escape observation:
-/// the reference signature with a default execution.
-fn observe_segment(
-    collector: &SignatureCollector,
-    program: &TestProgram,
-    faults: &[FaultKind],
-    parallelism: Parallelism,
-) -> Result<Vec<Observation>, CampaignError> {
-    let escape = || Observation { signature: collector.reference(), exec: Default::default() };
-    try_map_trials_batched::<CHUNK_WORDS, _, _, _>(
-        program.geometry(),
-        program.ports(),
-        faults,
-        parallelism,
-        |lanes, out| collector.collect_batch(program, lanes, out),
-        |_, ram| collector.collect(program, ram).unwrap_or_else(|_| escape()),
-    )
-    .map(|(values, _degraded)| values)
-}
-
 impl FaultDictionary {
     /// Simulates every fault of `universe` through `program`, compacting
     /// each trial's response stream with a MISR over `poly`, and inverts
@@ -242,12 +220,15 @@ impl FaultDictionary {
     /// the reference signature — the campaign engine's error-as-escape
     /// convention.
     ///
-    /// Every program — single- or multi-port — runs **lane-batched**: one
-    /// interpreter pass simulates a 512-lane chunk of trials
-    /// ([`prt_sim::try_map_trials_batched`] +
-    /// [`SignatureCollector::collect_batch`]), with per-fault signatures
-    /// identical to a scalar [`prt_sim::map_trials`] sweep of
-    /// [`SignatureCollector::collect`] (the differential tests' oracle).
+    /// The build is one measurement campaign ([`Campaign::try_measure`])
+    /// over the universe. Every program — single- or multi-port — runs
+    /// **lane-batched**, one 512-lane chunk per interpreter pass
+    /// ([`SignatureCollector::collect_batch`]'s compaction), and each
+    /// segment runs the full pass in list order or the activity-sliced
+    /// pass in locality order, as the campaign's segment plan decides.
+    /// Per-fault signatures are identical to a scalar
+    /// [`prt_sim::map_trials`] sweep of [`SignatureCollector::collect`]
+    /// (the differential tests' oracle) under every plan.
     ///
     /// # Errors
     ///
@@ -264,12 +245,14 @@ impl FaultDictionary {
         poly: Poly2,
         parallelism: Parallelism,
     ) -> Result<FaultDictionary, DiagError> {
-        FaultDictionary::build_segments(universe, program, poly, parallelism, None)
+        let campaign = Campaign::over(universe.geometry(), universe.faults(), program)
+            .with_parallelism(parallelism);
+        FaultDictionary::measure(universe, program, poly, campaign)
     }
 
     /// [`FaultDictionary::build`] with progress checkpointed to `path`
-    /// every `every` observations (clamped to ≥ 1) — the dictionary
-    /// adoption of the campaign engine's checkpoint/resume hook. A
+    /// every `every` observations (clamped to ≥ 1) — the campaign
+    /// engine's checkpoint/resume hook ([`Campaign::with_checkpoint`]). A
     /// compatible checkpoint already at `path` resumes the universe sweep
     /// where it stopped; the finished dictionary is bit-identical to an
     /// uninterrupted [`FaultDictionary::build`] at any parallelism, since
@@ -297,21 +280,23 @@ impl FaultDictionary {
         path: impl AsRef<Path>,
         every: usize,
     ) -> Result<FaultDictionary, DiagError> {
-        let spool = Some((path.as_ref(), every.max(1)));
-        FaultDictionary::build_segments(universe, program, poly, parallelism, spool)
+        let campaign = Campaign::over(universe.geometry(), universe.faults(), program)
+            .with_parallelism(parallelism)
+            .with_checkpoint(path.as_ref(), every);
+        FaultDictionary::measure(universe, program, poly, campaign)
     }
 
-    /// The one build loop behind [`FaultDictionary::build`] and
-    /// [`FaultDictionary::build_with_checkpoint`]: sweeps the universe
-    /// in segments of `every` faults, resuming from and saving to `path`
-    /// when `spool = Some((path, every))` — without one, the whole
-    /// universe is a single segment and no file is touched.
-    fn build_segments(
+    /// The build behind [`FaultDictionary::build`] and
+    /// [`FaultDictionary::build_with_checkpoint`]: `campaign` over the
+    /// universe, on `program`'s ports and declared background, measures
+    /// one observation per fault. A trial whose device errors out records
+    /// the escape observation: the reference signature with a default
+    /// execution.
+    fn measure(
         universe: &FaultUniverse,
         program: &TestProgram,
         poly: Poly2,
-        parallelism: Parallelism,
-        spool: Option<(&Path, usize)>,
+        campaign: Campaign<'_, &TestProgram>,
     ) -> Result<FaultDictionary, DiagError> {
         assert_eq!(
             universe.geometry(),
@@ -319,34 +304,16 @@ impl FaultDictionary {
             "dictionary universe and program geometries differ"
         );
         let collector = SignatureCollector::new(program, poly)?;
-        let total = universe.len();
-        let spool = spool
-            .map(|(path, every)| (path, every, dictionary_fingerprint(universe, program, poly)));
-        let (mut observations, step) = match spool {
-            Some((path, every, fp)) => {
-                (checkpoint::load_records(path, fp, total)?.unwrap_or_default(), every)
-            }
-            None => (Vec::new(), usize::MAX),
-        };
-        // Persists the completed prefix when a checkpoint is armed.
-        let save = |observations: &[Observation]| match spool {
-            Some((path, _, fp)) => checkpoint::save_records(path, fp, total, observations),
-            None => Ok(()),
-        };
-        while observations.len() < total {
-            let end = observations.len().saturating_add(step).min(total);
-            let segment = &universe.faults()[observations.len()..end];
-            match observe_segment(&collector, program, segment, parallelism) {
-                Ok(segment_obs) => observations.extend(segment_obs),
-                Err(e) => {
-                    // The completed prefix survives the failure: save it
-                    // before surfacing, so a restart resumes here.
-                    save(&observations)?;
-                    return Err(surface_campaign_error(e));
-                }
-            }
-            save(&observations)?;
-        }
+        let escape = Observation { signature: collector.reference(), exec: Execution::default() };
+        let (observations, _degraded) = campaign
+            .with_ports(program.ports())
+            .with_backgrounds(&[program.background().unwrap_or(0)])
+            .try_measure(
+                || dictionary_fingerprint(universe, program, poly),
+                |lanes, slice, out| collector.collect_lanes(program, lanes, slice, out),
+                |_, ram| collector.collect(program, ram).unwrap_or(escape),
+            )
+            .map_err(surface_campaign_error)?;
         Ok(FaultDictionary::from_observations(universe, program, collector, observations))
     }
 
@@ -681,6 +648,17 @@ mod tests {
                 FaultDictionary::build(&universe, &program, poly8(), parallelism).unwrap();
             assert_eq!(batched.observations(), scalar.observations(), "{parallelism:?}");
             assert_eq!(batched.stats(), scalar.stats(), "{parallelism:?}");
+            // The planned build runs this dense universe on the full pass;
+            // the forced engines cover the sliced, locality-ordered one.
+            for sliced in [false, true] {
+                let campaign = Campaign::over(geom, universe.faults(), &program)
+                    .with_parallelism(parallelism)
+                    .with_slicing(sliced);
+                let forced =
+                    FaultDictionary::measure(&universe, &program, poly8(), campaign).unwrap();
+                let case = format!("{parallelism:?}, forced sliced {sliced}");
+                assert_eq!(forced.observations(), scalar.observations(), "{case}");
+            }
         }
     }
 

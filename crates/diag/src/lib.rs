@@ -14,9 +14,10 @@
 //!    `prt_core::BistController::with_signature`.
 //! 2. **Diagnosis**: a failing signature must become a repairable
 //!    address. [`FaultDictionary`] inverts `fault → signature` over an
-//!    enumerated universe on the parallel campaign engine
-//!    ([`prt_sim::try_map_trials_batched`]), with *measured* aliasing and ambiguity
-//!    statistics next to the analytic `2⁻ʷ` bound; [`Localizer`] then
+//!    enumerated universe, built as one campaign on the parallel engine's
+//!    measurement terminal ([`prt_sim::Campaign::try_measure`]), with
+//!    *measured* aliasing and ambiguity statistics next to the analytic
+//!    `2⁻ʷ` bound; [`Localizer`] then
 //!    narrows a live failing device to the victim cell, fault family and
 //!    (for two-cell faults) the aggressor, with `O(log n)` adaptively
 //!    chosen probe runs — windowed re-runs of a diagnostic March whose

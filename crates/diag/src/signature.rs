@@ -15,7 +15,6 @@ use prt_lfsr::Misr;
 use prt_ram::{
     lane_word, ActiveSet, ActivityIndex, Execution, LaneChunk, LaneRam, Ram, RamError, TestProgram,
 };
-use std::sync::Arc;
 
 /// One observed run: the compacted signature plus the full channel counts
 /// of the execution that produced it.
@@ -117,11 +116,6 @@ pub struct SignatureCollector {
     width: u32,
     responses: u64,
     reference: u64,
-    /// Activity index of the program the collector was built for — the
-    /// batched path slices with it whenever it still matches the program
-    /// handed to [`SignatureCollector::collect_batch`]. Shared with the
-    /// program's own cache ([`TestProgram::activity_index`]).
-    index: Arc<ActivityIndex>,
 }
 
 impl SignatureCollector {
@@ -143,7 +137,6 @@ impl SignatureCollector {
             width: reference.width(),
             responses: reference.absorbed(),
             reference: reference.signature(),
-            index: program.activity_index(),
         })
     }
 
@@ -200,9 +193,11 @@ impl SignatureCollector {
     }
 
     /// The lane-batched form of [`SignatureCollector::collect`]: runs
-    /// `program` once against every trial of a prepared [`LaneRam`]
-    /// (lanes `0..k` injected, as `prt_sim::try_map_trials_batched` hands
-    /// it over) and pushes one [`Observation`] per lane, in lane order.
+    /// `program` once, as a full observed pass, against every trial of a
+    /// prepared [`LaneRam`] (lanes `0..k` injected) and pushes one
+    /// [`Observation`] per lane, in lane order. A dictionary build runs
+    /// the same collection inside `prt_sim::Campaign::try_measure`,
+    /// sliced wherever the campaign's segment plan slices.
     ///
     /// Both the device pass and the compaction are shared across the
     /// chunk's trials. The MISR runs **bit-sliced**: one register plane
@@ -219,8 +214,8 @@ impl SignatureCollector {
     /// Lanes frozen by a multi-port write-write conflict
     /// ([`LaneRam::errored_lanes`]) receive the scalar error-as-escape
     /// observation — the reference signature with a default execution —
-    /// exactly what a campaign's escape closure substitutes when the
-    /// scalar [`SignatureCollector::collect`] returns the device error.
+    /// exactly what a dictionary build substitutes when the scalar
+    /// [`SignatureCollector::collect`] returns the device error.
     ///
     /// # Panics
     ///
@@ -235,6 +230,22 @@ impl SignatureCollector {
         ram: &mut LaneRam<K>,
         out: &mut Vec<Observation>,
     ) {
+        self.collect_lanes(program, ram, None, out);
+    }
+
+    /// [`SignatureCollector::collect_batch`] on the pass a campaign's
+    /// segment plan chose: with `slice = Some((index, active))` only the
+    /// ops whose address intersects the batch's span union run on the
+    /// device, and skipped checked reads absorb their precomputed
+    /// fault-free responses, so the observations are bit-identical to
+    /// the full pass.
+    pub(crate) fn collect_lanes<const K: usize>(
+        &self,
+        program: &TestProgram,
+        ram: &mut LaneRam<K>,
+        slice: Option<(&ActivityIndex, &ActiveSet)>,
+        out: &mut Vec<Observation>,
+    ) {
         let k = ram.active_lanes().count_ones() as usize;
         assert_eq!(
             ram.active_lanes(),
@@ -244,25 +255,15 @@ impl SignatureCollector {
         let mut misr = PlaneMisr::new(self.poly);
         let mut execs = vec![Execution::default(); LaneRam::<K>::LANES];
         let mut observer = |planes: &[LaneChunk<K>]| misr.absorb(planes);
-        let pass = if self.index.matches(program) {
-            // Activity slicing: only the ops whose address intersects the
-            // chunk's span union run on the device; skipped checked reads
-            // absorb their precomputed fault-free responses — the
-            // signatures are bit-identical to the full pass.
-            let mut active = ActiveSet::new();
-            for (fault, _) in ram.fault_bank().faults() {
-                active.insert_fault(fault);
-            }
-            active.finalize(&self.index);
-            program.try_execute_batch_observed_sliced(
+        let pass = match slice {
+            Some((index, active)) => program.try_execute_batch_observed_sliced(
                 ram,
-                &self.index,
-                &active,
+                index,
+                active,
                 &mut execs,
                 &mut observer,
-            )
-        } else {
-            program.try_execute_batch_observed(ram, &mut execs, &mut observer)
+            ),
+            None => program.try_execute_batch_observed(ram, &mut execs, &mut observer),
         };
         if let Err(e) = pass {
             panic!("program '{}' cannot run on this lane batch: {e}", program.name());

@@ -3,11 +3,12 @@
 //! PR 5 deliberately made whole-campaign misconfiguration panic loudly —
 //! correct for batch binaries, fatal for a long-running service. The
 //! fallible entry points ([`crate::Campaign::try_run`],
-//! [`crate::try_map_trials`], …) surface every failure as a
-//! [`CampaignError`] instead; the legacy panicking APIs are thin wrappers
-//! that re-raise through [`CampaignError::raise`], whose messages contain
-//! the exact phrases the old asserts used, so existing
-//! `should_panic(expected = …)` regression tests keep passing unchanged.
+//! [`crate::Campaign::try_measure`], [`crate::try_map_trials`], …)
+//! surface every failure as a [`CampaignError`] instead; the legacy
+//! panicking APIs are thin wrappers that re-raise through
+//! [`CampaignError::raise`], whose messages contain the exact phrases the
+//! old asserts used, so existing `should_panic(expected = …)` regression
+//! tests keep passing unchanged.
 
 use std::error::Error;
 use std::fmt;

@@ -21,10 +21,10 @@
 //!   lane-batch runner packs, runs and degrades every lane batch.
 //! * **Early exit** — a fault detected under one data background skips the
 //!   remaining backgrounds, exactly like the sequential reference.
-//! * **Deterministic aggregation** — workers only fill a per-fault verdict
-//!   table; rows are tallied afterwards in enumeration order, so the
-//!   resulting [`CoverageReport`] is identical to the sequential path for
-//!   any thread count.
+//! * **Deterministic aggregation** — workers only hand back per-fault
+//!   records keyed by fault index; rows are tallied afterwards in
+//!   enumeration order, so the resulting [`CoverageReport`] is identical
+//!   to the sequential path for any thread count.
 //!
 //! # Quick start
 //!
@@ -70,6 +70,13 @@
 //! one, or runs a compiled program on the scalar engine, only through an
 //! explicit closure.
 //!
+//! A campaign has two terminals on that one engine. Detection
+//! ([`Campaign::try_run`] and its siblings) records a verdict per fault;
+//! measurement ([`Campaign::try_measure`]) records any checkpointable
+//! value per fault — a MISR signature for a fault dictionary, say — from
+//! a caller-supplied lane-batch trial. Both run the same segment loop,
+//! segment plan, checkpoints, chaos sites and worker pool.
+//!
 //! # Resilience
 //!
 //! Campaigns are built to survive the failures a long tester-side run
@@ -111,7 +118,7 @@ pub use control::{CancelToken, StopCause};
 pub use error::{CampaignError, CheckpointError};
 pub use report::{ClassTally, CoverageReport, CoverageRow, PartialCoverage};
 
-use checkpoint::FingerprintBuilder;
+use checkpoint::{CheckpointRecord, FingerprintBuilder};
 use control::RunControl;
 
 /// A caught panic as a [`CampaignError::WorkerPanic`] over the fault-index
@@ -128,8 +135,8 @@ fn worker_panic(chunk: (usize, usize), payload: Box<dyn std::any::Any + Send>) -
 }
 
 /// The one scheduler every fault sweep runs on: campaign segments (scalar
-/// and lane-batched), [`Campaign::first_escape`], [`try_map_trials`] and
-/// [`try_map_trials_batched`].
+/// and lane-batched, detection and measurement),
+/// [`Campaign::first_escape`] and [`try_map_trials`].
 ///
 /// Up to `workers` workers (never more than there are units) claim the
 /// `units` work units (trial chunks or lane batches) in order from one
@@ -221,12 +228,58 @@ impl<'i, S> WorkerPool<'i, S> {
 
 /// Words per lane chunk of every campaign lane batch: `LaneRam<8>`, 512
 /// trials per interpreter pass. The lane engine is exact per lane at any
-/// width, so verdicts, reports and checkpoints do not depend on it.
+/// width, so verdicts, measurements, reports and checkpoints do not
+/// depend on it.
 const CHUNK_WORDS: usize = 8;
 
-/// One campaign lane worker's pooled state: its device, its active-set
-/// scratch and its per-batch result buffer.
-type LaneState = (LaneRam<CHUNK_WORDS>, ActiveSet, Vec<bool>);
+/// One campaign lane worker's pooled state: its device and its
+/// active-set scratch.
+type LaneState = (LaneRam<CHUNK_WORDS>, ActiveSet);
+
+/// A campaign worker's pooled state plus the runs of records it finished
+/// since the last segment boundary: one run per work unit, as the unit's
+/// first schedule position in the segment and the records of its
+/// consecutive positions. Workers share nothing per fault; [`gather`]
+/// drains every worker's runs once per segment.
+type Worker<S, T> = (S, Vec<(usize, Vec<T>)>);
+
+/// Extends `records`, the table of finished records, by the finished
+/// prefix of the segment that starts at fault `start`, and drains `pool`'s
+/// runs. Without an `order`, schedule position `p` is fault `start + p`:
+/// the runs are appended in position order up to the first gap. A
+/// permuted segment (position `p` is fault `order[p]`) is scattered back
+/// to fault order once.
+fn gather<S, T>(
+    pool: &mut WorkerPool<'_, Worker<S, T>>,
+    start: usize,
+    order: Option<&[u32]>,
+    records: &mut Vec<T>,
+) {
+    let mut runs: Vec<(usize, Vec<T>)> =
+        pool.slots.iter_mut().flatten().flat_map(|(_, runs)| runs.drain(..)).collect();
+    match order {
+        None => {
+            runs.sort_unstable_by_key(|&(first, _)| first);
+            let mut next = 0;
+            for (first, mut run) in runs {
+                if first != next {
+                    break;
+                }
+                next += run.len();
+                records.append(&mut run);
+            }
+        }
+        Some(order) => {
+            let mut slots: Vec<Option<T>> = order.iter().map(|_| None).collect();
+            for (first, run) in runs {
+                for (&fi, record) in order[first..].iter().zip(run) {
+                    slots[fi as usize - start] = Some(record);
+                }
+            }
+            records.extend(slots.into_iter().map_while(|record| record));
+        }
+    }
+}
 
 /// Lane chunks of a segment [`plan_sliced`] samples.
 const PLAN_SAMPLES: usize = 8;
@@ -273,86 +326,21 @@ fn plan_sliced(faults: &[FaultKind], cells: usize) -> bool {
     mean <= SLICE_MAX_SPAN_SHARE * cells as f64
 }
 
-/// The one lane-batch runner behind every batched sweep (campaign
-/// segments and [`try_map_trials_batched`]): everything one lane batch
-/// needs besides the batch itself.
-struct LaneRunner<'r, FS, ST> {
-    geom: Geometry,
-    ports: usize,
-    faults: &'r [FaultKind],
-    /// Lane batches degraded to the scalar oracle so far.
-    degraded: &'r AtomicUsize,
+/// The lane side of one compiled campaign run, shared by all of its
+/// segments: detection and measurement differ only in the two trials.
+struct LaneRunner<'p, FL, FS> {
+    /// The compiled program per background.
+    programs: &'p [&'p TestProgram],
+    /// Their activity indexes, resolved by the first sliced segment (the
+    /// programs cache their index, so repeat runs share one build).
+    indexes: OnceLock<Vec<Arc<ActivityIndex>>>,
+    /// Runs one injected lane batch — given its fault indices, the
+    /// indexes when the segment runs sliced, and the active-set scratch —
+    /// and pushes one result per lane, in lane order (checked).
+    lane_trial: FL,
     /// Measures one fault on a healed scalar device that already carries
-    /// it — the degradation oracle.
+    /// it: the degradation oracle.
     scalar_trial: FS,
-    /// Stores one result by fault index.
-    store: ST,
-}
-
-impl<FS, ST> LaneRunner<'_, FS, ST> {
-    /// Heals `ram`, injects `batch` (fault indices) into lanes `0..k` in
-    /// the given order, runs `batch_trial` — which must push one result
-    /// per lane, in lane order (checked) — and stores the results by
-    /// fault index. A panicking batch **degrades**: each of its faults
-    /// is retried on `scalar_trial` and the batch is counted; only a
-    /// retry that also panics fails, as a [`CampaignError::WorkerPanic`]
-    /// over that one fault.
-    fn run<const K: usize, T>(
-        &self,
-        ram: &mut LaneRam<K>,
-        out: &mut Vec<T>,
-        batch: &[u32],
-        batch_trial: impl FnOnce(&mut LaneRam<K>, &mut Vec<T>),
-    ) -> Result<(), CampaignError>
-    where
-        FS: Fn(usize, &mut Ram) -> T,
-        ST: Fn(usize, T),
-    {
-        out.clear();
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            ram.eject_faults();
-            ram.reset_to(0);
-            for (lane, &fi) in batch.iter().enumerate() {
-                ram.inject(self.faults[fi as usize].clone(), lane)
-                    .expect("campaign faults are valid");
-            }
-            batch_trial(ram, out);
-        }));
-        if attempt.is_ok() {
-            if out.len() != batch.len() {
-                return Err(CampaignError::BadConfiguration {
-                    reason: format!(
-                        "batch trial must yield one result per injected lane — got {} results \
-                         for {} lanes",
-                        out.len(),
-                        batch.len()
-                    ),
-                });
-            }
-            for (&fi, v) in batch.iter().zip(out.drain(..)) {
-                (self.store)(fi as usize, v);
-            }
-            return Ok(());
-        }
-        // Graceful degradation: the whole batch retries on the scalar
-        // oracle, which measures the same thing fault by fault.
-        self.degraded.fetch_add(1, Ordering::Relaxed);
-        let mut scalar = pooled_ram(self.geom, self.ports);
-        for &fi in batch {
-            let fi = fi as usize;
-            scalar.eject_faults();
-            scalar.reset_to(0);
-            let retry = catch_unwind(AssertUnwindSafe(|| {
-                scalar.inject(self.faults[fi].clone()).expect("campaign faults are valid");
-                (self.scalar_trial)(fi, &mut scalar)
-            }));
-            match retry {
-                Ok(v) => (self.store)(fi, v),
-                Err(payload) => return Err(worker_panic((fi, fi + 1), payload)),
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Below this many trials a campaign stays sequential under
@@ -677,8 +665,8 @@ impl FaultRunner for &ProgramBank {
 /// each trial's **result value** in trial order — the generic campaign
 /// mode that per-fault *measurements* (MISR signatures for fault
 /// dictionaries, observed response streams, per-trial statistics) build
-/// on. See [`try_map_trials_batched`] for the lane-sliced form
-/// measurement campaigns over an explicit fault list use.
+/// on. [`Campaign::try_measure`] is the lane-batched form, over a fault
+/// list, that dictionary builds use.
 ///
 /// This is the engine's lowest-level primitive (Monte-Carlo campaigns use
 /// it directly; [`Campaign`] builds fault-universe sweeps on top). Each
@@ -769,87 +757,6 @@ fn validate_ports(geom: Geometry, ports: usize) -> Result<(), CampaignError> {
     })
 }
 
-/// The lane-sliced form of [`try_map_trials`] for per-fault measurement
-/// campaigns: faults are packed `LaneRam::<K>::LANES` per [`LaneRam`]
-/// chunk and measured by one `batch_trial` pass per batch — every fault
-/// family lane-batches, so there is no scalar remainder and
-/// `scalar_trial` serves only as the degradation oracle. Results land by
-/// **fault index**, so the output is deterministic and identical for any
-/// parallelism policy *and any chunk width `K`* — and, when the two trial
-/// functions measure the same thing (the contract callers are
-/// property-tested against), identical to the all-scalar [`map_trials`]
-/// sweep.
-///
-/// `batch_trial` receives a healed, zero-reset [`LaneRam`] (pooled with
-/// `ports` ports, so multi-port measurement programs batch too) whose
-/// lanes `0..k` carry the batch's faults in index order and must push
-/// exactly one result per injected lane, in lane order (checked).
-/// `scalar_trial` receives the fault's universe index and a pooled
-/// memory with the fault **already injected** (unlike the raw
-/// [`map_trials`], which hands the closure a pristine device).
-///
-/// Returns the per-fault results plus the number of **degraded
-/// batches**: a lane batch whose `batch_trial` panicked is retried
-/// fault-by-fault on `scalar_trial` instead of killing the run, and
-/// counted — so a degraded run's results are still exact.
-///
-/// # Errors
-///
-/// [`CampaignError::BadConfiguration`] for an invalid port count or a
-/// `batch_trial` yielding a wrong result count;
-/// [`CampaignError::WorkerPanic`] when a *scalar* trial panicked
-/// (including a degraded retry — a batch that fails both engines is a
-/// real failure, not a batching artifact).
-pub fn try_map_trials_batched<const K: usize, T, FB, FS>(
-    geom: Geometry,
-    ports: usize,
-    faults: &[FaultKind],
-    parallelism: Parallelism,
-    batch_trial: FB,
-    scalar_trial: FS,
-) -> Result<(Vec<T>, usize), CampaignError>
-where
-    T: Send + Sync,
-    FB: Fn(&mut LaneRam<K>, &mut Vec<T>) + Sync,
-    FS: Fn(usize, &mut Ram) -> T + Sync,
-{
-    validate_ports(geom, ports)?;
-    let lanes = LaneRam::<K>::LANES;
-    // Every fault family lane-batches, so batch `b` is plain index
-    // arithmetic: fault indices `b*lanes .. (b+1)*lanes`.
-    let order: Vec<u32> = (0..faults.len() as u32).collect();
-    let range = |b: usize| (b * lanes, ((b + 1) * lanes).min(faults.len()));
-    let n_batches = faults.len().div_ceil(lanes);
-    let results: Vec<OnceLock<T>> = (0..faults.len()).map(|_| OnceLock::new()).collect();
-    let degraded = AtomicUsize::new(0);
-    let runner = LaneRunner {
-        geom,
-        ports,
-        faults,
-        degraded: &degraded,
-        scalar_trial,
-        // Batches never overlap, so each slot is set once.
-        store: |fi: usize, v: T| {
-            let _ = results[fi].set(v);
-        },
-    };
-    sweep(
-        n_batches,
-        parallelism.workers(faults.len(), available_cores),
-        None,
-        range,
-        |_| false,
-        &mut WorkerPool::new(|| {
-            (LaneRam::<K>::with_ports(geom, ports).expect("valid port count"), Vec::new())
-        }),
-        |b, (ram, out)| {
-            let (lo, hi) = range(b);
-            runner.run(ram, out, &order[lo..hi], &batch_trial)
-        },
-    )?;
-    Ok((filled(results), degraded.into_inner()))
-}
-
 /// A configured fault-simulation campaign: a fault set × a runner × data
 /// backgrounds, with a parallelism policy.
 ///
@@ -910,36 +817,22 @@ impl std::fmt::Debug for ProgressHook<'_> {
     }
 }
 
-/// Campaign progress as the resilient driver reports it: the verdict
-/// table (meaningful on `[0, evaluated)` when stopped early), the stop
-/// cause if any, and the degradation counter.
-struct Progress {
-    verdicts: Vec<bool>,
-    evaluated: usize,
+/// Campaign progress as the resilient driver reports it: the finished
+/// records of the evaluated prefix (the whole universe unless stopped
+/// early), the stop cause if any, and the degradation counter.
+struct Progress<T> {
+    records: Vec<T>,
     stopped: Option<StopCause>,
     degraded_batches: usize,
     elapsed: Duration,
 }
 
-/// The shared per-run state the segment drivers write into.
+/// The shared per-run state the segment drivers read and count into.
 struct DriveCtx<'t> {
-    /// Per-fault verdicts, keyed by universe index.
-    table: &'t [AtomicBool],
-    /// Per-fault completion flags — the checkpoint cursor is the length
-    /// of the contiguous `true` prefix.
-    done: &'t [AtomicBool],
     /// Deadline/cancellation, polled at chunk granularity.
     control: &'t RunControl,
     /// Lane batches degraded to the scalar oracle so far.
     degraded: &'t AtomicUsize,
-}
-
-impl DriveCtx<'_> {
-    /// Records the final verdict of universe index `i`.
-    fn record(&self, i: usize, verdict: bool) {
-        self.table[i].store(verdict, Ordering::Relaxed);
-        self.done[i].store(true, Ordering::Relaxed);
-    }
 }
 
 impl<'a, R: FaultRunner> Campaign<'a, R> {
@@ -1201,10 +1094,100 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     /// when a stop condition fired first (use [`Campaign::try_run`] for
     /// an explicitly-marked partial report instead).
     pub fn try_detections(&self) -> Result<Vec<bool>, CampaignError> {
-        let progress = self.try_progress()?;
+        self.complete(self.try_progress()?).map(|(verdicts, _)| verdicts)
+    }
+
+    /// Measures every fault of the campaign through its compiled program
+    /// and collects one record per fault, in fault order — the
+    /// measurement terminal beside detection, and the engine under every
+    /// fault dictionary. It runs the detection engine: the same segment
+    /// loop, per-segment plan (the full pass in list order, or slices in
+    /// locality order; [`Campaign::with_slicing`] forces either), worker
+    /// pool, checkpoints ([`Campaign::with_checkpoint`]) and deadline,
+    /// cancellation and chaos sites. Records land by fault
+    /// index, so the result is identical under every plan and at any
+    /// parallelism and resumes bit-identically from a checkpoint.
+    ///
+    /// `batch_trial` receives a healed, zero-reset 512-lane device whose
+    /// lanes `0..k` carry one batch's faults, plus the plan's slice: the
+    /// program's [`ActivityIndex`] and the batch's resolved [`ActiveSet`]
+    /// when the segment runs sliced, `None` on the full pass. It must push
+    /// exactly one record per injected lane, in lane order (checked); a
+    /// trial that ignores the slice and runs the full pass stays exact.
+    /// `scalar_trial` receives a fault's index and a pooled [`Ram`] that
+    /// already carries the fault; it serves only as the degradation
+    /// oracle: a lane batch whose `batch_trial` panicked is retried fault
+    /// by fault on it and counted. `fingerprint` names everything that
+    /// determines the records; it is computed only when a checkpoint is
+    /// armed.
+    ///
+    /// Returns the records plus the number of **degraded batches**; a
+    /// degraded run's records are still exact.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::BadConfiguration`] when a progress sink is armed
+    /// (measurements stream no verdicts), when the runner is not one
+    /// compiled program (a `&TestProgram`, or a `&ProgramBank` over one
+    /// background), or when `batch_trial` yields a wrong record count;
+    /// otherwise as [`Campaign::try_detections`], with
+    /// [`CampaignError::WorkerPanic`] reserved for a degraded retry that
+    /// also panicked.
+    pub fn try_measure<T, FB, FS>(
+        &self,
+        fingerprint: impl FnOnce() -> u64,
+        batch_trial: FB,
+        scalar_trial: FS,
+    ) -> Result<(Vec<T>, usize), CampaignError>
+    where
+        T: CheckpointRecord + Send,
+        FB: Fn(&mut LaneRam<8>, Option<(&ActivityIndex, &ActiveSet)>, &mut Vec<T>) + Sync,
+        FS: Fn(usize, &mut Ram) -> T + Sync,
+    {
+        let refuse = |reason: &str| CampaignError::BadConfiguration { reason: reason.to_string() };
+        if self.progress.is_some() {
+            return Err(refuse("a measurement campaign streams no verdicts: drop with_progress"));
+        }
+        self.runner.validate(self.geom, self.ports, &self.backgrounds)?;
+        validate_ports(self.geom, self.ports)?;
+        let programs = match self.batch_plan() {
+            Some(programs) if programs.len() == 1 => programs,
+            _ => return Err(refuse("a measurement campaign runs one compiled program")),
+        };
+        let runner = LaneRunner {
+            programs: &programs,
+            indexes: OnceLock::new(),
+            lane_trial: |ram: &mut LaneRam<CHUNK_WORDS>,
+                         batch: &[u32],
+                         slice: Option<&[Arc<ActivityIndex>]>,
+                         active: &mut ActiveSet,
+                         out: &mut Vec<T>| {
+                let slice = match slice {
+                    Some(indexes) => {
+                        self.fill_active(active, batch, &indexes[0]);
+                        Some((&*indexes[0], &*active))
+                    }
+                    None => None,
+                };
+                batch_trial(ram, slice, out);
+            },
+            scalar_trial,
+        };
+        let progress = self.drive_segments(
+            fingerprint,
+            |_, _| {},
+            || self.lane_state(),
+            |seg, workers, ctx, pool| self.drive_batched(seg, workers, &runner, ctx, pool),
+        )?;
+        self.complete(progress)
+    }
+
+    /// The records and degraded-batch count of a run whose callers cannot
+    /// take partial results: a stop before the end becomes its typed error.
+    fn complete<T>(&self, progress: Progress<T>) -> Result<(Vec<T>, usize), CampaignError> {
         match progress.stopped {
-            None => Ok(progress.verdicts),
-            Some(cause) => Err(self.stop_error(cause, progress.evaluated, progress.elapsed)),
+            None => Ok((progress.records, progress.degraded_batches)),
+            Some(cause) => Err(self.stop_error(cause, progress.records.len(), progress.elapsed)),
         }
     }
 
@@ -1224,89 +1207,102 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         }
     }
 
-    /// The resilient driver every campaign entry point sits on: validates
-    /// the configuration upfront, then picks the engine once for the
-    /// whole campaign from the runner — scalar for a closure, lane-batched
-    /// for a compiled program — and runs every segment of it on that
-    /// engine, on one pool of devices ([`Campaign::drive_segments`]). A
-    /// lane-batched segment plans full pass or sliced on its own
-    /// ([`Campaign::drive_batched`]); the activity indexes are resolved
-    /// only once a segment runs sliced.
-    fn try_progress(&self) -> Result<Progress, CampaignError> {
+    /// The resilient driver every detection entry point sits on:
+    /// validates the configuration upfront, then picks the engine once
+    /// for the whole campaign from the runner — scalar for a closure,
+    /// lane-batched for a compiled program — and runs every segment of
+    /// it on that engine, on one pool of devices
+    /// ([`Campaign::drive_segments`]). A lane-batched segment plans full
+    /// pass or sliced on its own ([`Campaign::drive_batched`]).
+    fn try_progress(&self) -> Result<Progress<bool>, CampaignError> {
         self.runner.validate(self.geom, self.ports, &self.backgrounds)?;
         validate_ports(self.geom, self.ports)?;
+        let fingerprint = || self.fingerprint();
+        let emit = |start: usize, verdicts: &[bool]| {
+            if let Some(hook) = &self.progress {
+                (hook.sink)(SegmentProgress { start, end: start + verdicts.len(), verdicts });
+            }
+        };
         let Some(programs) = self.batch_plan() else {
             return self.drive_segments(
+                fingerprint,
+                emit,
                 || pooled_ram(self.geom, self.ports),
                 |seg, workers, ctx, pool| self.drive_scalar(seg, workers, ctx, pool),
             );
         };
-        // Activity indexes (one per background program) for the sliced
-        // batch path: resolved at most once per campaign, by the first
-        // sliced segment (the programs cache the compiled index, so
-        // repeat campaigns over the same program share one build).
-        let indexes = OnceCell::new();
+        let runner = LaneRunner {
+            programs: &programs,
+            indexes: OnceLock::new(),
+            lane_trial: |ram: &mut LaneRam<CHUNK_WORDS>,
+                         batch: &[u32],
+                         slice: Option<&[Arc<ActivityIndex>]>,
+                         active: &mut ActiveSet,
+                         out: &mut Vec<bool>| {
+                let detected = self.detect_lanes(ram, &programs, slice, batch, active);
+                out.extend((0..batch.len()).map(|lane| detected.get(lane)));
+            },
+            scalar_trial: |_, ram: &mut Ram| self.detect_injected(ram),
+        };
         self.drive_segments(
-            || {
-                let ram = LaneRam::<CHUNK_WORDS>::with_ports(self.geom, self.ports)
-                    .expect("valid port count");
-                (ram, ActiveSet::new(), Vec::new())
-            },
-            |seg, workers, ctx, pool| {
-                self.drive_batched(seg, workers, &programs, &indexes, ctx, pool)
-            },
+            fingerprint,
+            emit,
+            || self.lane_state(),
+            |seg, workers, ctx, pool| self.drive_batched(seg, workers, &runner, ctx, pool),
         )
     }
 
-    /// The segment loop: resumes from a checkpoint when one is armed and
-    /// compatible, then drives the universe in **segments** (the finer of
-    /// the checkpoint and progress cadences per segment; the whole
-    /// remainder when neither is armed) through `segment`, checkpointing
-    /// the contiguous verdict prefix and reporting progress to the
-    /// streaming sink after each. One pool of worker states (built by
-    /// `init`) serves every segment, and the core count is read at most
-    /// once, so a segment boundary costs a progress call, not fresh
-    /// devices. Worker panics poison only their chunk; deadline and
-    /// cancellation stop the fan-out at chunk boundaries; a panicking
-    /// lane batch degrades to the scalar oracle.
-    fn drive_segments<S: Send>(
+    /// A fresh pooled lane worker state.
+    fn lane_state(&self) -> LaneState {
+        let ram =
+            LaneRam::<CHUNK_WORDS>::with_ports(self.geom, self.ports).expect("valid port count");
+        (ram, ActiveSet::new())
+    }
+
+    /// The segment loop under both terminals: resumes from a checkpoint
+    /// when one is armed and compatible (its `fingerprint` is computed
+    /// only then), then drives the universe in **segments** (the finer
+    /// of the checkpoint and progress cadences per segment; the whole
+    /// remainder when neither is armed) through `segment`, which returns
+    /// its schedule's permutation (`None` when it ran in fault order) and
+    /// its outcome. After each segment it [`gather`]s the runs its
+    /// workers finished into the one table of finished records, up to the
+    /// segment's contiguous finished prefix, checkpoints that table and
+    /// hands the new records to `emit` — both straight from the table, no
+    /// copy. One pool of worker states (built by `init`) serves every
+    /// segment, and the core count is read at most once, so a segment
+    /// boundary costs a progress call, not fresh devices. Worker panics
+    /// poison only their chunk; deadline and cancellation stop the
+    /// fan-out at chunk boundaries; a panicking lane batch degrades to the
+    /// scalar oracle.
+    fn drive_segments<S: Send, T: CheckpointRecord + Send>(
         &self,
+        fingerprint: impl FnOnce() -> u64,
+        emit: impl Fn(usize, &[T]),
         init: impl Fn() -> S + Sync,
         segment: impl Fn(
             Range<usize>,
             usize,
             &DriveCtx<'_>,
-            &mut WorkerPool<'_, S>,
-        ) -> Result<Option<StopCause>, CampaignError>,
-    ) -> Result<Progress, CampaignError> {
+            &mut WorkerPool<'_, Worker<S, T>>,
+        ) -> (Option<Vec<u32>>, Result<Option<StopCause>, CampaignError>),
+    ) -> Result<Progress<T>, CampaignError> {
         let total = self.faults.len();
-        let fingerprint = self.checkpoint.as_ref().map(|_| self.fingerprint());
-        let table: Vec<AtomicBool> = (0..total).map(|_| AtomicBool::new(false)).collect();
-        let done: Vec<AtomicBool> = (0..total).map(|_| AtomicBool::new(false)).collect();
-        let mut cursor = 0usize;
-        if let (Some((path, _)), Some(fp)) = (&self.checkpoint, fingerprint) {
-            if let Some(saved) = checkpoint::load_records::<bool>(path, fp, total)? {
-                cursor = saved.len();
-                for (i, verdict) in saved.into_iter().enumerate() {
-                    table[i].store(verdict, Ordering::Relaxed);
-                    done[i].store(true, Ordering::Relaxed);
-                }
-            }
-        }
-        // A hooked campaign resuming from a checkpoint reports the whole
-        // restored prefix as one leading segment, so sinks always see
-        // segments that tile `[0, evaluated)` — no silent gap.
-        if cursor > 0 {
-            if let Some(hook) = &self.progress {
-                let prefix: Vec<bool> =
-                    table[..cursor].iter().map(|b| b.load(Ordering::Relaxed)).collect();
-                (hook.sink)(SegmentProgress { start: 0, end: cursor, verdicts: &prefix });
-            }
+        let spool = self.checkpoint.as_ref().map(|(path, _)| (path, fingerprint()));
+        let mut records: Vec<T> = match &spool {
+            Some((path, fp)) => checkpoint::load_records(path, *fp, total)?.unwrap_or_default(),
+            None => Vec::new(),
+        };
+        // A campaign resuming from a checkpoint reports the whole restored
+        // prefix as one leading segment, so sinks always see segments that
+        // tile `[0, evaluated)` — no silent gap.
+        if !records.is_empty() {
+            emit(0, &records);
         }
         let degraded = AtomicUsize::new(0);
         let control = RunControl::new(self.deadline, self.cancel.clone());
-        let ctx = DriveCtx { table: &table, done: &done, control: &control, degraded: &degraded };
-        let mut pool = WorkerPool::new(init);
+        let ctx = DriveCtx { control: &control, degraded: &degraded };
+        let mut pool = WorkerPool::new(|| (init(), Vec::new()));
         let cores = OnceCell::new();
         let mut stopped = None;
         // Segment length: the finer of the checkpoint cadence and the
@@ -1318,32 +1314,18 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             .map(|(_, every)| *every)
             .unwrap_or(usize::MAX)
             .min(self.progress.as_ref().map(|h| h.every).unwrap_or(usize::MAX));
-        while cursor < total {
-            let seg_start = cursor;
-            let seg_end = cursor.saturating_add(step).min(total);
+        while records.len() < total {
+            let start = records.len();
+            let end = start.saturating_add(step).min(total);
             let workers =
-                self.parallelism.workers(seg_end - cursor, || *cores.get_or_init(available_cores));
-            let outcome = segment(cursor..seg_end, workers, &ctx, &mut pool);
-            while cursor < seg_end && done[cursor].load(Ordering::Relaxed) {
-                cursor += 1;
+                self.parallelism.workers(end - start, || *cores.get_or_init(available_cores));
+            let (order, outcome) = segment(start..end, workers, &ctx, &mut pool);
+            gather(&mut pool, start, order.as_deref(), &mut records);
+            if let Some((path, fp)) = &spool {
+                checkpoint::save_records(path, *fp, total, &records)?;
             }
-            if let (Some((path, _)), Some(fp)) = (&self.checkpoint, fingerprint) {
-                let prefix: Vec<bool> =
-                    table[..cursor].iter().map(|b| b.load(Ordering::Relaxed)).collect();
-                checkpoint::save_records(path, fp, total, &prefix)?;
-            }
-            if cursor > seg_start {
-                if let Some(hook) = &self.progress {
-                    let verdicts: Vec<bool> = table[seg_start..cursor]
-                        .iter()
-                        .map(|b| b.load(Ordering::Relaxed))
-                        .collect();
-                    (hook.sink)(SegmentProgress {
-                        start: seg_start,
-                        end: cursor,
-                        verdicts: &verdicts,
-                    });
-                }
+            if records.len() > start {
+                emit(start, &records[start..]);
             }
             // A failed segment surfaces only now, after its completed
             // prefix was checkpointed and streamed.
@@ -1353,10 +1335,9 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             }
         }
         Ok(Progress {
-            verdicts: table.into_iter().map(AtomicBool::into_inner).collect(),
-            evaluated: cursor,
+            records,
             stopped,
-            degraded_batches: degraded.load(Ordering::Relaxed),
+            degraded_batches: degraded.into_inner(),
             elapsed: control.elapsed(),
         })
     }
@@ -1409,63 +1390,78 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         seg: Range<usize>,
         workers: usize,
         ctx: &DriveCtx<'_>,
-        pool: &mut WorkerPool<'_, Ram>,
-    ) -> Result<Option<StopCause>, CampaignError> {
+        pool: &mut WorkerPool<'_, Worker<Ram, bool>>,
+    ) -> (Option<Vec<u32>>, Result<Option<StopCause>, CampaignError>) {
         let Range { start, end } = seg;
         let count = end - start;
         let chunk = chunk_len(count, workers);
         let range = |c: usize| (start + c * chunk, (start + (c + 1) * chunk).min(end));
-        sweep(
+        let outcome = sweep(
             count.div_ceil(chunk),
             workers,
             Some(ctx.control),
             range,
             |_| false,
             pool,
-            |c, ram| {
+            |c, (ram, runs)| {
                 let (lo, hi) = range(c);
+                // The run opens first, so a trial panic keeps the chunk's
+                // finished prefix.
+                runs.push((lo - start, Vec::with_capacity(hi - lo)));
+                let (_, run) = runs.last_mut().expect("the chunk's run");
                 for i in lo..hi {
                     self.chaos_trial(i);
                     ram.eject_faults();
                     ram.reset_to(0);
-                    ctx.record(i, self.run_fault(i, ram));
+                    run.push(self.run_fault(i, ram));
                 }
                 Ok(())
             },
-        )
+        );
+        (None, outcome)
     }
 
-    /// Lane-batched segment `seg` on `workers` pooled lane devices:
-    /// faults are packed 512 per [`LaneRam`] chunk (one interpreter pass
-    /// per batch per background, with the cross-background early exit
-    /// per lane) and run by the shared scheduler and lane-batch runner,
-    /// so threads × lanes trials are in flight while verdicts stay keyed
-    /// by fault index — bit-identical at any thread count. A batch whose
-    /// pass panics degrades to the scalar oracle. The segment's plan
-    /// ([`plan_sliced`], unless [`Campaign::with_slicing`] forces one)
-    /// either runs the full pass over batches in list order, or
-    /// assembles batches in fault-locality order and has each pass walk
-    /// only the ops intersecting the batch's span union
-    /// ([`TestProgram::try_detect_batch_sliced`]) — still bit-identical.
-    fn drive_batched(
+    /// Lane-batched segment `seg` on `workers` pooled lane devices, for
+    /// detection and measurement alike: faults are packed 512 per
+    /// [`LaneRam`] chunk and each batch runs the runner's lane trial, so
+    /// threads × lanes trials are in flight while records stay keyed by
+    /// fault index — bit-identical at any thread count. The segment's
+    /// plan ([`plan_sliced`], unless [`Campaign::with_slicing`] forces
+    /// one) either runs the full pass over batches in list order, or
+    /// assembles batches in fault-locality order and hands the lane trial
+    /// the activity indexes, so each pass walks only the ops intersecting
+    /// the batch's span union — still bit-identical. A batch whose trial
+    /// panics degrades to the scalar oracle ([`Campaign::degrade`]); one
+    /// that yields a wrong result count is a contract error. Returns the
+    /// locality permutation when the segment ran sliced.
+    fn drive_batched<T: Send, FL, FS>(
         &self,
         seg: Range<usize>,
         workers: usize,
-        programs: &[&TestProgram],
-        indexes: &OnceCell<Vec<Arc<ActivityIndex>>>,
+        runner: &LaneRunner<'_, FL, FS>,
         ctx: &DriveCtx<'_>,
-        pool: &mut WorkerPool<'_, LaneState>,
-    ) -> Result<Option<StopCause>, CampaignError> {
+        pool: &mut WorkerPool<'_, Worker<LaneState, T>>,
+    ) -> (Option<Vec<u32>>, Result<Option<StopCause>, CampaignError>)
+    where
+        FL: Fn(
+                &mut LaneRam<CHUNK_WORDS>,
+                &[u32],
+                Option<&[Arc<ActivityIndex>]>,
+                &mut ActiveSet,
+                &mut Vec<T>,
+            ) + Sync,
+        FS: Fn(usize, &mut Ram) -> T + Sync,
+    {
         let Range { start, end } = seg;
         let lanes = LaneRam::<CHUNK_WORDS>::LANES;
         let count = end - start;
-        let n_batches = count.div_ceil(lanes);
         let faults = &self.faults[start..end];
-        // Verdicts stay keyed by fault index, so neither the plan nor the
+        // Records stay keyed by fault index, so neither the plan nor the
         // locality permutation ever reaches reports or checkpoints.
         let sliced = self.slicing.unwrap_or_else(|| plan_sliced(faults, self.geom.cells()));
         let slice = sliced.then(|| {
-            indexes.get_or_init(|| programs.iter().map(|p| p.activity_index()).collect()).as_slice()
+            let programs = runner.programs.iter();
+            runner.indexes.get_or_init(|| programs.map(|p| p.activity_index()).collect()).as_slice()
         });
         let order: Vec<u32> = if sliced {
             // A counting sort over cell keys, linear in the segment.
@@ -1476,16 +1472,8 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             (start as u32..end as u32).collect()
         };
         let range = |b: usize| (b * lanes, ((b + 1) * lanes).min(count));
-        let runner = LaneRunner {
-            geom: self.geom,
-            ports: self.ports,
-            faults: self.faults,
-            degraded: ctx.degraded,
-            scalar_trial: |_, ram: &mut Ram| self.detect_injected(ram),
-            store: |fi, verdict| ctx.record(fi, verdict),
-        };
-        sweep(
-            n_batches,
+        let outcome = sweep(
+            count.div_ceil(lanes),
             workers,
             Some(ctx.control),
             |b| {
@@ -1494,19 +1482,85 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             },
             |_| false,
             pool,
-            |b, (ram, active, out)| {
+            |b, ((ram, active), runs)| {
                 let (lo, hi) = range(b);
                 let batch = &order[lo..hi];
-                runner.run(ram, out, batch, |ram, out| {
+                runs.push((lo, Vec::with_capacity(batch.len())));
+                let (_, out) = runs.last_mut().expect("the batch's run");
+                let attempt = catch_unwind(AssertUnwindSafe(|| {
+                    ram.eject_faults();
+                    ram.reset_to(0);
+                    for (lane, &fi) in batch.iter().enumerate() {
+                        ram.inject(self.faults[fi as usize].clone(), lane)
+                            .expect("campaign faults are valid");
+                    }
                     // Chaos keys batches by schedule position (identical to
                     // the first fault index when assembly is unsorted), so
                     // kill targets stay width-based under locality sorting.
                     self.chaos_batch(start + lo);
-                    let detected = self.detect_lanes(ram, programs, slice, batch, active);
-                    out.extend((0..batch.len()).map(|lane| detected.get(lane)));
-                })
+                    (runner.lane_trial)(ram, batch, slice, active, out);
+                }));
+                match attempt {
+                    Ok(()) if out.len() == batch.len() => Ok(()),
+                    Ok(()) => {
+                        // A broken batch leaves no records behind.
+                        let got = std::mem::take(out).len();
+                        Err(CampaignError::BadConfiguration {
+                            reason: format!(
+                                "batch trial must yield one result per injected lane — got \
+                                 {got} results for {} lanes",
+                                batch.len()
+                            ),
+                        })
+                    }
+                    Err(_) => {
+                        out.clear();
+                        self.degrade(batch, &runner.scalar_trial, ctx.degraded, out)
+                    }
+                }
             },
-        )
+        );
+        (sliced.then_some(order), outcome)
+    }
+
+    /// Graceful degradation of a lane batch whose pass panicked: each of
+    /// its faults is retried on `scalar_trial`, which measures the same
+    /// thing fault by fault, into `out` in batch order, and the batch is
+    /// counted. Only a retry that also panics fails, as a
+    /// [`CampaignError::WorkerPanic`] over that one fault.
+    fn degrade<T>(
+        &self,
+        batch: &[u32],
+        scalar_trial: &impl Fn(usize, &mut Ram) -> T,
+        degraded: &AtomicUsize,
+        out: &mut Vec<T>,
+    ) -> Result<(), CampaignError> {
+        degraded.fetch_add(1, Ordering::Relaxed);
+        let mut scalar = pooled_ram(self.geom, self.ports);
+        for &fi in batch {
+            let i = fi as usize;
+            scalar.eject_faults();
+            scalar.reset_to(0);
+            let retry = catch_unwind(AssertUnwindSafe(|| {
+                scalar.inject(self.faults[i].clone()).expect("campaign faults are valid");
+                scalar_trial(i, &mut scalar)
+            }));
+            match retry {
+                Ok(v) => out.push(v),
+                Err(payload) => return Err(worker_panic((i, i + 1), payload)),
+            }
+        }
+        Ok(())
+    }
+
+    /// Resolves `active` to the span union of `batch`'s faults against
+    /// `index`.
+    fn fill_active(&self, active: &mut ActiveSet, batch: &[u32], index: &ActivityIndex) {
+        active.clear();
+        for &fi in batch {
+            active.insert_fault(&self.faults[fi as usize]);
+        }
+        active.finalize(index);
     }
 
     /// One lane batch's verdicts: every background program in turn on
@@ -1533,11 +1587,7 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             // and ports upfront, so the typed errors cannot fire here.
             detected |= match slice {
                 Some(indexes) => {
-                    active.clear();
-                    for &fi in batch {
-                        active.insert_fault(&self.faults[fi as usize]);
-                    }
-                    active.finalize(&indexes[bi]);
+                    self.fill_active(active, batch, &indexes[bi]);
                     program.try_detect_batch_sliced(ram, &indexes[bi], active)
                 }
                 None => program.try_detect_batch(ram),
@@ -1690,16 +1740,14 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     pub fn try_run(&self) -> Result<CoverageReport, CampaignError> {
         let progress = self.try_progress()?;
         let mut tally = ClassTally::new();
-        for (fault, &detected) in
-            self.faults.iter().zip(&progress.verdicts).take(progress.evaluated)
-        {
+        for (fault, &detected) in self.faults.iter().zip(&progress.records) {
             tally.record(fault.mnemonic(), detected);
         }
         let mut report = tally.into_report(self.name.clone());
         report.set_degraded_batches(progress.degraded_batches);
         if let Some(cause) = progress.stopped {
             report.set_partial(PartialCoverage {
-                evaluated: progress.evaluated,
+                evaluated: progress.records.len(),
                 total: self.faults.len(),
                 cause,
             });
@@ -1934,11 +1982,28 @@ mod tests {
         }
     }
 
+    /// The toy program's verdicts as a measurement batch trial: the
+    /// sliced pass when the plan hands it a slice, else the full pass.
+    fn detect_trial(
+        prog: &TestProgram,
+    ) -> impl Fn(&mut LaneRam<8>, Option<(&ActivityIndex, &ActiveSet)>, &mut Vec<bool>) + Sync + '_
+    {
+        move |lanes, slice, out| {
+            let verdicts = match slice {
+                Some((index, active)) => prog.try_detect_batch_sliced(lanes, index, active),
+                None => prog.try_detect_batch(lanes),
+            }
+            .expect("valid batch");
+            out.extend((0..lanes.active_lanes().count_ones() as usize).map(|l| verdicts.get(l)));
+        }
+    }
+
     #[test]
-    fn map_trials_batched_matches_scalar_map() {
-        // The lane-sliced measurement mode must produce, fault for fault,
-        // the same values as an all-scalar map_trials sweep, for any
-        // thread count — over the full universe (every family batches).
+    fn measure_matches_scalar_map() {
+        // The measurement terminal must produce, fault for fault, the same
+        // values as an all-scalar map_trials sweep, for any thread count
+        // and under the planned and both forced engines — over the full
+        // universe (every family batches).
         let u = universe();
         let prog = toy_program(u.geometry());
         let scalar: Vec<bool> =
@@ -1947,42 +2012,68 @@ mod tests {
                 prog.detect(ram)
             });
         for threads in [1usize, 3, 7] {
-            let (batched, degraded) = try_map_trials_batched(
-                u.geometry(),
-                1,
-                u.faults(),
-                Parallelism::Threads(threads),
-                |lanes: &mut LaneRam, out: &mut Vec<bool>| {
-                    let verdicts = prog.try_detect_batch(lanes).expect("valid batch");
-                    for lane in 0..lanes.active_lanes().count_ones() as usize {
-                        out.push(verdicts.get(lane));
-                    }
-                },
-                |_, ram| prog.detect(ram),
-            )
-            .expect("batched sweep");
-            assert_eq!(scalar, batched, "threads={threads}");
-            assert_eq!(degraded, 0);
+            for slicing in [None, Some(true), Some(false)] {
+                let mut c =
+                    Campaign::new(&u, &prog).with_parallelism(Parallelism::Threads(threads));
+                if let Some(enabled) = slicing {
+                    c = c.with_slicing(enabled);
+                }
+                let (measured, degraded) = c
+                    .try_measure(|| 0, detect_trial(&prog), |_, ram| prog.detect(ram))
+                    .expect("measurement sweep");
+                assert_eq!(scalar, measured, "threads={threads}, slicing {slicing:?}");
+                assert_eq!(degraded, 0);
+            }
         }
     }
 
     #[test]
-    fn map_trials_batched_rejects_wrong_result_count() {
+    fn measure_rejects_wrong_result_count() {
         let u = FaultUniverse::enumerate(Geometry::bom(4), &UniverseSpec::single_cell());
-        let err = try_map_trials_batched(
-            u.geometry(),
-            1,
-            u.faults(),
-            Parallelism::Sequential,
-            |_lanes: &mut LaneRam, out: &mut Vec<bool>| out.push(true), // too few
-            |_, _| true,
-        )
-        .unwrap_err();
+        let prog = toy_program(u.geometry());
+        let err = Campaign::new(&u, &prog)
+            .with_parallelism(Parallelism::Sequential)
+            .try_measure(
+                || 0,
+                |_lanes: &mut LaneRam<8>, _slice, out: &mut Vec<bool>| out.push(true), // too few
+                |_, _| true,
+            )
+            .unwrap_err();
         assert!(
             matches!(&err, CampaignError::BadConfiguration { reason }
                 if reason.contains("one result per injected lane")),
             "expected BadConfiguration, got {err:?}"
         );
+    }
+
+    #[test]
+    fn measure_refuses_what_it_cannot_honour() {
+        // A progress sink would be silently dropped and a closure has no
+        // program to measure through: both are refused upfront, as is a
+        // bank over several backgrounds (one record per fault needs one
+        // program).
+        let u = FaultUniverse::enumerate(Geometry::bom(4), &UniverseSpec::single_cell());
+        let prog = toy_program(u.geometry());
+        let bank =
+            ProgramBank::new([(0u64, toy_program(u.geometry())), (1, toy_program(u.geometry()))]);
+        let refused = |result: Result<(Vec<bool>, usize), CampaignError>| {
+            assert!(matches!(result, Err(CampaignError::BadConfiguration { .. })), "{result:?}");
+        };
+        refused(Campaign::new(&u, &prog).with_progress(4, |_| {}).try_measure(
+            || 0,
+            detect_trial(&prog),
+            |_, ram| prog.detect(ram),
+        ));
+        refused(Campaign::new(&u, toy_runner).try_measure(
+            || 0,
+            detect_trial(&prog),
+            |_, ram| prog.detect(ram),
+        ));
+        refused(Campaign::new(&u, &bank).with_backgrounds(&[0, 1]).try_measure(
+            || 0,
+            detect_trial(&prog),
+            |_, ram| prog.detect(ram),
+        ));
     }
 
     /// The toy runner, compiled to the IR once for a given geometry.
@@ -2310,6 +2401,33 @@ mod tests {
             assert_eq!(uninterrupted, resumed, "threads={threads}");
             let _ = std::fs::remove_file(&path);
         }
+    }
+
+    #[test]
+    fn gather_keeps_the_contiguous_finished_prefix() {
+        // Runs arrive from any worker in any order. In fault order they
+        // extend the table up to the first gap, and a partial run (a
+        // chunk that died mid-way) ends the prefix; a permuted segment is
+        // scattered back to fault order first. Every run is drained.
+        let gathered = |runs: [Vec<(usize, Vec<u32>)>; 2], order: Option<&[u32]>| {
+            let mut pool: WorkerPool<'_, Worker<(), u32>> = WorkerPool::new(|| ((), Vec::new()));
+            pool.slots = runs.into_iter().map(|r| Some(((), r))).collect();
+            let mut records = vec![7];
+            gather(&mut pool, 1, order, &mut records);
+            assert!(pool.slots.iter().flatten().all(|(_, runs)| runs.is_empty()));
+            records
+        };
+        let gap =
+            [vec![(4, vec![14, 15]), (0, vec![10, 11])], vec![(2, vec![12, 13]), (8, vec![18])]];
+        assert_eq!(gathered(gap, None), [7, 10, 11, 12, 13, 14, 15]);
+        let partial = [vec![(0, vec![10, 11]), (4, vec![14, 15])], vec![(2, vec![12])]];
+        assert_eq!(gathered(partial, None), [7, 10, 11, 12]);
+        // Positions 0..4 hold faults 4, 1, 3, 2; fault 2's record is missing.
+        let order = [4, 1, 3, 2];
+        let permuted = [vec![(2, vec![13])], vec![(0, vec![14, 11])]];
+        assert_eq!(gathered(permuted, Some(&order)), [7, 11]);
+        let whole = [vec![(2, vec![13, 12])], vec![(0, vec![14, 11])]];
+        assert_eq!(gathered(whole, Some(&order)), [7, 11, 12, 13, 14]);
     }
 
     #[test]

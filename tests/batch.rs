@@ -4,16 +4,19 @@
 //! test family (March, π, PRT scheme, bit-plane scheme), every fault
 //! family — including the read/write-logic (RDF/DRDF/IRF/WDF),
 //! stuck-open and address-decoder families that batch since the decoder
-//! model landed — any lane position and any thread count; and the
-//! batched `map_trials` measurement mode must reproduce the scalar
-//! per-fault MISR signatures exactly, single- and multi-port. The scalar
-//! path — a closure over the same program, or a `map_trials` sweep of
+//! model landed — any lane position and any thread count; and batched
+//! signature collection, per lane chunk and through the campaign's
+//! measurement terminal, must reproduce the scalar per-fault MISR
+//! signatures exactly, single- and multi-port. The scalar path — a
+//! closure over the same program, or a `map_trials` sweep of
 //! `SignatureCollector::collect` — is the oracle; these are the
 //! acceptance tests of the lane-sliced refactor.
 
 mod common;
 
-use common::{mixed_universe, scalar, scalar_observations, test_threads};
+use common::{
+    mixed_universe, observe_lanes, observe_one, scalar, scalar_observations, test_threads,
+};
 use proptest::prelude::*;
 use prt_suite::prelude::*;
 
@@ -193,15 +196,62 @@ proptest! {
     }
 }
 
+/// `SignatureCollector::collect_batch` over `u`'s faults packed in list
+/// order into `64·K`-lane chunks, one `LaneRam<K>` per chunk.
+fn collected_at<const K: usize>(
+    u: &FaultUniverse,
+    collector: &SignatureCollector,
+    program: &TestProgram,
+) -> Vec<Observation> {
+    let mut out = Vec::with_capacity(u.len());
+    for chunk in u.faults().chunks(LaneRam::<K>::LANES) {
+        let mut lanes = LaneRam::<K>::with_ports(u.geometry(), program.ports()).expect("ports");
+        for (lane, fault) in chunk.iter().enumerate() {
+            lanes.inject(fault.clone(), lane).expect("inject");
+        }
+        collector.collect_batch(program, &mut lanes, &mut out);
+    }
+    out
+}
+
+/// The 512-lane arms: a measurement campaign over `u` at `threads`
+/// workers, planned with `collect_batch` as the lane trial, or forced
+/// sliced with `observe_lanes`, which runs the slice the plan hands it.
+fn measured(
+    u: &FaultUniverse,
+    collector: &SignatureCollector,
+    program: &TestProgram,
+    threads: usize,
+    sliced: bool,
+) -> Vec<Observation> {
+    let campaign = Campaign::new(u, program)
+        .with_ports(program.ports())
+        .with_parallelism(Parallelism::Threads(threads));
+    let one = observe_one(collector, program);
+    if sliced {
+        campaign.with_slicing(true).try_measure(|| 0, observe_lanes(collector, program), one)
+    } else {
+        campaign.try_measure(
+            || 0,
+            |lanes, _slice, out| collector.collect_batch(program, lanes, out),
+            one,
+        )
+    }
+    .expect("measurement sweep")
+    .0
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// BATCHED MEASUREMENT ≡ SCALAR MEASUREMENT: `try_map_trials_batched`
-    /// signature collection must reproduce, per fault index, the exact
-    /// MISR signature and execution summary the scalar `collect` path
-    /// measures — for random March programs, sizes, cell widths, MISR
-    /// polynomials (degree 1..=64, random middle taps, `g0 = 1`) and
-    /// thread counts, at every lane-chunk width. Every case puts the cell
+    /// BATCHED MEASUREMENT ≡ SCALAR MEASUREMENT: batched signature
+    /// collection must reproduce, per fault index, the exact MISR
+    /// signature and execution summary the scalar `collect` path measures
+    /// — for random March programs, sizes, cell widths, MISR polynomials
+    /// (degree 1..=64, random middle taps, `g0 = 1`) and thread counts, at
+    /// every lane-chunk width: 64 and 256 lanes per `collect_batch` chunk,
+    /// 512 through the measurement campaign, planned and forced onto the
+    /// sliced observed pass over locality-ordered batches. Every case puts the cell
     /// width `m` below, at and above the register width `k`, so the
     /// bit-sliced register absorbs zero-padded, exact and truncated words.
     #[test]
@@ -213,24 +263,6 @@ proptest! {
         degree in 1u32..65,
         taps in any::<u64>(),
     ) {
-        fn batched_at<const K: usize>(
-            geom: Geometry,
-            u: &FaultUniverse,
-            collector: &SignatureCollector,
-            program: &TestProgram,
-            threads: usize,
-        ) -> Vec<Observation> {
-            prt_sim::try_map_trials_batched::<K, _, _, _>(
-                geom,
-                1,
-                u.faults(),
-                Parallelism::Threads(threads),
-                |lanes, out| collector.collect_batch(program, lanes, out),
-                |_, ram| collector.collect(program, ram).expect("single-port run"),
-            )
-            .expect("batched sweep")
-            .0
-        }
         let tests = march_library::all();
         let test = &tests[test_idx % tests.len()];
         let threads = test_threads(threads);
@@ -250,16 +282,17 @@ proptest! {
                     ram.inject(u.faults()[i].clone()).expect("valid");
                     collector.collect(&program, ram).expect("single-port run")
                 });
-            for (lanes, batched) in [
-                (64usize, batched_at::<1>(geom, &u, &collector, &program, threads)),
-                (256, batched_at::<4>(geom, &u, &collector, &program, threads)),
-                (512, batched_at::<8>(geom, &u, &collector, &program, threads)),
+            for (arm, batched) in [
+                ("64 lanes", collected_at::<1>(&u, &collector, &program)),
+                ("256 lanes", collected_at::<4>(&u, &collector, &program)),
+                ("512 lanes planned", measured(&u, &collector, &program, threads, false)),
+                ("512 lanes sliced", measured(&u, &collector, &program, threads, true)),
             ] {
                 for (i, (s, b)) in scalar.iter().zip(&batched).enumerate() {
                     prop_assert_eq!(
                         s, b,
-                        "{}: observation diverged on {} (m={}, poly={:?}, lanes={}, threads={})",
-                        test.name(), &u.faults()[i], m, poly, lanes, threads
+                        "{}: observation diverged on {} (m={}, poly={:?}, {}, threads={})",
+                        test.name(), &u.faults()[i], m, poly, arm, threads
                     );
                 }
             }
@@ -274,27 +307,11 @@ proptest! {
 /// as the escape observation (reference signature, default execution).
 /// `collect_batch` freezes the same lanes and must substitute exactly
 /// that observation, while every other lane keeps its scalar observation
-/// — at every lane-chunk width and thread count.
+/// — at every lane-chunk width, and at every thread count through the
+/// measurement campaign, planned and forced onto the sliced observed
+/// pass.
 #[test]
 fn multi_port_signature_map_batched_equals_scalar() {
-    fn batched_at<const K: usize>(
-        u: &FaultUniverse,
-        collector: &SignatureCollector,
-        program: &TestProgram,
-        threads: usize,
-    ) -> Vec<Observation> {
-        let escape = Observation { signature: collector.reference(), exec: Execution::default() };
-        prt_sim::try_map_trials_batched::<K, _, _, _>(
-            u.geometry(),
-            program.ports(),
-            u.faults(),
-            Parallelism::Threads(threads),
-            |lanes, out| collector.collect_batch(program, lanes, out),
-            |_, ram| collector.collect(program, ram).unwrap_or(escape),
-        )
-        .expect("batched sweep")
-        .0
-    }
     let pi = PiTest::new(gf16(), &[1, 2, 2], &[3, 7]).expect("config");
     let geom = Geometry::wom(12, 4).expect("geometry");
     let u = mixed_universe(geom);
@@ -320,16 +337,17 @@ fn multi_port_signature_map_batched_equals_scalar() {
             .collect();
         assert!(conflicts > 0, "{}: no trial hit a write-write conflict", program.name());
         for threads in [1usize, 4].map(test_threads) {
-            for (lanes, batched) in [
-                (64usize, batched_at::<1>(&u, &collector, &program, threads)),
-                (256, batched_at::<4>(&u, &collector, &program, threads)),
-                (512, batched_at::<8>(&u, &collector, &program, threads)),
+            for (arm, batched) in [
+                ("64 lanes", collected_at::<1>(&u, &collector, &program)),
+                ("256 lanes", collected_at::<4>(&u, &collector, &program)),
+                ("512 lanes planned", measured(&u, &collector, &program, threads, false)),
+                ("512 lanes sliced", measured(&u, &collector, &program, threads, true)),
             ] {
                 for (i, (s, b)) in scalar.iter().zip(&batched).enumerate() {
                     assert_eq!(
                         s,
                         b,
-                        "{}: observation diverged on {} (lanes={lanes}, threads={threads})",
+                        "{}: observation diverged on {} ({arm}, threads={threads})",
                         program.name(),
                         &u.faults()[i]
                     );
@@ -425,7 +443,7 @@ fn geometry_mismatched_detect_batch_is_loud() {
 }
 
 /// BATCHED DICTIONARY ≡ SCALAR SWEEP: a `FaultDictionary` built on the
-/// lane-batched `map_trials` mode must carry, per fault, the observation
+/// lane-batched measurement campaign must carry, per fault, the observation
 /// (MISR signature and execution summary) the scalar `collect` sweep
 /// measures, over a universe spanning every family. Equal observations
 /// index to equal statistics (the prt-diag unit test pins that step).
@@ -448,6 +466,29 @@ fn dictionary_build_batched_equals_scalar() {
                 &u.faults()[i]
             );
             assert_eq!(s, b, "observation diverged on {}", &u.faults()[i]);
+        }
+    }
+}
+
+/// A DICTIONARY OVER A NON-ZERO BACKGROUND: March compilers declare the
+/// data background they bake in, and a campaign refuses a program whose
+/// background differs from its own (`BackgroundMismatch`). The build must
+/// therefore run its campaign on the program's background — and still
+/// carry the scalar sweep's observations, on BOM and on WOM.
+#[test]
+fn dictionary_over_nonzero_background_equals_scalar() {
+    let poly = Poly2::from_bits(0b1_0001_1011);
+    for (geom, bg) in [(Geometry::bom(12), 1u64), (Geometry::wom(8, 4).expect("geometry"), 0b0101)]
+    {
+        let u = mixed_universe(geom);
+        let program =
+            Executor::new().with_background(bg).compile(&march_library::march_diag(), geom);
+        assert_eq!(program.background(), Some(bg));
+        let scalar = scalar_observations(&u, &program, poly);
+        for threads in [1usize, 4] {
+            let built = FaultDictionary::build(&u, &program, poly, Parallelism::Threads(threads))
+                .expect("non-zero background build");
+            assert_eq!(scalar, built.observations(), "{geom:?}, bg={bg:#x}, threads={threads}");
         }
     }
 }

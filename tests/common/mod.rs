@@ -70,7 +70,6 @@ pub fn scalar_observations(
     poly: Poly2,
 ) -> Vec<Observation> {
     let collector = SignatureCollector::new(program, poly).expect("collector");
-    let escape = Observation { signature: collector.reference(), exec: Execution::default() };
     let faults = universe.faults();
     prt_sim::map_trials(
         universe.geometry(),
@@ -79,7 +78,57 @@ pub fn scalar_observations(
         Parallelism::Sequential,
         |i, ram| {
             ram.inject(faults[i].clone()).expect("universe faults are valid");
-            collector.collect(program, ram).unwrap_or(escape)
+            collector.collect(program, ram).unwrap_or_else(|_| escape(&collector))
         },
     )
+}
+
+/// The escape observation a dictionary records for a device error.
+fn escape(collector: &SignatureCollector) -> Observation {
+    Observation { signature: collector.reference(), exec: Execution::default() }
+}
+
+/// The lane trial of a dictionary measurement through the public API,
+/// for campaigns driven through `Campaign::try_measure`. The full pass is
+/// `SignatureCollector::collect_batch`. A slice from the campaign's plan
+/// runs the sliced observed pass instead, and each lane's read stream is
+/// compacted with the scalar `SignatureCollector::compact` (the
+/// bit-sliced collector's sliced form is crate-private); a lane frozen by
+/// a device error records the escape observation, as a dictionary does.
+pub fn observe_lanes<'c>(
+    collector: &'c SignatureCollector,
+    program: &'c TestProgram,
+) -> impl Fn(&mut LaneRam<8>, Option<(&ActivityIndex, &ActiveSet)>, &mut Vec<Observation>) + Sync + 'c
+{
+    move |ram, slice, out| {
+        let Some((index, active)) = slice else {
+            return collector.collect_batch(program, ram, out);
+        };
+        let mut execs = vec![Execution::default(); LaneRam::<8>::LANES];
+        let mut streams = vec![Vec::new(); ram.active_lanes().count_ones() as usize];
+        program
+            .try_execute_batch_observed_sliced(ram, index, active, &mut execs, &mut |planes| {
+                for (lane, stream) in streams.iter_mut().enumerate() {
+                    stream.push(lane_word(planes, lane));
+                }
+            })
+            .expect("valid batch");
+        let errored = ram.errored_lanes();
+        out.extend(streams.into_iter().enumerate().map(|(lane, stream)| {
+            if errored.get(lane) {
+                escape(collector)
+            } else {
+                Observation { signature: collector.compact(stream), exec: execs[lane] }
+            }
+        }));
+    }
+}
+
+/// The scalar trial matching [`observe_lanes`]: `collect`, a device error
+/// recorded as the escape observation.
+pub fn observe_one<'c>(
+    collector: &'c SignatureCollector,
+    program: &'c TestProgram,
+) -> impl Fn(usize, &mut Ram) -> Observation + Sync + 'c {
+    move |_, ram| collector.collect(program, ram).unwrap_or_else(|_| escape(collector))
 }

@@ -11,7 +11,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::temp_ckpt;
+use common::{observe_lanes, observe_one, scalar_observations, temp_ckpt};
 use proptest::prelude::*;
 use prt_sim::chaos::{self, ChaosPlan};
 use prt_sim::checkpoint;
@@ -213,6 +213,39 @@ proptest! {
             prop_assert!(degraded.degraded_batches() >= 1, "batch kill must be counted");
             prop_assert!(degraded.partial().is_none(), "degradation is not a partial run");
             prop_assert_eq!(clean.rows(), degraded.rows(), "forced sliced {}", sliced);
+        }
+    }
+
+    /// The measurement terminal under every dictionary build degrades the
+    /// same way: a killed lane batch retries on the scalar trial, the
+    /// observations stay exact and the degradation is counted — on the
+    /// planned engine and the forced sliced one.
+    #[test]
+    fn killed_measurement_batch_degrades_to_exact_observations(
+        n in 6usize..10,
+        pick in any::<u64>(),
+        threads in 1usize..5,
+    ) {
+        let u = universe(n);
+        let program = Executor::new().compile(&march_library::march_diag(), u.geometry());
+        let poly = Poly2::from_bits(0b1_0001_1011);
+        let exact = scalar_observations(&u, &program, poly);
+        let collector = SignatureCollector::new(&program, poly).expect("collector");
+        let (lanes, one) = (observe_lanes(&collector, &program), observe_one(&collector, &program));
+        let starts: Vec<usize> = (0..u.len()).step_by(LaneRam::<8>::LANES).collect();
+        let target = starts[pick as usize % starts.len()];
+        for sliced in [false, true] {
+            let plan = Arc::new(ChaosPlan::new().panic_on_batch(target));
+            let mut c = Campaign::new(&u, &program)
+                .with_parallelism(Parallelism::Threads(threads))
+                .with_chaos(plan);
+            if sliced {
+                c = c.with_slicing(true);
+            }
+            let (observations, degraded) =
+                c.try_measure(|| 0, &lanes, &one).expect("a killed batch degrades");
+            prop_assert!(degraded >= 1, "batch kill must be counted (forced sliced {})", sliced);
+            prop_assert_eq!(&exact, &observations, "forced sliced {}", sliced);
         }
     }
 }

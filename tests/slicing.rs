@@ -13,8 +13,12 @@
 
 mod common;
 
-use common::{mixed_universe, scalar, scalar_observations, temp_ckpt, test_threads};
+use common::{
+    mixed_universe, observe_lanes, observe_one, scalar, scalar_observations, temp_ckpt,
+    test_threads,
+};
 use proptest::prelude::*;
+use prt_ram::SlotOp;
 use prt_sim::checkpoint;
 use prt_suite::prelude::*;
 
@@ -327,16 +331,24 @@ proptest! {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// SLICED DICTIONARY ≡ SCALAR SWEEP: the batched dictionary build
-    /// slices through the `SignatureCollector`'s activity index — every
-    /// per-fault signature and execution summary must match the scalar
-    /// `collect` sweep exactly (equal observations index to equal
-    /// statistics).
+    /// SLICED DICTIONARY ≡ SCALAR SWEEP: every per-fault signature and
+    /// execution summary of a dictionary measurement must match the
+    /// scalar `collect` sweep exactly (equal observations index to equal
+    /// statistics) — for the planned `FaultDictionary::build`, which runs
+    /// these dense universes on the full pass, and for measurement
+    /// campaigns forced onto each engine, the sliced one over
+    /// locality-ordered batches included. A measurement checkpointed under
+    /// one forced engine, rewound to an arbitrary prefix and resumed under
+    /// the other at another thread count must land on the same
+    /// observations.
     #[test]
     fn sliced_dictionary_build_equals_scalar(
         test_idx in 0usize..3,
         n in 6usize..14,
         threads in 1usize..5,
+        cut_permille in 0usize..1000,
+        every in 5usize..60,
+        first_sliced in any::<bool>(),
     ) {
         let geom = Geometry::bom(n);
         let u = mixed_universe(geom);
@@ -345,15 +357,98 @@ proptest! {
         let program = Executor::new().compile(&tests[test_idx], geom);
         let poly = Poly2::from_bits(0b1_0001_1011);
         let scalar = scalar_observations(&u, &program, poly);
-        let sliced =
-            FaultDictionary::build(&u, &program, poly, Parallelism::Threads(test_threads(threads)))
-                .expect("sliced batched build");
-        prop_assert_eq!(scalar.len(), sliced.observations().len());
-        for (i, (s, b)) in scalar.iter().zip(sliced.observations()).enumerate() {
+        let threads = test_threads(threads);
+        let planned = FaultDictionary::build(&u, &program, poly, Parallelism::Threads(threads))
+            .expect("planned batched build");
+        prop_assert_eq!(scalar.len(), planned.observations().len());
+        for (i, (s, b)) in scalar.iter().zip(planned.observations()).enumerate() {
             prop_assert_eq!(
                 s, b,
                 "observation diverged on {} ({})", &u.faults()[i], tests[test_idx].name()
             );
+        }
+        let collector = SignatureCollector::new(&program, poly).expect("collector");
+        let (lanes, one) = (observe_lanes(&collector, &program), observe_one(&collector, &program));
+        let fingerprint = || FaultDictionary::fingerprint(&u, &program, poly);
+        let campaign = |sliced: bool, threads: usize| {
+            Campaign::new(&u, &program)
+                .with_slicing(sliced)
+                .with_parallelism(Parallelism::Threads(threads))
+        };
+        for sliced in [true, false] {
+            let (forced, _) =
+                campaign(sliced, threads).try_measure(fingerprint, &lanes, &one).expect("forced");
+            prop_assert_eq!(&scalar, &forced, "{} forced sliced {}", tests[test_idx].name(), sliced);
+        }
+        let path = temp_ckpt("dict-slice");
+        let (first, _) = campaign(first_sliced, threads)
+            .with_checkpoint(&path, every)
+            .try_measure(fingerprint, &lanes, &one)
+            .expect("checkpointed measurement");
+        prop_assert_eq!(&scalar, &first);
+        let fp = checkpoint::peek_fingerprint(&path).unwrap();
+        let saved: Vec<Observation> = checkpoint::load_records(&path, fp, u.len()).unwrap().unwrap();
+        let cut = saved.len() * cut_permille / 1000;
+        checkpoint::save_records(&path, fp, u.len(), &saved[..cut]).unwrap();
+        let (resumed, _) = campaign(!first_sliced, test_threads(threads % 4 + 1))
+            .with_checkpoint(&path, every)
+            .try_measure(fingerprint, &lanes, &one)
+            .expect("resumed measurement");
+        prop_assert_eq!(&scalar, &resumed);
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// A March-like walk on `ports` ports: for each data word, every cycle
+/// writes `ports` consecutive cells, then the cells are read back the
+/// same way. A decoder fault whose extra cell is the next address folds two of
+/// a cycle's writes onto one cell: a write-write conflict.
+fn multi_port_walk(geom: Geometry, ports: usize) -> TestProgram {
+    let mut b = ProgramBuilder::new(geom).with_name(format!("{ports}-port walk"));
+    let cells = geom.cells() as u32;
+    for data in [0b1111, 0] {
+        let writes: Vec<_> = (0..cells).map(|addr| SlotOp::Write { addr, data }).collect();
+        let reads: Vec<_> =
+            (0..cells).map(|addr| SlotOp::ReadExpect { addr, expect: data }).collect();
+        writes.chunks(ports).chain(reads.chunks(ports)).for_each(|cycle| b.cyclen(cycle));
+    }
+    b.build()
+}
+
+/// MULTI-PORT SLICED DICTIONARY ≡ SCALAR SWEEP: single-cell and decoder
+/// faults on WOM 256×4 under dual- and quad-port walks. Lane chunks here
+/// span a fraction of the array, so the planned dictionary build runs the
+/// collector's sliced pass: it skips cycles, absorbs their reference
+/// responses and freezes the lanes whose decoder fault makes a
+/// write-write conflict. Every observation must equal the scalar sweep's,
+/// planned and on both forced engines.
+#[test]
+fn multi_port_sparse_dictionary_equals_scalar() {
+    let geom = Geometry::wom(256, 4).expect("geometry");
+    let spec = UniverseSpec { af: true, ..UniverseSpec::single_cell() };
+    let u = FaultUniverse::enumerate(geom, &spec);
+    let poly = Poly2::from_bits(0b1_0001_1011);
+    let threads = test_threads(2);
+    for program in [multi_port_walk(geom, 2), multi_port_walk(geom, 4)] {
+        let scalar = scalar_observations(&u, &program, poly);
+        let conflicts = scalar.iter().filter(|o| o.exec == Execution::default()).count();
+        assert!(conflicts > 0, "{}: no trial hit a write-write conflict", program.name());
+        let planned = FaultDictionary::build(&u, &program, poly, Parallelism::Threads(threads))
+            .expect("planned build");
+        assert_eq!(scalar, planned.observations(), "{} planned", program.name());
+        let collector = SignatureCollector::new(&program, poly).expect("collector");
+        for sliced in [true, false] {
+            let (forced, _) = Campaign::new(&u, &program)
+                .with_ports(program.ports())
+                .with_slicing(sliced)
+                .with_parallelism(Parallelism::Threads(threads))
+                .try_measure(
+                    || 0,
+                    observe_lanes(&collector, &program),
+                    observe_one(&collector, &program),
+                )
+                .expect("forced measurement");
+            assert_eq!(scalar, forced, "{} forced sliced {sliced}", program.name());
         }
     }
 }
