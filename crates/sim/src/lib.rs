@@ -7,12 +7,17 @@
 //! hoists that loop out of the five places it used to be written and makes
 //! it fast:
 //!
-//! * **Pooled devices** — each worker keeps one [`Ram`] (or one lane
-//!   device on the batched path) for the whole campaign, across all its
-//!   streamed segments, and recycles it via [`Ram::reset_to`] +
-//!   [`Ram::eject_faults`], so the steady-state campaign performs **zero
-//!   heap allocation per fault** instead of two `Vec` allocations plus
-//!   fault-bank rebuilds per trial.
+//! * **Pooled devices** — each worker leases one [`Ram`] (or one lane
+//!   device on the batched path) from a process-wide cache keyed by
+//!   geometry and port count, and recycles it via [`Ram::reset_to`] +
+//!   [`Ram::eject_faults`] before every trial or lane batch, so the
+//!   steady-state campaign performs **zero heap allocation per fault**
+//!   instead of two `Vec` allocations plus fault-bank rebuilds per trial.
+//!   Leases end with each sweep and the devices go back to the cache, so
+//!   segments, campaigns, dictionary builds and service jobs that follow
+//!   on the same geometry and ports start on warm devices. The cache
+//!   keeps idle devices up to a fixed byte budget (16 MiB), never one
+//!   larger than it, and drops a device a trial panicked on.
 //! * **Parallel fan-out** — fault instances are independent, so workers
 //!   self-schedule over chunks of the instance index space: one private
 //!   scheduler (chunked work-stealing on scoped `std` threads — the
@@ -75,7 +80,7 @@
 //! measurement ([`Campaign::try_measure`]) records any checkpointable
 //! value per fault — a MISR signature for a fault dictionary, say — from
 //! a caller-supplied lane-batch trial. Both run the same segment loop,
-//! segment plan, checkpoints, chaos sites and worker pool.
+//! segment plan, checkpoints, chaos sites and device cache.
 //!
 //! # Resilience
 //!
@@ -94,7 +99,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::cell::OnceCell;
+use std::any::{Any, TypeId};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -104,7 +109,7 @@ use std::time::Duration;
 
 use prt_ram::{
     locality_order, ActiveSet, ActivityIndex, FaultKind, FaultUniverse, Geometry, LaneChunk,
-    LaneRam, Ram, TestProgram, Topology,
+    LaneRam, Ram, ReadWired, TestProgram, Topology,
 };
 
 #[cfg(any(test, feature = "chaos"))]
@@ -140,32 +145,36 @@ fn worker_panic(chunk: (usize, usize), payload: Box<dyn std::any::Any + Send>) -
 ///
 /// Up to `workers` workers (never more than there are units) claim the
 /// `units` work units (trial chunks or lane batches) in order from one
-/// atomic counter; worker `w` runs on the state (the pooled device) in
-/// slot `w` of `pool`, and a single worker runs on the calling thread. A
-/// claimed unit is dropped, ending that worker, once `cut` holds for it —
-/// the fail-fast early exit, sound because claims are monotone — or once
-/// `control` reports a stop. Every unit runs under `catch_unwind`: a
-/// panic poisons only its own unit and is reported with the unit's
-/// fault-index range (`span`). The first failure stops further claims; a
-/// contract error (`unit` returning `Err`) outranks a trial panic.
+/// atomic counter. Worker 0 runs on the calling thread and only the
+/// others are spawned, so a one-worker sweep spawns nothing. Each worker
+/// holds a [`Lease`] on one device of the process-wide cache, keyed by
+/// `device` (geometry, ports), and collects its output in a `W` of its
+/// own; the outputs come back in worker order. A claimed unit is
+/// dropped, ending that worker, once `cut` holds for it — the fail-fast
+/// early exit, sound because claims are monotone — or once `control`
+/// reports a stop. Every unit runs under `catch_unwind`: a panic poisons
+/// only its own unit, whose device is dropped rather than returned to
+/// the cache, and is reported with the unit's fault-index range (`span`).
+/// The first failure stops further claims; a contract error (`unit`
+/// returning `Err`) outranks a trial panic.
 ///
-/// Returns the stop cause when `control` ended the sweep early.
-fn sweep<S: Send>(
+/// Returns the workers' outputs and the stop cause when `control` ended
+/// the sweep early.
+fn sweep<D: Device, W: Default + Send>(
     units: usize,
     workers: usize,
     control: Option<&RunControl>,
+    device: (Geometry, usize),
     span: impl Fn(usize) -> (usize, usize) + Sync,
     cut: impl Fn(usize) -> bool + Sync,
-    pool: &mut WorkerPool<'_, S>,
-    unit: impl Fn(usize, &mut S) -> Result<(), CampaignError> + Sync,
-) -> Result<Option<StopCause>, CampaignError> {
+    unit: impl Fn(usize, &mut Lease<D>, &mut W) -> Result<(), CampaignError> + Sync,
+) -> (Vec<W>, Result<Option<StopCause>, CampaignError>) {
     let next = AtomicUsize::new(0);
     let failed = AtomicBool::new(false);
     let failure: Mutex<Option<CampaignError>> = Mutex::new(None);
     let stopped: OnceLock<StopCause> = OnceLock::new();
-    let init = &pool.init;
-    let worker = |pooled: &mut Option<S>| {
-        let state = pooled.get_or_insert_with(init);
+    let worker = |out: &mut W| {
+        let mut lease = Lease::new(device);
         while !failed.load(Ordering::Relaxed) {
             let u = next.fetch_add(1, Ordering::Relaxed);
             if u >= units || cut(u) {
@@ -175,8 +184,11 @@ fn sweep<S: Send>(
                 let _ = stopped.set(cause);
                 break;
             }
-            let outcome = catch_unwind(AssertUnwindSafe(|| unit(u, state)))
-                .unwrap_or_else(|payload| Err(worker_panic(span(u), payload)));
+            let outcome = catch_unwind(AssertUnwindSafe(|| unit(u, &mut lease, out)))
+                .unwrap_or_else(|payload| {
+                    lease.poison();
+                    Err(worker_panic(span(u), payload))
+                });
             if let Err(e) = outcome {
                 let is_panic = |e: &CampaignError| matches!(e, CampaignError::WorkerPanic { .. });
                 let mut slot = failure.lock().expect("failure slot lock");
@@ -187,42 +199,157 @@ fn sweep<S: Send>(
             }
         }
     };
-    let workers = workers.clamp(1, units.max(1));
-    if pool.slots.len() < workers {
-        pool.slots.resize_with(workers, || None);
-    }
-    let slots = &mut pool.slots[..workers];
-    if let [pooled] = slots {
-        worker(pooled);
+    let mut outs: Vec<W> = (0..workers.clamp(1, units.max(1))).map(|_| W::default()).collect();
+    let (first, rest) = outs.split_first_mut().expect("at least one worker");
+    if rest.is_empty() {
+        worker(first);
     } else {
         let worker = &worker;
         std::thread::scope(|scope| {
-            for pooled in slots {
-                scope.spawn(move || worker(pooled));
+            for out in rest {
+                scope.spawn(move || worker(out));
             }
+            worker(first);
         });
     }
-    match failure.into_inner().expect("failure slot lock") {
+    let outcome = match failure.into_inner().expect("failure slot lock") {
         Some(e) => Err(e),
         None => Ok(stopped.into_inner()),
+    };
+    (outs, outcome)
+}
+
+/// Bytes of idle devices the process-wide cache keeps. A device larger
+/// than this is never kept: a 2²⁰-cell 512-lane device holds 64 MiB, and
+/// building one costs little next to the campaign that needs it. When a
+/// check-in would exceed the budget, the devices checked in longest ago
+/// are dropped first.
+const IDLE_DEVICE_BYTES: usize = 16 << 20;
+
+/// A worker device the process-wide cache can hold between sweeps.
+///
+/// Reuse across sweeps, segments, campaigns and dictionary builds is
+/// sound for the reason reuse across one sweep's units is: every unit
+/// heals ([`Ram::eject_faults`]) and zero-resets ([`Ram::reset_to`]) its
+/// device before each trial or lane batch, and what those two leave
+/// alone, the port count and geometry, is the cache key. Only the bitline
+/// wiring a runner may set survives them, so a device going idle is
+/// restored to the default wiring.
+trait Device: Send + Sized + 'static {
+    /// A fresh device. Drivers validate the port count upfront
+    /// ([`validate_ports`]), so construction cannot fail here.
+    fn build(geom: Geometry, ports: usize) -> Self;
+
+    /// What an idle device counts against [`IDLE_DEVICE_BYTES`]: its
+    /// storage planes, the part that grows with the array.
+    fn bytes(geom: Geometry) -> usize;
+
+    /// Restores the settings the per-unit heal leaves alone.
+    fn settle(&mut self);
+}
+
+impl Device for Ram {
+    fn build(geom: Geometry, ports: usize) -> Ram {
+        Ram::with_ports(geom, ports).expect("valid port count")
+    }
+
+    fn bytes(geom: Geometry) -> usize {
+        geom.cells() * std::mem::size_of::<u64>()
+    }
+
+    fn settle(&mut self) {
+        self.set_wired(ReadWired::default());
     }
 }
 
-/// Worker states that outlive one sweep: worker `w` of every [`sweep`]
-/// over the pool runs on the state in slot `w`, built by `init` the
-/// first time a sweep needs it. A campaign streamed in many segments
-/// thus builds its pooled devices once instead of once per segment.
-/// Reuse is sound because every unit heals and zero-resets its device
-/// before each trial or lane batch. One-shot sweeps pass a pool of their
-/// own.
-struct WorkerPool<'i, S> {
-    slots: Vec<Option<S>>,
-    init: Box<dyn Fn() -> S + Sync + 'i>,
+impl Device for LaneState {
+    fn build(geom: Geometry, ports: usize) -> LaneState {
+        let ram = LaneRam::with_ports(geom, ports).expect("valid port count");
+        (ram, ActiveSet::new())
+    }
+
+    fn bytes(geom: Geometry) -> usize {
+        geom.cells() * geom.width() as usize * std::mem::size_of::<LaneChunk<CHUNK_WORDS>>()
+    }
+
+    fn settle(&mut self) {
+        self.0.set_wired(ReadWired::default());
+    }
 }
 
-impl<'i, S> WorkerPool<'i, S> {
-    fn new(init: impl Fn() -> S + Sync + 'i) -> WorkerPool<'i, S> {
-        WorkerPool { slots: Vec::new(), init: Box::new(init) }
+/// One idle device of the cache: its type, geometry and port count, the
+/// bytes it counts, and the device.
+struct Idle {
+    key: (TypeId, Geometry, usize),
+    bytes: usize,
+    device: Box<dyn Any + Send>,
+}
+
+/// The process-wide cache of idle worker devices, least recently
+/// checked in first, within [`IDLE_DEVICE_BYTES`].
+static IDLE: Mutex<Vec<Idle>> = Mutex::new(Vec::new());
+
+/// The idle list. A panic never holds the lock over a half-done change,
+/// so a poisoned lock still guards a consistent list.
+fn idle() -> std::sync::MutexGuard<'static, Vec<Idle>> {
+    IDLE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// A worker's hold on one device: checked out of the process-wide cache
+/// on first use (built when none idles under the key), checked back in
+/// when the lease ends. A device a unit panicked on is dropped instead
+/// ([`Lease::poison`]); the next use checks out another.
+struct Lease<D: Device> {
+    key: (Geometry, usize),
+    device: Option<D>,
+}
+
+impl<D: Device> Lease<D> {
+    fn new(key: (Geometry, usize)) -> Lease<D> {
+        Lease { key, device: None }
+    }
+
+    /// The leased device.
+    fn get(&mut self) -> &mut D {
+        let (geom, ports) = self.key;
+        self.device.get_or_insert_with(|| {
+            let key = (TypeId::of::<D>(), geom, ports);
+            let mut idle = idle();
+            match idle.iter().rposition(|entry| entry.key == key) {
+                Some(at) => *idle.remove(at).device.downcast().expect("keyed by type"),
+                None => {
+                    drop(idle);
+                    D::build(geom, ports)
+                }
+            }
+        })
+    }
+
+    /// Drops the leased device: a unit panicked on it, so its state is
+    /// not trusted again.
+    fn poison(&mut self) {
+        self.device = None;
+    }
+}
+
+impl<D: Device> Drop for Lease<D> {
+    fn drop(&mut self) {
+        let Some(mut device) = self.device.take() else { return };
+        let (geom, ports) = self.key;
+        let bytes = D::bytes(geom);
+        if bytes > IDLE_DEVICE_BYTES {
+            return;
+        }
+        device.settle();
+        let mut idle = idle();
+        let mut held = idle.iter().map(|entry| entry.bytes).sum::<usize>() + bytes;
+        let mut evict = 0;
+        while held > IDLE_DEVICE_BYTES {
+            held -= idle[evict].bytes;
+            evict += 1;
+        }
+        idle.drain(..evict);
+        idle.push(Idle { key: (TypeId::of::<D>(), geom, ports), bytes, device: Box::new(device) });
     }
 }
 
@@ -232,31 +359,24 @@ impl<'i, S> WorkerPool<'i, S> {
 /// depend on it.
 const CHUNK_WORDS: usize = 8;
 
-/// One campaign lane worker's pooled state: its device and its
-/// active-set scratch.
+/// One campaign lane worker's device: its lane memory and its active-set
+/// scratch.
 type LaneState = (LaneRam<CHUNK_WORDS>, ActiveSet);
 
-/// A campaign worker's pooled state plus the runs of records it finished
-/// since the last segment boundary: one run per work unit, as the unit's
-/// first schedule position in the segment and the records of its
-/// consecutive positions. Workers share nothing per fault; [`gather`]
-/// drains every worker's runs once per segment.
-type Worker<S, T> = (S, Vec<(usize, Vec<T>)>);
+/// The records one campaign worker finished in a segment: one run per
+/// work unit, as the unit's first schedule position in the segment and
+/// the records of its consecutive positions. Workers share nothing per
+/// fault; [`gather`] merges every worker's runs once per segment.
+type Runs<T> = Vec<(usize, Vec<T>)>;
 
 /// Extends `records`, the table of finished records, by the finished
-/// prefix of the segment that starts at fault `start`, and drains `pool`'s
-/// runs. Without an `order`, schedule position `p` is fault `start + p`:
-/// the runs are appended in position order up to the first gap. A
-/// permuted segment (position `p` is fault `order[p]`) is scattered back
-/// to fault order once.
-fn gather<S, T>(
-    pool: &mut WorkerPool<'_, Worker<S, T>>,
-    start: usize,
-    order: Option<&[u32]>,
-    records: &mut Vec<T>,
-) {
-    let mut runs: Vec<(usize, Vec<T>)> =
-        pool.slots.iter_mut().flatten().flat_map(|(_, runs)| runs.drain(..)).collect();
+/// prefix of the segment that starts at fault `start`, from the workers'
+/// `runs`. Without an `order`, schedule position `p` is fault
+/// `start + p`: the runs are appended in position order up to the first
+/// gap. A permuted segment (position `p` is fault `order[p]`) is
+/// scattered back to fault order once.
+fn gather<T>(runs: Vec<Runs<T>>, start: usize, order: Option<&[u32]>, records: &mut Vec<T>) {
+    let mut runs: Runs<T> = runs.into_iter().flatten().collect();
     match order {
         None => {
             runs.sort_unstable_by_key(|&(first, _)| first);
@@ -359,12 +479,6 @@ fn chunk_len(count: usize, workers: usize) -> usize {
     (count / (workers * 8)).clamp(1, MAX_CHUNK)
 }
 
-/// A pooled scalar device. Drivers validate the port count upfront
-/// ([`validate_ports`]), so construction cannot fail here.
-fn pooled_ram(geom: Geometry, ports: usize) -> Ram {
-    Ram::with_ports(geom, ports).expect("valid port count")
-}
-
 /// How a campaign distributes its trials.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
@@ -379,10 +493,10 @@ pub enum Parallelism {
 }
 
 impl Parallelism {
-    /// Workers for a sweep of `trials` trials. `cores` supplies the
-    /// host's core count; only [`Parallelism::Auto`] at or above the
-    /// threshold reads it.
-    fn workers(self, trials: usize, cores: impl FnOnce() -> usize) -> usize {
+    /// Workers for a sweep of `trials` trials. Only
+    /// [`Parallelism::Auto`] at or above the threshold reads the host's
+    /// core count.
+    fn workers(self, trials: usize) -> usize {
         let w = match self {
             Parallelism::Sequential => 1,
             Parallelism::Threads(n) => n.max(1),
@@ -390,7 +504,7 @@ impl Parallelism {
                 if trials < AUTO_PARALLEL_THRESHOLD {
                     1
                 } else {
-                    cores()
+                    available_cores()
                 }
             }
         };
@@ -398,10 +512,13 @@ impl Parallelism {
     }
 }
 
-/// The host's core count. `available_parallelism` re-reads the cgroup
-/// CPU quota on every call, so a campaign reads it at most once per run.
+/// The host's core count, read once per process. `available_parallelism`
+/// re-reads the cgroup CPU quota on every call, which costs about 19 µs
+/// on a 2-vCPU container, more than a small campaign's fan-out. A quota
+/// changed while the process runs is not seen.
 fn available_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Something that can run one prepared, single-fault memory and report
@@ -670,12 +787,12 @@ impl FaultRunner for &ProgramBank {
 ///
 /// This is the engine's lowest-level primitive (Monte-Carlo campaigns use
 /// it directly; [`Campaign`] builds fault-universe sweeps on top). Each
-/// worker owns one `Ram`; before every trial the device is healed
-/// ([`Ram::eject_faults`]) and zero-reset ([`Ram::reset_to`]), so `trial`
-/// always observes a pristine memory and the steady state allocates
-/// nothing beyond what `trial` itself allocates. Results land in
-/// write-once slots in trial order, so the output is deterministic and
-/// independent of the parallelism policy.
+/// worker leases one `Ram` from the process-wide device cache; before
+/// every trial the device is healed ([`Ram::eject_faults`]) and
+/// zero-reset ([`Ram::reset_to`]), so `trial` always observes a pristine
+/// memory and the steady state allocates nothing beyond what `trial`
+/// itself allocates. Results land in write-once slots in trial order, so
+/// the output is deterministic and independent of the parallelism policy.
 ///
 /// # Panics
 ///
@@ -719,7 +836,7 @@ where
     F: Fn(usize, &mut Ram) -> T + Sync,
 {
     validate_ports(geom, ports)?;
-    let workers = parallelism.workers(count, available_cores);
+    let workers = parallelism.workers(count);
     let chunk = chunk_len(count, workers);
     let range = |c: usize| (c * chunk, ((c + 1) * chunk).min(count));
     let results: Vec<OnceLock<T>> = (0..count).map(|_| OnceLock::new()).collect();
@@ -727,10 +844,11 @@ where
         count.div_ceil(chunk),
         workers,
         None,
+        (geom, ports),
         range,
         |_| false,
-        &mut WorkerPool::new(|| pooled_ram(geom, ports)),
-        |c, ram| {
+        |c, lease: &mut Lease<Ram>, _: &mut ()| {
+            let ram = lease.get();
             let (lo, hi) = range(c);
             for (i, slot) in results.iter().enumerate().take(hi).skip(lo) {
                 ram.eject_faults();
@@ -740,7 +858,8 @@ where
             }
             Ok(())
         },
-    )?;
+    )
+    .1?;
     Ok(filled(results))
 }
 
@@ -750,7 +869,7 @@ fn filled<T>(slots: Vec<OnceLock<T>>) -> Vec<T> {
 }
 
 /// Validates the pooled-device configuration once, upfront, so workers
-/// can `expect` their pool construction.
+/// can `expect` their device builds.
 fn validate_ports(geom: Geometry, ports: usize) -> Result<(), CampaignError> {
     Ram::with_ports(geom, ports).map(drop).map_err(|e| CampaignError::BadConfiguration {
         reason: format!("cannot pool {ports}-port memories: {e}"),
@@ -833,6 +952,17 @@ struct DriveCtx<'t> {
     control: &'t RunControl,
     /// Lane batches degraded to the scalar oracle so far.
     degraded: &'t AtomicUsize,
+}
+
+/// One swept segment as the segment loop receives it.
+struct SegmentRun<T> {
+    /// The schedule's permutation when the segment ran sliced in
+    /// locality order, `None` when it ran in fault order.
+    order: Option<Vec<u32>>,
+    /// Each worker's finished runs, for [`gather`].
+    runs: Vec<Runs<T>>,
+    /// The sweep's outcome: the stop cause, or the failure.
+    outcome: Result<Option<StopCause>, CampaignError>,
 }
 
 impl<'a, R: FaultRunner> Campaign<'a, R> {
@@ -991,10 +1121,10 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     /// effective segment length is the smaller of the two cadences.
     /// `every` is clamped to ≥ 1. The sink runs on the driving thread,
     /// between segments — a slow sink throttles the campaign, not the
-    /// verdicts. A segment boundary costs one sink call and nothing
-    /// else: the engine and the workers' pooled devices are chosen once
-    /// per run and carry over from segment to segment, so a fine
-    /// cadence does not rebuild devices.
+    /// verdicts. A segment boundary costs one sink call and little else:
+    /// the engine is chosen once per run, and each segment's workers
+    /// lease warm devices from the process-wide cache and return them at
+    /// its end, so a fine cadence does not rebuild devices.
     pub fn with_progress(
         mut self,
         every: usize,
@@ -1102,8 +1232,8 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     /// measurement terminal beside detection, and the engine under every
     /// fault dictionary. It runs the detection engine: the same segment
     /// loop, per-segment plan (the full pass in list order, or slices in
-    /// locality order; [`Campaign::with_slicing`] forces either), worker
-    /// pool, checkpoints ([`Campaign::with_checkpoint`]) and deadline,
+    /// locality order; [`Campaign::with_slicing`] forces either), device
+    /// cache, checkpoints ([`Campaign::with_checkpoint`]) and deadline,
     /// cancellation and chaos sites. Records land by fault
     /// index, so the result is identical under every plan and at any
     /// parallelism and resumes bit-identically from a checkpoint.
@@ -1176,8 +1306,7 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         let progress = self.drive_segments(
             fingerprint,
             |_, _| {},
-            || self.lane_state(),
-            |seg, workers, ctx, pool| self.drive_batched(seg, workers, &runner, ctx, pool),
+            |seg, workers, ctx| self.drive_batched(seg, workers, &runner, ctx),
         )?;
         self.complete(progress)
     }
@@ -1211,9 +1340,9 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     /// validates the configuration upfront, then picks the engine once
     /// for the whole campaign from the runner — scalar for a closure,
     /// lane-batched for a compiled program — and runs every segment of
-    /// it on that engine, on one pool of devices
-    /// ([`Campaign::drive_segments`]). A lane-batched segment plans full
-    /// pass or sliced on its own ([`Campaign::drive_batched`]).
+    /// it on that engine ([`Campaign::drive_segments`]). A lane-batched
+    /// segment plans full pass or sliced on its own
+    /// ([`Campaign::drive_batched`]).
     fn try_progress(&self) -> Result<Progress<bool>, CampaignError> {
         self.runner.validate(self.geom, self.ports, &self.backgrounds)?;
         validate_ports(self.geom, self.ports)?;
@@ -1224,12 +1353,9 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             }
         };
         let Some(programs) = self.batch_plan() else {
-            return self.drive_segments(
-                fingerprint,
-                emit,
-                || pooled_ram(self.geom, self.ports),
-                |seg, workers, ctx, pool| self.drive_scalar(seg, workers, ctx, pool),
-            );
+            return self.drive_segments(fingerprint, emit, |seg, workers, ctx| {
+                self.drive_scalar(seg, workers, ctx)
+            });
         };
         let runner = LaneRunner {
             programs: &programs,
@@ -1244,19 +1370,9 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             },
             scalar_trial: |_, ram: &mut Ram| self.detect_injected(ram),
         };
-        self.drive_segments(
-            fingerprint,
-            emit,
-            || self.lane_state(),
-            |seg, workers, ctx, pool| self.drive_batched(seg, workers, &runner, ctx, pool),
-        )
-    }
-
-    /// A fresh pooled lane worker state.
-    fn lane_state(&self) -> LaneState {
-        let ram =
-            LaneRam::<CHUNK_WORDS>::with_ports(self.geom, self.ports).expect("valid port count");
-        (ram, ActiveSet::new())
+        self.drive_segments(fingerprint, emit, |seg, workers, ctx| {
+            self.drive_batched(seg, workers, &runner, ctx)
+        })
     }
 
     /// The segment loop under both terminals: resumes from a checkpoint
@@ -1264,28 +1380,21 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     /// only then), then drives the universe in **segments** (the finer
     /// of the checkpoint and progress cadences per segment; the whole
     /// remainder when neither is armed) through `segment`, which returns
-    /// its schedule's permutation (`None` when it ran in fault order) and
-    /// its outcome. After each segment it [`gather`]s the runs its
+    /// its [`SegmentRun`]. After each segment it [`gather`]s the runs its
     /// workers finished into the one table of finished records, up to the
     /// segment's contiguous finished prefix, checkpoints that table and
     /// hands the new records to `emit` — both straight from the table, no
-    /// copy. One pool of worker states (built by `init`) serves every
-    /// segment, and the core count is read at most once, so a segment
-    /// boundary costs a progress call, not fresh devices. Worker panics
-    /// poison only their chunk; deadline and cancellation stop the
-    /// fan-out at chunk boundaries; a panicking lane batch degrades to the
-    /// scalar oracle.
-    fn drive_segments<S: Send, T: CheckpointRecord + Send>(
+    /// copy. Every segment's workers lease their devices from the
+    /// process-wide cache and return them at its end, so a segment
+    /// boundary costs a progress call and a cache round trip, not fresh
+    /// devices. Worker panics poison only their chunk; deadline and
+    /// cancellation stop the fan-out at chunk boundaries; a panicking lane
+    /// batch degrades to the scalar oracle.
+    fn drive_segments<T: CheckpointRecord + Send>(
         &self,
         fingerprint: impl FnOnce() -> u64,
         emit: impl Fn(usize, &[T]),
-        init: impl Fn() -> S + Sync,
-        segment: impl Fn(
-            Range<usize>,
-            usize,
-            &DriveCtx<'_>,
-            &mut WorkerPool<'_, Worker<S, T>>,
-        ) -> (Option<Vec<u32>>, Result<Option<StopCause>, CampaignError>),
+        segment: impl Fn(Range<usize>, usize, &DriveCtx<'_>) -> SegmentRun<T>,
     ) -> Result<Progress<T>, CampaignError> {
         let total = self.faults.len();
         let spool = self.checkpoint.as_ref().map(|(path, _)| (path, fingerprint()));
@@ -1302,8 +1411,6 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         let degraded = AtomicUsize::new(0);
         let control = RunControl::new(self.deadline, self.cancel.clone());
         let ctx = DriveCtx { control: &control, degraded: &degraded };
-        let mut pool = WorkerPool::new(|| (init(), Vec::new()));
-        let cores = OnceCell::new();
         let mut stopped = None;
         // Segment length: the finer of the checkpoint cadence and the
         // progress cadence (one whole-remainder segment when neither is
@@ -1317,10 +1424,9 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         while records.len() < total {
             let start = records.len();
             let end = start.saturating_add(step).min(total);
-            let workers =
-                self.parallelism.workers(end - start, || *cores.get_or_init(available_cores));
-            let (order, outcome) = segment(start..end, workers, &ctx, &mut pool);
-            gather(&mut pool, start, order.as_deref(), &mut records);
+            let SegmentRun { order, runs, outcome } =
+                segment(start..end, self.parallelism.workers(end - start), &ctx);
+            gather(runs, start, order.as_deref(), &mut records);
             if let Some((path, fp)) = &spool {
                 checkpoint::save_records(path, *fp, total, &records)?;
             }
@@ -1382,7 +1488,7 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         fp.finish()
     }
 
-    /// Scalar segment `seg`: chunks of trials on `workers` pooled
+    /// Scalar segment `seg`: chunks of trials on `workers` leased
     /// [`Ram`]s, run by the shared scheduler ([`sweep`]) with the control
     /// polled before every chunk.
     fn drive_scalar(
@@ -1390,20 +1496,20 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         seg: Range<usize>,
         workers: usize,
         ctx: &DriveCtx<'_>,
-        pool: &mut WorkerPool<'_, Worker<Ram, bool>>,
-    ) -> (Option<Vec<u32>>, Result<Option<StopCause>, CampaignError>) {
+    ) -> SegmentRun<bool> {
         let Range { start, end } = seg;
         let count = end - start;
         let chunk = chunk_len(count, workers);
         let range = |c: usize| (start + c * chunk, (start + (c + 1) * chunk).min(end));
-        let outcome = sweep(
+        let (runs, outcome) = sweep(
             count.div_ceil(chunk),
             workers,
             Some(ctx.control),
+            (self.geom, self.ports),
             range,
             |_| false,
-            pool,
-            |c, (ram, runs)| {
+            |c, lease: &mut Lease<Ram>, runs: &mut Runs<bool>| {
+                let ram = lease.get();
                 let (lo, hi) = range(c);
                 // The run opens first, so a trial panic keeps the chunk's
                 // finished prefix.
@@ -1418,10 +1524,10 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
                 Ok(())
             },
         );
-        (None, outcome)
+        SegmentRun { order: None, runs, outcome }
     }
 
-    /// Lane-batched segment `seg` on `workers` pooled lane devices, for
+    /// Lane-batched segment `seg` on `workers` leased lane devices, for
     /// detection and measurement alike: faults are packed 512 per
     /// [`LaneRam`] chunk and each batch runs the runner's lane trial, so
     /// threads × lanes trials are in flight while records stay keyed by
@@ -1431,17 +1537,17 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     /// assembles batches in fault-locality order and hands the lane trial
     /// the activity indexes, so each pass walks only the ops intersecting
     /// the batch's span union — still bit-identical. A batch whose trial
-    /// panics degrades to the scalar oracle ([`Campaign::degrade`]); one
-    /// that yields a wrong result count is a contract error. Returns the
-    /// locality permutation when the segment ran sliced.
+    /// panics degrades to the scalar oracle ([`Campaign::degrade`]) and
+    /// its device is dropped, not returned to the cache; one that yields
+    /// a wrong result count is a contract error. Carries the locality
+    /// permutation when the segment ran sliced.
     fn drive_batched<T: Send, FL, FS>(
         &self,
         seg: Range<usize>,
         workers: usize,
         runner: &LaneRunner<'_, FL, FS>,
         ctx: &DriveCtx<'_>,
-        pool: &mut WorkerPool<'_, Worker<LaneState, T>>,
-    ) -> (Option<Vec<u32>>, Result<Option<StopCause>, CampaignError>)
+    ) -> SegmentRun<T>
     where
         FL: Fn(
                 &mut LaneRam<CHUNK_WORDS>,
@@ -1472,21 +1578,22 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             (start as u32..end as u32).collect()
         };
         let range = |b: usize| (b * lanes, ((b + 1) * lanes).min(count));
-        let outcome = sweep(
+        let (runs, outcome) = sweep(
             count.div_ceil(lanes),
             workers,
             Some(ctx.control),
+            (self.geom, self.ports),
             |b| {
                 let (lo, hi) = range(b);
                 (start + lo, start + hi)
             },
             |_| false,
-            pool,
-            |b, ((ram, active), runs)| {
+            |b, lease: &mut Lease<LaneState>, runs: &mut Runs<T>| {
                 let (lo, hi) = range(b);
                 let batch = &order[lo..hi];
                 runs.push((lo, Vec::with_capacity(batch.len())));
                 let (_, out) = runs.last_mut().expect("the batch's run");
+                let (ram, active) = lease.get();
                 let attempt = catch_unwind(AssertUnwindSafe(|| {
                     ram.eject_faults();
                     ram.reset_to(0);
@@ -1514,13 +1621,14 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
                         })
                     }
                     Err(_) => {
+                        lease.poison();
                         out.clear();
                         self.degrade(batch, &runner.scalar_trial, ctx.degraded, out)
                     }
                 }
             },
         );
-        (sliced.then_some(order), outcome)
+        SegmentRun { order: sliced.then_some(order), runs, outcome }
     }
 
     /// Graceful degradation of a lane batch whose pass panicked: each of
@@ -1536,7 +1644,7 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         out: &mut Vec<T>,
     ) -> Result<(), CampaignError> {
         degraded.fetch_add(1, Ordering::Relaxed);
-        let mut scalar = pooled_ram(self.geom, self.ports);
+        let mut scalar = Ram::build(self.geom, self.ports);
         for &fi in batch {
             let i = fi as usize;
             scalar.eject_faults();
@@ -1660,21 +1768,22 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             .and_then(|()| validate_ports(self.geom, self.ports))
             .unwrap_or_else(|e| e.raise());
         let count = self.faults.len();
-        let workers = self.parallelism.workers(count, available_cores);
+        let workers = self.parallelism.workers(count);
         let chunk = chunk_len(count, workers);
         let range = |c: usize| (c * chunk, ((c + 1) * chunk).min(count));
         let best = AtomicUsize::new(usize::MAX);
         let done: Vec<AtomicBool> = (0..count).map(|_| AtomicBool::new(false)).collect();
         let control = RunControl::new(self.deadline, self.cancel.clone());
-        let outcome = sweep(
+        let (_, outcome) = sweep(
             count.div_ceil(chunk),
             workers,
             Some(&control),
+            (self.geom, self.ports),
             range,
             // Chunks past a known escape cannot improve the minimum.
             |c| c * chunk >= best.load(Ordering::Relaxed),
-            &mut WorkerPool::new(|| pooled_ram(self.geom, self.ports)),
-            |c, ram| {
+            |c, lease: &mut Lease<Ram>, _: &mut ()| {
+                let ram = lease.get();
                 let (lo, hi) = range(c);
                 for (i, done) in done.iter().enumerate().take(hi).skip(lo) {
                     // Indices below a known escape are all still visited,
@@ -2408,13 +2517,10 @@ mod tests {
         // Runs arrive from any worker in any order. In fault order they
         // extend the table up to the first gap, and a partial run (a
         // chunk that died mid-way) ends the prefix; a permuted segment is
-        // scattered back to fault order first. Every run is drained.
-        let gathered = |runs: [Vec<(usize, Vec<u32>)>; 2], order: Option<&[u32]>| {
-            let mut pool: WorkerPool<'_, Worker<(), u32>> = WorkerPool::new(|| ((), Vec::new()));
-            pool.slots = runs.into_iter().map(|r| Some(((), r))).collect();
+        // scattered back to fault order first.
+        let gathered = |runs: [Runs<u32>; 2], order: Option<&[u32]>| {
             let mut records = vec![7];
-            gather(&mut pool, 1, order, &mut records);
-            assert!(pool.slots.iter().flatten().all(|(_, runs)| runs.is_empty()));
+            gather(runs.into(), 1, order, &mut records);
             records
         };
         let gap =

@@ -134,6 +134,8 @@ impl CoverageReport {
 #[derive(Debug, Clone, Default)]
 pub struct ClassTally {
     rows: Vec<CoverageRow>,
+    /// The row the last record bumped.
+    last: usize,
 }
 
 impl ClassTally {
@@ -142,19 +144,24 @@ impl ClassTally {
         ClassTally::default()
     }
 
-    /// Records one fault instance of `class`.
+    /// Records one fault instance of `class`. Faults arrive grouped by
+    /// class, so the row bumped last is checked first, by pointer: a
+    /// mnemonic is a `'static` literal, and the same literal compares
+    /// equal without reading its bytes. A miss falls back to the search
+    /// by content.
     pub fn record(&mut self, class: &'static str, detected: bool) {
-        let row = match self.rows.iter_mut().find(|r| r.class == class) {
-            Some(r) => r,
-            None => {
-                self.rows.push(CoverageRow { class, detected: 0, total: 0 });
-                self.rows.last_mut().expect("just pushed")
-            }
-        };
-        row.total += 1;
-        if detected {
-            row.detected += 1;
+        if !self.rows.get(self.last).is_some_and(|r| std::ptr::eq(r.class, class)) {
+            self.last = match self.rows.iter().position(|r| r.class == class) {
+                Some(at) => at,
+                None => {
+                    self.rows.push(CoverageRow { class, detected: 0, total: 0 });
+                    self.rows.len() - 1
+                }
+            };
         }
+        let row = &mut self.rows[self.last];
+        row.total += 1;
+        row.detected += usize::from(detected);
     }
 
     /// The rows accumulated so far, in first-seen class order.

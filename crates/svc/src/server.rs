@@ -46,7 +46,9 @@ use prt_diag::DictionaryStore;
 use prt_gf::Poly2;
 use prt_march::{library, MarchTest};
 use prt_ram::{FaultKind, FaultUniverse, Geometry, LazyUniverse, Topology};
-use prt_sim::{Campaign, CancelToken, Parallelism, ProgramBank, SegmentProgress, StopCause};
+use prt_sim::{
+    Campaign, CancelToken, ClassTally, Parallelism, ProgramBank, SegmentProgress, StopCause,
+};
 
 /// The default MISR polynomial for dictionary lookups (`x⁸+x⁴+x³+x+1`,
 /// the suite-wide 8-bit compaction default).
@@ -286,24 +288,22 @@ fn make_geometry(cells: u64, width: u32) -> Result<Geometry, String> {
 }
 
 /// Per-class counts of one completed segment, in first-seen class order
-/// (`faults` is the **shard** slice; `seg` indexes into it).
+/// (`faults` is the **shard** slice; `seg` indexes into it), tallied by
+/// the campaign's own [`ClassTally`].
 fn delta_rows(faults: &[FaultKind], seg: &SegmentProgress<'_>) -> Vec<DeltaRow> {
-    let mut rows: Vec<DeltaRow> = Vec::new();
-    for (k, &verdict) in seg.verdicts.iter().enumerate() {
-        let class = faults[seg.start + k].mnemonic();
-        match rows.iter_mut().find(|r| r.class == class) {
-            Some(row) => {
-                row.total += 1;
-                row.detected += u64::from(verdict);
-            }
-            None => rows.push(DeltaRow {
-                class: class.to_string(),
-                detected: u64::from(verdict),
-                total: 1,
-            }),
-        }
+    let mut tally = ClassTally::new();
+    for (fault, &detected) in faults[seg.start..seg.end].iter().zip(seg.verdicts) {
+        tally.record(fault.mnemonic(), detected);
     }
-    rows
+    tally
+        .rows()
+        .iter()
+        .map(|row| DeltaRow {
+            class: row.class.to_string(),
+            detected: row.detected as u64,
+            total: row.total as u64,
+        })
+        .collect()
 }
 
 /// Validates, accepts and drives one submitted job, streaming deltas

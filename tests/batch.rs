@@ -516,3 +516,107 @@ fn coverage_reports_identical_across_engines_and_threads() {
         }
     }
 }
+
+/// Runs `campaign` once for its verdicts, streamed through a progress
+/// sink, and its report, so both come from the same run.
+fn verdicts_and_report<R: FaultRunner>(campaign: Campaign<'_, R>) -> (Vec<bool>, CoverageReport) {
+    let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let sink = std::sync::Arc::clone(&seen);
+    let report = campaign
+        .with_progress(usize::MAX, move |seg: SegmentProgress<'_>| {
+            sink.lock().expect("sink").extend_from_slice(seg.verdicts);
+        })
+        .run();
+    let verdicts = std::mem::take(&mut *seen.lock().expect("sink"));
+    (verdicts, report)
+}
+
+/// WARM DEVICES ≡ FRESH DEVICES: campaigns and dictionary builds lease
+/// their devices from one process-wide cache keyed by geometry and port
+/// count, so each run below starts on devices earlier runs returned. The
+/// runs interleave detection and measurement over BOM n and WOM n×4 —
+/// two geometries of one cell count — with 1-port March programs, a
+/// multi-background bank and 2-port `CycleN` π programs, on the planned
+/// engine and both forced ones, plus one chaos-killed batch, whose
+/// device must be dropped rather than returned. Every run matches its
+/// fresh-device oracle (`detections_reference`, `scalar_observations`),
+/// and every clean run degrades no batch: a device leased under the
+/// wrong key fails its lane pass and degrades to exact scalar records,
+/// which verdict equality alone would not see.
+#[test]
+fn cached_devices_match_fresh_devices_across_geometries_and_ports() {
+    let threads = test_threads(2);
+    let n = 12;
+    let (bom, wom) = (Geometry::bom(n), Geometry::wom(n, 4).expect("geometry"));
+    let poly = Poly2::from_bits(0b1_0001_1011);
+    let ex = Executor::new().stop_at_first_mismatch();
+    let march = ex.compile(&march_library::march_c_minus(), bom);
+    let backgrounds = prt_march::coverage::standard_backgrounds(4);
+    let bank =
+        prt_march::coverage::compile_bank(&march_library::march_c_minus(), wom, &ex, &backgrounds);
+    let gf2 = Field::new(1, 0b11).expect("GF(2)");
+    let dual_bom = PiTest::new(gf2, &[1, 1, 1], &[0, 1])
+        .expect("config")
+        .compile_dual_port(bom, None)
+        .expect("compile dual");
+    let dual_wom = PiTest::new(gf16(), &[1, 2, 2], &[3, 7])
+        .expect("config")
+        .compile_dual_port(wom, None)
+        .expect("compile dual");
+    let diag_bom = Executor::new().compile(&march_library::march_diag(), bom);
+    let diag_wom = Executor::new().compile(&march_library::march_diag(), wom);
+    let (u_bom, u_wom) = (mixed_universe(bom), mixed_universe(wom));
+    fn configured<R: FaultRunner>(
+        campaign: Campaign<'_, R>,
+        threads: usize,
+        slicing: Option<bool>,
+    ) -> Campaign<'_, R> {
+        let campaign = campaign.with_parallelism(Parallelism::Threads(threads));
+        match slicing {
+            Some(enabled) => campaign.with_slicing(enabled),
+            None => campaign,
+        }
+    }
+    fn detect<R: FaultRunner>(
+        case: &str,
+        campaign: Campaign<'_, R>,
+        threads: usize,
+        slicing: Option<bool>,
+    ) {
+        let reference = campaign.detections_reference();
+        let (verdicts, report) = verdicts_and_report(configured(campaign, threads, slicing));
+        assert_eq!(verdicts, reference, "{case}, slicing {slicing:?}: verdicts diverged");
+        assert_eq!(report.degraded_batches(), 0, "{case}, slicing {slicing:?}: batch degraded");
+    }
+    let measure = |case: &str, slicing: Option<bool>, u: &FaultUniverse, program: &TestProgram| {
+        let collector = SignatureCollector::new(program, poly).expect("collector");
+        let campaign =
+            configured(Campaign::new(u, program).with_ports(program.ports()), threads, slicing);
+        let (observed, degraded) = campaign
+            .try_measure(|| 0, observe_lanes(&collector, program), observe_one(&collector, program))
+            .expect("measurement sweep");
+        let scalar = scalar_observations(u, program, poly);
+        assert_eq!(observed, scalar, "{case}, slicing {slicing:?}: observations diverged");
+        assert_eq!(degraded, 0, "{case}, slicing {slicing:?}: batch degraded");
+    };
+
+    for slicing in [None, Some(true), Some(false)] {
+        detect("BOM March C-", Campaign::new(&u_bom, &march), threads, slicing);
+        let banked = Campaign::new(&u_wom, &bank).with_backgrounds(&backgrounds);
+        detect("WOM March C- bank", banked, threads, slicing);
+        measure("BOM March diag", slicing, &u_bom, &diag_bom);
+        let dual = Campaign::new(&u_bom, &dual_bom).with_ports(2);
+        detect("BOM dual-port π", dual, threads, slicing);
+        measure("WOM March diag", slicing, &u_wom, &diag_wom);
+        detect("WOM dual-port π", Campaign::new(&u_wom, &dual_wom).with_ports(2), threads, slicing);
+        measure("WOM dual-port π", slicing, &u_wom, &dual_wom);
+
+        // A killed batch degrades to exact verdicts, and its device is
+        // dropped: the clean runs after it degrade nothing.
+        let plan = std::sync::Arc::new(prt_sim::chaos::ChaosPlan::new().panic_on_batch(0));
+        let killed = configured(Campaign::new(&u_bom, &march).with_chaos(plan), threads, slicing);
+        let (verdicts, report) = verdicts_and_report(killed);
+        assert_eq!(verdicts, Campaign::new(&u_bom, &march).detections_reference());
+        assert!(report.degraded_batches() >= 1, "slicing {slicing:?}: the kill must degrade");
+    }
+}
