@@ -106,47 +106,10 @@ impl Table {
     }
 }
 
-/// Prints `error: <message>` to stderr and exits with a nonzero code —
-/// the loud failure path for experiment binaries. Bad arguments and
-/// failed I/O must never abort via `unwrap` backtraces (useless in a CI
-/// log) or, worse, fall back silently to a default.
-pub fn die(message: impl std::fmt::Display) -> ! {
-    eprintln!("error: {message}");
-    std::process::exit(2);
-}
-
-/// Parses positional CLI argument `n` (1-based, as in `env::args`) as a
-/// `T`, using `default` when the argument is absent. A *present but
-/// malformed* argument is a usage error: the binary exits nonzero with a
-/// message naming the parameter instead of silently running the default
-/// experiment.
-pub fn arg_or<T>(n: usize, default: T, what: &str) -> T
-where
-    T: std::str::FromStr,
-    T::Err: std::fmt::Display,
-{
-    match std::env::args().nth(n) {
-        None => default,
-        Some(raw) => {
-            raw.parse().unwrap_or_else(|e| die(format!("invalid {what} argument '{raw}': {e}")))
-        }
-    }
-}
-
-/// Parses environment variable `name` as a `T`, using `default` when it
-/// is unset. A set-but-malformed value exits nonzero, like [`arg_or`].
-pub fn env_or<T>(name: &str, default: T) -> T
-where
-    T: std::str::FromStr,
-    T::Err: std::fmt::Display,
-{
-    match std::env::var(name) {
-        Err(_) => default,
-        Ok(raw) => {
-            raw.parse().unwrap_or_else(|e| die(format!("invalid {name} value '{raw}': {e}")))
-        }
-    }
-}
+/// The loud CLI parsing every experiment binary uses: a malformed
+/// argument or environment value prints `error: …` and exits 2, never
+/// falling back silently to a default experiment.
+pub use prt_svc::cli::{arg_or, die, env_or};
 
 /// Writes `contents` to `path` atomically: the bytes go to a `<path>.tmp`
 /// sibling first and are renamed into place, so a crash mid-write leaves
@@ -210,12 +173,6 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(pct(12.345), "12.3%");
         assert_eq!(sci(0.000012), "1.20e-5");
-    }
-
-    #[test]
-    fn absent_argument_and_env_use_defaults() {
-        assert_eq!(arg_or(500, 42usize, "n"), 42);
-        assert_eq!(env_or("PRT_BENCH_SURELY_UNSET_VAR", 7u32), 7);
     }
 
     #[test]

@@ -34,6 +34,14 @@ pub enum PrtError {
     Ram(prt_ram::RamError),
     /// A scheme was given no iterations.
     EmptyScheme,
+    /// A schedule search stopped with faults still escaping: no candidate
+    /// iteration detected any of them, or the iteration cap was reached.
+    ScheduleStalled {
+        /// Iterations in the schedule when the search stopped.
+        iterations: usize,
+        /// Faults the schedule still let escape.
+        escapes: usize,
+    },
 }
 
 impl fmt::Display for PrtError {
@@ -52,6 +60,12 @@ impl fmt::Display for PrtError {
             PrtError::Field(e) => write!(f, "field error: {e}"),
             PrtError::Ram(e) => write!(f, "memory error: {e}"),
             PrtError::EmptyScheme => write!(f, "PRT scheme has no iterations"),
+            PrtError::ScheduleStalled { iterations, escapes } => {
+                write!(
+                    f,
+                    "schedule search stalled at {iterations} iterations with {escapes} escapes"
+                )
+            }
         }
     }
 }

@@ -274,8 +274,11 @@ impl PrtScheme {
     ///
     /// * [`PrtError::WidthMismatch`] if the geometry's width differs from
     ///   the field degree.
-    /// * [`PrtError::EmptyScheme`] if no complete scheme is found within
-    ///   16 iterations (not observed for any geometry in the test suite).
+    /// * [`PrtError::ScheduleStalled`] with the schedule's iteration count
+    ///   and the escapes left, if the greedy search finds no candidate
+    ///   that detects any remaining escape, or reaches 32 iterations.
+    ///   Word geometries can stall: WOM 9×4 stops at 21 iterations with 2
+    ///   escapes left.
     pub fn full_coverage(
         field: Field,
         geom: prt_ram::Geometry,
@@ -357,13 +360,14 @@ impl PrtScheme {
             }
             let (ci, kills) = best.expect("pool is non-empty");
             if kills == 0 {
-                return Err(PrtError::EmptyScheme); // greedy stalled
+                break; // greedy stalled
             }
             iterations.push(pool[ci].clone());
             escapes = run_escapes(&iterations)?;
         }
         if !escapes.is_empty() {
-            return Err(PrtError::EmptyScheme);
+            let (iterations, escapes) = (iterations.len(), escapes.len());
+            return Err(PrtError::ScheduleStalled { iterations, escapes });
         }
         let t = iterations.len();
         let scheme = PrtScheme::new(field, &feedback, iterations)?
@@ -852,6 +856,20 @@ mod tests {
         assert!(scheme.iterations().len() <= 6);
         let u = FaultUniverse::enumerate(Geometry::bom(9), &UniverseSpec::paper_claim());
         assert!(scheme.coverage(&u).unwrap().complete());
+    }
+
+    #[test]
+    fn full_coverage_reports_a_stalled_search_with_its_progress() {
+        // The greedy search on WOM 9×4 stops with escapes left and at
+        // least the paper's three iterations, and says so: it used to
+        // report the schedule as having no iterations at all.
+        let gf16 = Field::new(4, 0b1_0011).unwrap();
+        match PrtScheme::full_coverage(gf16, Geometry::wom(9, 4).unwrap()) {
+            Err(PrtError::ScheduleStalled { iterations, escapes }) => {
+                assert!(iterations >= 3 && escapes > 0, "{iterations} iterations, {escapes}");
+            }
+            other => panic!("expected a stalled schedule search, got {other:?}"),
+        }
     }
 
     #[test]

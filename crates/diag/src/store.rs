@@ -128,6 +128,20 @@ impl DictionaryStore {
         parallelism: Parallelism,
     ) -> Result<Arc<FaultDictionary>, DiagError> {
         let fingerprint = FaultDictionary::fingerprint(universe, program, poly);
+        self.full_dictionary(fingerprint, universe, program, poly, parallelism)
+    }
+
+    /// [`DictionaryStore::get_or_build`] for the caller that already
+    /// holds the configuration's `fingerprint`, which formats every fault
+    /// of the universe and is too dear to compute twice per lookup.
+    fn full_dictionary(
+        &self,
+        fingerprint: u64,
+        universe: &FaultUniverse,
+        program: &TestProgram,
+        poly: Poly2,
+        parallelism: Parallelism,
+    ) -> Result<Arc<FaultDictionary>, DiagError> {
         let mut full = self.full.lock().expect("dictionary store lock");
         if let Some(dict) = full.get(&fingerprint) {
             return Ok(Arc::clone(dict));
@@ -183,7 +197,7 @@ impl DictionaryStore {
         {
             return Ok(Arc::clone(dict));
         }
-        let full = self.get_or_build(universe, program, poly, parallelism)?;
+        let full = self.full_dictionary(fingerprint, universe, program, poly, parallelism)?;
         let dict = Arc::new(full.compress(bits));
         self.compressed
             .lock()

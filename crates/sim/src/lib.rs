@@ -100,6 +100,7 @@
 #![warn(missing_docs)]
 
 use std::any::{Any, TypeId};
+use std::borrow::Cow;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -109,7 +110,7 @@ use std::time::Duration;
 
 use prt_ram::{
     locality_order, ActiveSet, ActivityIndex, FaultKind, FaultUniverse, Geometry, LaneChunk,
-    LaneRam, Ram, ReadWired, TestProgram, Topology,
+    LaneRam, LazyUniverse, Ram, ReadWired, TestProgram, Topology,
 };
 
 #[cfg(any(test, feature = "chaos"))]
@@ -370,12 +371,12 @@ type LaneState = (LaneRam<CHUNK_WORDS>, ActiveSet);
 type Runs<T> = Vec<(usize, Vec<T>)>;
 
 /// Extends `records`, the table of finished records, by the finished
-/// prefix of the segment that starts at fault `start`, from the workers'
-/// `runs`. Without an `order`, schedule position `p` is fault
-/// `start + p`: the runs are appended in position order up to the first
-/// gap. A permuted segment (position `p` is fault `order[p]`) is
-/// scattered back to fault order once.
-fn gather<T>(runs: Vec<Runs<T>>, start: usize, order: Option<&[u32]>, records: &mut Vec<T>) {
+/// prefix of one segment, from the workers' `runs`. Without an `order`,
+/// schedule position `p` is the segment's fault `p`: the runs are
+/// appended in position order up to the first gap. A permuted segment
+/// (position `p` is the segment's fault `order[p]`) is scattered back to
+/// fault order once.
+fn gather<T>(runs: Vec<Runs<T>>, order: Option<&[u32]>, records: &mut Vec<T>) {
     let mut runs: Runs<T> = runs.into_iter().flatten().collect();
     match order {
         None => {
@@ -392,8 +393,8 @@ fn gather<T>(runs: Vec<Runs<T>>, start: usize, order: Option<&[u32]>, records: &
         Some(order) => {
             let mut slots: Vec<Option<T>> = order.iter().map(|_| None).collect();
             for (first, run) in runs {
-                for (&fi, record) in order[first..].iter().zip(run) {
-                    slots[fi as usize - start] = Some(record);
+                for (&p, record) in order[first..].iter().zip(run) {
+                    slots[p as usize] = Some(record);
                 }
             }
             records.extend(slots.into_iter().map_while(|record| record));
@@ -446,6 +447,16 @@ fn plan_sliced(faults: &[FaultKind], cells: usize) -> bool {
     mean <= SLICE_MAX_SPAN_SHARE * cells as f64
 }
 
+/// Resolves `active` to the span union, against `index`, of the faults
+/// at the positions `batch` of `faults`.
+fn fill_active(active: &mut ActiveSet, faults: &[FaultKind], batch: &[u32], index: &ActivityIndex) {
+    active.clear();
+    for &p in batch {
+        active.insert_fault(&faults[p as usize]);
+    }
+    active.finalize(index);
+}
+
 /// The lane side of one compiled campaign run, shared by all of its
 /// segments: detection and measurement differ only in the two trials.
 struct LaneRunner<'p, FL, FS> {
@@ -454,14 +465,53 @@ struct LaneRunner<'p, FL, FS> {
     /// Their activity indexes, resolved by the first sliced segment (the
     /// programs cache their index, so repeat runs share one build).
     indexes: OnceLock<Vec<Arc<ActivityIndex>>>,
-    /// Runs one injected lane batch — given its fault indices, the
-    /// indexes when the segment runs sliced, and the active-set scratch —
-    /// and pushes one result per lane, in lane order (checked).
+    /// Runs one injected lane batch — given the segment's faults, the
+    /// batch's positions in them, the indexes when the segment runs
+    /// sliced, and the active-set scratch — and pushes one result per
+    /// lane, in lane order (checked).
     lane_trial: FL,
-    /// Measures one fault on a healed scalar device that already carries
-    /// it: the degradation oracle.
+    /// Measures one fault, given its universe index, on a healed scalar
+    /// device that already carries it: the degradation oracle.
     scalar_trial: FS,
 }
+
+/// Where a campaign's faults come from. A segment of a list borrows its
+/// sub-slice; a segment of a lazy universe is decoded when the segment
+/// starts, so the campaign holds one segment of faults at a time.
+#[derive(Debug, Clone, Copy)]
+enum FaultSource<'a> {
+    Listed(&'a [FaultKind]),
+    Lazy(&'a LazyUniverse),
+}
+
+impl<'a> FaultSource<'a> {
+    fn len(self) -> usize {
+        match self {
+            FaultSource::Listed(faults) => faults.len(),
+            FaultSource::Lazy(universe) => universe.len(),
+        }
+    }
+
+    /// The fault at universe index `i`.
+    fn get(self, i: usize) -> FaultKind {
+        match self {
+            FaultSource::Listed(faults) => faults[i].clone(),
+            FaultSource::Lazy(universe) => universe.fault(i),
+        }
+    }
+
+    /// The faults of the universe indices `range`, in order.
+    fn segment(self, range: Range<usize>) -> Cow<'a, [FaultKind]> {
+        match self {
+            FaultSource::Listed(faults) => Cow::Borrowed(&faults[range]),
+            FaultSource::Lazy(universe) => Cow::Owned(universe.slice(range.start, range.end)),
+        }
+    }
+}
+
+/// The longest segment of a lazy campaign that has neither a checkpoint
+/// nor a progress cadence: it decodes at most this many faults at a time.
+const LAZY_SEGMENT: usize = 8192;
 
 /// Below this many trials a campaign stays sequential under
 /// [`Parallelism::Auto`] — thread spawn/join costs more than the work.
@@ -884,7 +934,7 @@ fn validate_ports(geom: Geometry, ports: usize) -> Result<(), CampaignError> {
 #[derive(Debug)]
 pub struct Campaign<'a, R> {
     geom: Geometry,
-    faults: &'a [FaultKind],
+    faults: FaultSource<'a>,
     runner: R,
     backgrounds: Vec<u64>,
     ports: usize,
@@ -904,7 +954,7 @@ pub struct Campaign<'a, R> {
 
 /// One completed segment of a campaign, as reported to a
 /// [`Campaign::with_progress`] sink: the contiguous universe slice
-/// `[start, end)` whose verdicts just became final.
+/// `[start, end)` whose verdicts just became final, with its faults.
 ///
 /// Segments are reported **in order** and tile the evaluated prefix of
 /// the universe exactly — `start` of each call equals `end` of the
@@ -918,6 +968,10 @@ pub struct SegmentProgress<'s> {
     pub start: usize,
     /// One past the last universe index of the segment (exclusive).
     pub end: usize,
+    /// The faults of `[start, end)`, keyed by `index - start`: the ones
+    /// the segment ran, so a sink over a [`Campaign::lazy`] campaign
+    /// reads them without decoding the universe again.
+    pub faults: &'s [FaultKind],
     /// Final verdicts for `[start, end)`, keyed by `index - start`.
     pub verdicts: &'s [bool],
 }
@@ -972,12 +1026,31 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             .with_topology(universe.topology().clone())
     }
 
+    /// A campaign over every instance of a lazy universe, with its
+    /// geometry and topology. Each segment decodes its faults when it
+    /// starts ([`LazyUniverse::slice`]) and drops them when it ends, so
+    /// the campaign never holds the universe: without a checkpoint or
+    /// progress cadence a segment is at most 8,192 faults. Everything
+    /// else — verdicts, reports, streamed segments and the checkpoint
+    /// fingerprint — is bit-identical to [`Campaign::new`] over
+    /// [`LazyUniverse::materialize`]. One exception to the segment bound:
+    /// a campaign that resumes from a checkpoint decodes the whole
+    /// restored prefix once, for the leading segment its progress sink
+    /// receives.
+    pub fn lazy(universe: &'a LazyUniverse, runner: R) -> Campaign<'a, R> {
+        Campaign {
+            faults: FaultSource::Lazy(universe),
+            ..Campaign::over(universe.geometry(), &[], runner)
+        }
+        .with_topology(universe.topology().clone())
+    }
+
     /// A campaign over an explicit fault list (e.g. the escapes of a
     /// previous campaign, or a topological NPSF set).
     pub fn over(geom: Geometry, faults: &'a [FaultKind], runner: R) -> Campaign<'a, R> {
         Campaign {
             geom,
-            faults,
+            faults: FaultSource::Listed(faults),
             runner,
             backgrounds: vec![0],
             ports: 1,
@@ -1112,13 +1185,14 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     }
 
     /// Streams progress: after every segment of (at most) `every` trials
-    /// completes, `sink` receives the segment's final verdicts as a
-    /// [`SegmentProgress`]. Segments arrive in order and tile the
+    /// completes, `sink` receives the segment's faults and final verdicts
+    /// as a [`SegmentProgress`]. Segments arrive in order and tile the
     /// evaluated prefix exactly (see [`SegmentProgress`]), so a sink can
     /// reconstruct the verdict table — or per-class coverage deltas —
     /// incrementally; the terminal report stays bit-identical to an
     /// unhooked run. Composes with [`Campaign::with_checkpoint`]: the
-    /// effective segment length is the smaller of the two cadences.
+    /// effective segment length is the smaller of the two cadences, and
+    /// a [`Campaign::lazy`] campaign decodes one such segment at a time.
     /// `every` is clamped to ≥ 1. The sink runs on the driving thread,
     /// between segments — a slow sink throttles the campaign, not the
     /// verdicts. A segment boundary costs one sink call and little else:
@@ -1173,11 +1247,11 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
 
     /// `true` when the campaign has no fault instances.
     pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
+        self.len() == 0
     }
 
-    fn run_fault(&self, i: usize, ram: &mut Ram) -> bool {
-        ram.inject(self.faults[i].clone()).expect("campaign faults are valid");
+    fn run_fault(&self, fault: FaultKind, ram: &mut Ram) -> bool {
+        ram.inject(fault).expect("campaign faults are valid");
         self.detect_injected(ram)
     }
 
@@ -1224,7 +1298,7 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     /// when a stop condition fired first (use [`Campaign::try_run`] for
     /// an explicitly-marked partial report instead).
     pub fn try_detections(&self) -> Result<Vec<bool>, CampaignError> {
-        self.complete(self.try_progress()?).map(|(verdicts, _)| verdicts)
+        self.complete(self.try_progress(|_, _| {})?).map(|(verdicts, _)| verdicts)
     }
 
     /// Measures every fault of the campaign through its compiled program
@@ -1288,13 +1362,14 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             programs: &programs,
             indexes: OnceLock::new(),
             lane_trial: |ram: &mut LaneRam<CHUNK_WORDS>,
+                         faults: &[FaultKind],
                          batch: &[u32],
                          slice: Option<&[Arc<ActivityIndex>]>,
                          active: &mut ActiveSet,
                          out: &mut Vec<T>| {
                 let slice = match slice {
                     Some(indexes) => {
-                        self.fill_active(active, batch, &indexes[0]);
+                        fill_active(active, faults, batch, &indexes[0]);
                         Some((&*indexes[0], &*active))
                     }
                     None => None,
@@ -1305,8 +1380,8 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         };
         let progress = self.drive_segments(
             fingerprint,
-            |_, _| {},
-            |seg, workers, ctx| self.drive_batched(seg, workers, &runner, ctx),
+            |_, _, _| {},
+            |start, faults, workers, ctx| self.drive_batched(start, faults, workers, &runner, ctx),
         )?;
         self.complete(progress)
     }
@@ -1324,7 +1399,7 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     /// reports when `cause` stopped it after `completed` trials (the
     /// contiguous evaluated prefix).
     fn stop_error(&self, cause: StopCause, completed: usize, elapsed: Duration) -> CampaignError {
-        let total = self.faults.len();
+        let total = self.len();
         match cause {
             StopCause::DeadlineExceeded => CampaignError::DeadlineExceeded {
                 elapsed,
@@ -1342,59 +1417,68 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     /// lane-batched for a compiled program — and runs every segment of
     /// it on that engine ([`Campaign::drive_segments`]). A lane-batched
     /// segment plans full pass or sliced on its own
-    /// ([`Campaign::drive_batched`]).
-    fn try_progress(&self) -> Result<Progress<bool>, CampaignError> {
+    /// ([`Campaign::drive_batched`]). `observe` receives each finished
+    /// segment's faults and verdicts, in order, before the progress sink.
+    fn try_progress(
+        &self,
+        mut observe: impl FnMut(&[FaultKind], &[bool]),
+    ) -> Result<Progress<bool>, CampaignError> {
         self.runner.validate(self.geom, self.ports, &self.backgrounds)?;
         validate_ports(self.geom, self.ports)?;
         let fingerprint = || self.fingerprint();
-        let emit = |start: usize, verdicts: &[bool]| {
+        let emit = |start: usize, faults: &[FaultKind], verdicts: &[bool]| {
+            observe(faults, verdicts);
             if let Some(hook) = &self.progress {
-                (hook.sink)(SegmentProgress { start, end: start + verdicts.len(), verdicts });
+                let end = start + verdicts.len();
+                (hook.sink)(SegmentProgress { start, end, faults, verdicts });
             }
         };
         let Some(programs) = self.batch_plan() else {
-            return self.drive_segments(fingerprint, emit, |seg, workers, ctx| {
-                self.drive_scalar(seg, workers, ctx)
+            return self.drive_segments(fingerprint, emit, |start, faults, workers, ctx| {
+                self.drive_scalar(start, faults, workers, ctx)
             });
         };
         let runner = LaneRunner {
             programs: &programs,
             indexes: OnceLock::new(),
             lane_trial: |ram: &mut LaneRam<CHUNK_WORDS>,
+                         faults: &[FaultKind],
                          batch: &[u32],
                          slice: Option<&[Arc<ActivityIndex>]>,
                          active: &mut ActiveSet,
                          out: &mut Vec<bool>| {
-                let detected = self.detect_lanes(ram, &programs, slice, batch, active);
+                let detected = self.detect_lanes(ram, &programs, slice, faults, batch, active);
                 out.extend((0..batch.len()).map(|lane| detected.get(lane)));
             },
             scalar_trial: |_, ram: &mut Ram| self.detect_injected(ram),
         };
-        self.drive_segments(fingerprint, emit, |seg, workers, ctx| {
-            self.drive_batched(seg, workers, &runner, ctx)
+        self.drive_segments(fingerprint, emit, |start, faults, workers, ctx| {
+            self.drive_batched(start, faults, workers, &runner, ctx)
         })
     }
 
     /// The segment loop under both terminals: resumes from a checkpoint
     /// when one is armed and compatible (its `fingerprint` is computed
     /// only then), then drives the universe in **segments** (the finer
-    /// of the checkpoint and progress cadences per segment; the whole
-    /// remainder when neither is armed) through `segment`, which returns
+    /// of the checkpoint and progress cadences per segment; when neither
+    /// is armed, the whole remainder of a list, or [`LAZY_SEGMENT`]
+    /// faults of a lazy universe). Each segment's faults are fetched once
+    /// ([`FaultSource::segment`]) and handed to `segment`, which returns
     /// its [`SegmentRun`]. After each segment it [`gather`]s the runs its
     /// workers finished into the one table of finished records, up to the
     /// segment's contiguous finished prefix, checkpoints that table and
-    /// hands the new records to `emit` — both straight from the table, no
-    /// copy. Every segment's workers lease their devices from the
-    /// process-wide cache and return them at its end, so a segment
-    /// boundary costs a progress call and a cache round trip, not fresh
-    /// devices. Worker panics poison only their chunk; deadline and
-    /// cancellation stop the fan-out at chunk boundaries; a panicking lane
-    /// batch degrades to the scalar oracle.
+    /// hands the new records, with their faults, to `emit` — both straight
+    /// from the table, no copy. Every segment's workers lease their
+    /// devices from the process-wide cache and return them at its end, so
+    /// a segment boundary costs a progress call and a cache round trip,
+    /// not fresh devices. Worker panics poison only their chunk; deadline
+    /// and cancellation stop the fan-out at chunk boundaries; a panicking
+    /// lane batch degrades to the scalar oracle.
     fn drive_segments<T: CheckpointRecord + Send>(
         &self,
         fingerprint: impl FnOnce() -> u64,
-        emit: impl Fn(usize, &[T]),
-        segment: impl Fn(Range<usize>, usize, &DriveCtx<'_>) -> SegmentRun<T>,
+        mut emit: impl FnMut(usize, &[FaultKind], &[T]),
+        segment: impl Fn(usize, &[FaultKind], usize, &DriveCtx<'_>) -> SegmentRun<T>,
     ) -> Result<Progress<T>, CampaignError> {
         let total = self.faults.len();
         let spool = self.checkpoint.as_ref().map(|(path, _)| (path, fingerprint()));
@@ -1406,32 +1490,34 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         // prefix as one leading segment, so sinks always see segments that
         // tile `[0, evaluated)` — no silent gap.
         if !records.is_empty() {
-            emit(0, &records);
+            emit(0, &self.faults.segment(0..records.len()), &records);
         }
         let degraded = AtomicUsize::new(0);
         let control = RunControl::new(self.deadline, self.cancel.clone());
         let ctx = DriveCtx { control: &control, degraded: &degraded };
         let mut stopped = None;
-        // Segment length: the finer of the checkpoint cadence and the
-        // progress cadence (one whole-remainder segment when neither is
-        // armed).
-        let step = self
-            .checkpoint
-            .as_ref()
-            .map(|(_, every)| *every)
-            .unwrap_or(usize::MAX)
-            .min(self.progress.as_ref().map(|h| h.every).unwrap_or(usize::MAX));
+        // Segment length: the finer of the two cadences; with neither, the
+        // whole remainder of a list, or a bounded slice of a lazy universe.
+        let cadences = [
+            self.checkpoint.as_ref().map(|(_, every)| *every),
+            self.progress.as_ref().map(|h| h.every),
+        ];
+        let step = cadences.into_iter().flatten().min().unwrap_or(match self.faults {
+            FaultSource::Listed(_) => usize::MAX,
+            FaultSource::Lazy(_) => LAZY_SEGMENT,
+        });
         while records.len() < total {
             let start = records.len();
             let end = start.saturating_add(step).min(total);
+            let faults = self.faults.segment(start..end);
             let SegmentRun { order, runs, outcome } =
-                segment(start..end, self.parallelism.workers(end - start), &ctx);
-            gather(runs, start, order.as_deref(), &mut records);
+                segment(start, &faults, self.parallelism.workers(end - start), &ctx);
+            gather(runs, order.as_deref(), &mut records);
             if let Some((path, fp)) = &spool {
                 checkpoint::save_records(path, *fp, total, &records)?;
             }
             if records.len() > start {
-                emit(start, &records[start..]);
+                emit(start, &faults[..records.len() - start], &records[start..]);
             }
             // A failed segment surfaces only now, after its completed
             // prefix was checkpointed and streamed.
@@ -1475,9 +1561,9 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         for &bg in &self.backgrounds {
             fp.push_u64(bg);
         }
-        fp.push_u64(self.faults.len() as u64);
-        for fault in self.faults {
-            fp.push_debug(fault);
+        fp.push_u64(self.len() as u64);
+        for i in 0..self.len() {
+            fp.push_debug(&self.faults.get(i));
         }
         for &bg in &self.backgrounds {
             match self.runner.batch_program(bg) {
@@ -1488,17 +1574,17 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         fp.finish()
     }
 
-    /// Scalar segment `seg`: chunks of trials on `workers` leased
-    /// [`Ram`]s, run by the shared scheduler ([`sweep`]) with the control
-    /// polled before every chunk.
+    /// Scalar segment of `faults`, the universe's from index `start`:
+    /// chunks of trials on `workers` leased [`Ram`]s, run by the shared
+    /// scheduler ([`sweep`]) with the control polled before every chunk.
     fn drive_scalar(
         &self,
-        seg: Range<usize>,
+        start: usize,
+        faults: &[FaultKind],
         workers: usize,
         ctx: &DriveCtx<'_>,
     ) -> SegmentRun<bool> {
-        let Range { start, end } = seg;
-        let count = end - start;
+        let (count, end) = (faults.len(), start + faults.len());
         let chunk = chunk_len(count, workers);
         let range = |c: usize| (start + c * chunk, (start + (c + 1) * chunk).min(end));
         let (runs, outcome) = sweep(
@@ -1519,7 +1605,7 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
                     self.chaos_trial(i);
                     ram.eject_faults();
                     ram.reset_to(0);
-                    run.push(self.run_fault(i, ram));
+                    run.push(self.run_fault(faults[i - start].clone(), ram));
                 }
                 Ok(())
             },
@@ -1527,8 +1613,9 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         SegmentRun { order: None, runs, outcome }
     }
 
-    /// Lane-batched segment `seg` on `workers` leased lane devices, for
-    /// detection and measurement alike: faults are packed 512 per
+    /// Lane-batched segment of `faults`, the universe's from index
+    /// `start`, on `workers` leased lane devices, for detection and
+    /// measurement alike: faults are packed 512 per
     /// [`LaneRam`] chunk and each batch runs the runner's lane trial, so
     /// threads × lanes trials are in flight while records stay keyed by
     /// fault index — bit-identical at any thread count. The segment's
@@ -1543,7 +1630,8 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     /// permutation when the segment ran sliced.
     fn drive_batched<T: Send, FL, FS>(
         &self,
-        seg: Range<usize>,
+        start: usize,
+        faults: &[FaultKind],
         workers: usize,
         runner: &LaneRunner<'_, FL, FS>,
         ctx: &DriveCtx<'_>,
@@ -1551,6 +1639,7 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     where
         FL: Fn(
                 &mut LaneRam<CHUNK_WORDS>,
+                &[FaultKind],
                 &[u32],
                 Option<&[Arc<ActivityIndex>]>,
                 &mut ActiveSet,
@@ -1558,10 +1647,8 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             ) + Sync,
         FS: Fn(usize, &mut Ram) -> T + Sync,
     {
-        let Range { start, end } = seg;
         let lanes = LaneRam::<CHUNK_WORDS>::LANES;
-        let count = end - start;
-        let faults = &self.faults[start..end];
+        let count = faults.len();
         // Records stay keyed by fault index, so neither the plan nor the
         // locality permutation ever reaches reports or checkpoints.
         let sliced = self.slicing.unwrap_or_else(|| plan_sliced(faults, self.geom.cells()));
@@ -1571,11 +1658,9 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         });
         let order: Vec<u32> = if sliced {
             // A counting sort over cell keys, linear in the segment.
-            let mut order = locality_order(faults, self.geom.cells());
-            order.iter_mut().for_each(|i| *i += start as u32);
-            order
+            locality_order(faults, self.geom.cells())
         } else {
-            (start as u32..end as u32).collect()
+            (0..count as u32).collect()
         };
         let range = |b: usize| (b * lanes, ((b + 1) * lanes).min(count));
         let (runs, outcome) = sweep(
@@ -1597,15 +1682,15 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
                 let attempt = catch_unwind(AssertUnwindSafe(|| {
                     ram.eject_faults();
                     ram.reset_to(0);
-                    for (lane, &fi) in batch.iter().enumerate() {
-                        ram.inject(self.faults[fi as usize].clone(), lane)
+                    for (lane, &p) in batch.iter().enumerate() {
+                        ram.inject(faults[p as usize].clone(), lane)
                             .expect("campaign faults are valid");
                     }
                     // Chaos keys batches by schedule position (identical to
                     // the first fault index when assembly is unsorted), so
                     // kill targets stay width-based under locality sorting.
                     self.chaos_batch(start + lo);
-                    (runner.lane_trial)(ram, batch, slice, active, out);
+                    (runner.lane_trial)(ram, faults, batch, slice, active, out);
                 }));
                 match attempt {
                     Ok(()) if out.len() == batch.len() => Ok(()),
@@ -1623,7 +1708,7 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
                     Err(_) => {
                         lease.poison();
                         out.clear();
-                        self.degrade(batch, &runner.scalar_trial, ctx.degraded, out)
+                        self.degrade(start, faults, batch, &runner.scalar_trial, ctx.degraded, out)
                     }
                 }
             },
@@ -1632,12 +1717,15 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     }
 
     /// Graceful degradation of a lane batch whose pass panicked: each of
-    /// its faults is retried on `scalar_trial`, which measures the same
-    /// thing fault by fault, into `out` in batch order, and the batch is
-    /// counted. Only a retry that also panics fails, as a
+    /// its faults (positions `batch` in the segment `faults`, the
+    /// universe's from index `start`) is retried on `scalar_trial`, which
+    /// measures the same thing fault by fault, into `out` in batch order,
+    /// and the batch is counted. Only a retry that also panics fails, as a
     /// [`CampaignError::WorkerPanic`] over that one fault.
     fn degrade<T>(
         &self,
+        start: usize,
+        faults: &[FaultKind],
         batch: &[u32],
         scalar_trial: &impl Fn(usize, &mut Ram) -> T,
         degraded: &AtomicUsize,
@@ -1645,12 +1733,12 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     ) -> Result<(), CampaignError> {
         degraded.fetch_add(1, Ordering::Relaxed);
         let mut scalar = Ram::build(self.geom, self.ports);
-        for &fi in batch {
-            let i = fi as usize;
+        for &p in batch {
+            let i = start + p as usize;
             scalar.eject_faults();
             scalar.reset_to(0);
             let retry = catch_unwind(AssertUnwindSafe(|| {
-                scalar.inject(self.faults[i].clone()).expect("campaign faults are valid");
+                scalar.inject(faults[p as usize].clone()).expect("campaign faults are valid");
                 scalar_trial(i, &mut scalar)
             }));
             match retry {
@@ -1661,16 +1749,6 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         Ok(())
     }
 
-    /// Resolves `active` to the span union of `batch`'s faults against
-    /// `index`.
-    fn fill_active(&self, active: &mut ActiveSet, batch: &[u32], index: &ActivityIndex) {
-        active.clear();
-        for &fi in batch {
-            active.insert_fault(&self.faults[fi as usize]);
-        }
-        active.finalize(index);
-    }
-
     /// One lane batch's verdicts: every background program in turn on
     /// the injected `ram`, stopping once every lane is flagged (the
     /// per-fault early exit across backgrounds, lane style).
@@ -1679,6 +1757,7 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
         ram: &mut LaneRam<CHUNK_WORDS>,
         programs: &[&TestProgram],
         slice: Option<&[Arc<ActivityIndex>]>,
+        faults: &[FaultKind],
         batch: &[u32],
         active: &mut ActiveSet,
     ) -> LaneChunk<CHUNK_WORDS> {
@@ -1695,7 +1774,7 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             // and ports upfront, so the typed errors cannot fire here.
             detected |= match slice {
                 Some(indexes) => {
-                    self.fill_active(active, batch, &indexes[bi]);
+                    fill_active(active, faults, batch, &indexes[bi]);
                     program.try_detect_batch_sliced(ram, &indexes[bi], active)
                 }
                 None => program.try_detect_batch(ram),
@@ -1720,12 +1799,11 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     /// differential-testing oracle the pooled engine is checked against;
     /// produces bit-identical verdicts.
     pub fn detections_reference(&self) -> Vec<bool> {
-        self.faults
-            .iter()
-            .map(|fault| {
+        (0..self.len())
+            .map(|i| {
                 for &bg in &self.backgrounds {
                     let mut ram = Ram::with_ports(self.geom, self.ports).expect("valid port count");
-                    ram.inject(fault.clone()).expect("campaign faults are valid");
+                    ram.inject(self.faults.get(i)).expect("campaign faults are valid");
                     if self.runner.detect(&mut ram, bg) {
                         return true;
                     }
@@ -1767,7 +1845,7 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
             .validate(self.geom, self.ports, &self.backgrounds)
             .and_then(|()| validate_ports(self.geom, self.ports))
             .unwrap_or_else(|e| e.raise());
-        let count = self.faults.len();
+        let count = self.len();
         let workers = self.parallelism.workers(count);
         let chunk = chunk_len(count, workers);
         let range = |c: usize| (c * chunk, ((c + 1) * chunk).min(count));
@@ -1793,7 +1871,7 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
                     }
                     ram.eject_faults();
                     ram.reset_to(0);
-                    let detected = self.run_fault(i, ram);
+                    let detected = self.run_fault(self.faults.get(i), ram);
                     done.store(true, Ordering::Relaxed);
                     if !detected {
                         best.fetch_min(i, Ordering::Relaxed);
@@ -1847,17 +1925,18 @@ impl<'a, R: FaultRunner> Campaign<'a, R> {
     /// progress up to the poisoned chunk checkpointed first, when
     /// checkpointing is on).
     pub fn try_run(&self) -> Result<CoverageReport, CampaignError> {
-        let progress = self.try_progress()?;
         let mut tally = ClassTally::new();
-        for (fault, &detected) in self.faults.iter().zip(&progress.records) {
-            tally.record(fault.mnemonic(), detected);
-        }
+        let progress = self.try_progress(|faults, verdicts| {
+            for (fault, &detected) in faults.iter().zip(verdicts) {
+                tally.record(fault.mnemonic(), detected);
+            }
+        })?;
         let mut report = tally.into_report(self.name.clone());
         report.set_degraded_batches(progress.degraded_batches);
         if let Some(cause) = progress.stopped {
             report.set_partial(PartialCoverage {
                 evaluated: progress.records.len(),
-                total: self.faults.len(),
+                total: self.len(),
                 cause,
             });
         }
@@ -2520,7 +2599,7 @@ mod tests {
         // scattered back to fault order first.
         let gathered = |runs: [Runs<u32>; 2], order: Option<&[u32]>| {
             let mut records = vec![7];
-            gather(runs.into(), 1, order, &mut records);
+            gather(runs.into(), order, &mut records);
             records
         };
         let gap =
@@ -2528,8 +2607,9 @@ mod tests {
         assert_eq!(gathered(gap, None), [7, 10, 11, 12, 13, 14, 15]);
         let partial = [vec![(0, vec![10, 11]), (4, vec![14, 15])], vec![(2, vec![12])]];
         assert_eq!(gathered(partial, None), [7, 10, 11, 12]);
-        // Positions 0..4 hold faults 4, 1, 3, 2; fault 2's record is missing.
-        let order = [4, 1, 3, 2];
+        // Positions 0..4 hold the segment's faults 3, 0, 2, 1; fault 1's
+        // record is missing.
+        let order = [3, 0, 2, 1];
         let permuted = [vec![(2, vec![13])], vec![(0, vec![14, 11])]];
         assert_eq!(gathered(permuted, Some(&order)), [7, 11]);
         let whole = [vec![(2, vec![13, 12])], vec![(0, vec![14, 11])]];

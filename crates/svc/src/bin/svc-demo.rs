@@ -79,8 +79,8 @@ fn main() {
         topology: None,
     };
 
-    // N clients stream the same job concurrently — the shard scheduler
-    // must interleave them without conflating their streams.
+    // N clients stream the same job concurrently — the server must
+    // interleave them without conflating their streams.
     let streams: Vec<_> = (0..jobs)
         .map(|j| {
             let addr = addr.clone();

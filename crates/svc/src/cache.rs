@@ -2,10 +2,10 @@
 //!
 //! Compiling a March test to a [`TestProgram`] walks the notation once
 //! per `(test, geometry, background)` — cheap, but a busy server sees
-//! the same handful of configurations thousands of times, and a shard
-//! fan-out would otherwise recompile per shard. [`ProgramCache`] compiles
-//! each key **once** and `Arc`-shares the program with every job and
-//! shard that needs it; cached programs are the *same allocation*, so
+//! the same handful of configurations thousands of times, and concurrent
+//! jobs would otherwise each recompile. [`ProgramCache`] compiles each
+//! key **once** and `Arc`-shares the program with every job that needs
+//! it; cached programs are the *same allocation*, so
 //! "cached verdicts equal freshly-compiled verdicts" holds by
 //! construction and is additionally asserted over the wire in
 //! `tests/service.rs`.

@@ -1,5 +1,6 @@
-//! CLI plumbing shared by the server binaries (`prt-svc`, `svc-demo`):
-//! loud argument/environment parsing. Bad input must never abort via an
+//! CLI plumbing shared by the server binaries (`prt-svc`, `svc-demo`)
+//! and, through `prt_bench`'s re-export, the experiment binaries: loud
+//! argument/environment parsing. Bad input must never abort via an
 //! `unwrap` backtrace (useless in a CI log) or, worse, fall back
 //! silently to a default experiment.
 

@@ -1,16 +1,16 @@
-//! `prt-svc` — a sharded, streaming, cache-backed campaign and
-//! diagnosis server for the PRT suite.
+//! `prt-svc` — a streaming, cache-backed campaign and diagnosis server
+//! for the PRT suite.
 //!
 //! The suite's batch tools answer "what does this March test cover?"
 //! one process at a time. This crate turns the same engines into a
 //! long-running **service**: clients submit campaign jobs (geometry,
 //! fault-universe spec, test family, backgrounds, deadline) over a
-//! length-prefixed TCP protocol ([`proto`]); the server shards each
-//! job's universe into lane-chunk segments across a worker pool and
-//! **streams** per-segment coverage deltas back as they complete, so a
-//! million-fault sweep reports progress from its first segment instead
-//! of going dark until the end. Two caches keep repeat work free:
-//! compiled [`prt_ram::TestProgram`]s are shared per
+//! length-prefixed TCP protocol ([`proto`]); the server runs each job as
+//! one campaign over its lazily decoded universe, in segments across a
+//! worker pool, and **streams** per-segment coverage deltas back as they
+//! complete, so a million-fault sweep reports progress from its first
+//! segment instead of going dark until the end. Two caches keep repeat
+//! work free: compiled [`prt_ram::TestProgram`]s are shared per
 //! `(family, geometry, background)` ([`cache::ProgramCache`]), and
 //! fault dictionaries are built once, optionally persisted to disk, and
 //! `Arc`-shared across queries ([`prt_diag::DictionaryStore`]).
@@ -37,7 +37,8 @@
 //!
 //! Knobs (environment): `PRT_SVC_WORKERS` (worker threads per job, `0`
 //! = auto), `PRT_SVC_SEGMENT` (streaming segment length, default 512),
-//! `PRT_SVC_SHARD` (shard length, default 8192), `PRT_SVC_STORE` (disk
+//! `PRT_SVC_SHARD` (the most faults a job decodes at a time, so the cap
+//! on its segment length, default 8192), `PRT_SVC_STORE` (disk
 //! directory for persisted dictionaries).
 //!
 //! In-process, the same server is three lines — this is how the

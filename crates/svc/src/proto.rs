@@ -371,7 +371,7 @@ pub struct JobSpec {
     pub cells: u64,
     /// Word width in bits (`1` = bit-oriented memory).
     pub width: u32,
-    /// The fault universe to shard and sweep.
+    /// The fault universe to sweep.
     pub spec: UniverseSpec,
     /// Data backgrounds (one compiled program per entry; a fault counts
     /// as detected when any background flags it). Must be non-empty.

@@ -1,5 +1,5 @@
 //! The campaign/diagnosis server: accept loop, per-connection sessions,
-//! the sharded streaming job driver and the lookup path.
+//! the streaming job driver and the lookup path.
 //!
 //! # Job lifecycle
 //!
@@ -7,26 +7,23 @@
 //! geometry, backgrounds, lane width — refusals are
 //! [`Event::Error`] frames, never half-started jobs), answered with
 //! [`Event::Accepted`], then driven to completion on the session's
-//! thread: the fault universe is split into **shards** of at most
-//! `ServerConfig::shard` instances, each shard runs as one
-//! [`Campaign`] over the job's worker pool, and every completed
-//! **segment** (`ServerConfig::segment` trials, or the job's override)
-//! streams one [`Event::Delta`] back over the live connection via the
-//! campaign's progress hook. The stream ends with one
-//! [`Event::Done`] carrying the evaluated prefix, the stop cause and
-//! the degradation counter; the server then closes the connection — one
-//! streaming job per connection.
-//!
-//! Dense universes (no coupling classes) are sharded **lazily** through
-//! [`LazyUniverse`]: a `n ≥ 2²⁰` job materializes one shard's fault
-//! instances at a time, never the whole universe.
+//! thread as **one** [`Campaign::lazy`] over the job's [`LazyUniverse`],
+//! with the job's worker pool, deadline and cancel token. Every
+//! completed **segment** (`ServerConfig::segment` trials, or the job's
+//! override, at most `ServerConfig::shard`) is decoded when it starts
+//! and streams one [`Event::Delta`] back over the live connection via
+//! the campaign's progress hook, so a `n ≥ 2²⁰` job holds one
+//! segment's fault instances at a time, never the whole universe. The
+//! stream ends with one [`Event::Done`] carrying the campaign's
+//! evaluated prefix, stop cause and degradation counter; the server
+//! then closes the connection — one streaming job per connection.
 //!
 //! # Cancellation and disconnects
 //!
 //! Each job arms a [`CancelToken`]. A watchdog thread blocks reading
 //! the job's connection: **any** in-band byte is a client cancel
 //! request, and EOF or a reset is a disconnect — both fire the token,
-//! the campaign stops at the next chunk boundary, and the shard workers
+//! the campaign stops at the next chunk boundary, and the job's workers
 //! are freed for other jobs. A dead client never pins the worker pool
 //! (chaos-tested in `tests/resilience.rs`).
 
@@ -35,7 +32,7 @@ use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream}
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::cache::ProgramCache;
 use crate::proto::{
@@ -45,7 +42,7 @@ use crate::proto::{
 use prt_diag::DictionaryStore;
 use prt_gf::Poly2;
 use prt_march::{library, MarchTest};
-use prt_ram::{FaultKind, FaultUniverse, Geometry, LazyUniverse, Topology};
+use prt_ram::{FaultUniverse, Geometry, LazyUniverse, Topology};
 use prt_sim::{
     Campaign, CancelToken, ClassTally, Parallelism, ProgramBank, SegmentProgress, StopCause,
 };
@@ -63,14 +60,14 @@ const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 pub struct ServerConfig {
     /// Listen address (`"127.0.0.1:0"` = loopback, OS-assigned port).
     pub addr: String,
-    /// Worker threads per job's shard campaigns (`0` = auto: the
-    /// engine's own sizing).
+    /// Worker threads per job's campaign (`0` = auto: the engine's own
+    /// sizing).
     pub workers_per_job: usize,
     /// Default streaming segment length in trials (a job's `segment`
     /// field overrides; clamped to ≥ 1).
     pub segment: usize,
-    /// Shard length in universe instances: lazy universes materialize
-    /// at most this many faults at a time (clamped to ≥ 1).
+    /// At most this many faults decoded at a time: the cap on a job's
+    /// segment length, whatever the job asks for (clamped to ≥ 1).
     pub shard: usize,
     /// Disk tier for the dictionary store (`None` = in-memory only).
     pub store_dir: Option<std::path::PathBuf>,
@@ -287,12 +284,11 @@ fn make_geometry(cells: u64, width: u32) -> Result<Geometry, String> {
     Geometry::wom(cells, width.max(1)).map_err(|e| e.to_string())
 }
 
-/// Per-class counts of one completed segment, in first-seen class order
-/// (`faults` is the **shard** slice; `seg` indexes into it), tallied by
-/// the campaign's own [`ClassTally`].
-fn delta_rows(faults: &[FaultKind], seg: &SegmentProgress<'_>) -> Vec<DeltaRow> {
+/// Per-class counts of one completed segment, in first-seen class order,
+/// tallied by the campaign's own [`ClassTally`].
+fn delta_rows(seg: &SegmentProgress<'_>) -> Vec<DeltaRow> {
     let mut tally = ClassTally::new();
-    for (fault, &detected) in faults[seg.start..seg.end].iter().zip(seg.verdicts) {
+    for (fault, &detected) in seg.faults.iter().zip(seg.verdicts) {
         tally.record(fault.mnemonic(), detected);
     }
     tally
@@ -344,21 +340,21 @@ fn run_job(stream: TcpStream, reader: TcpStream, shared: &Shared, job: JobSpec) 
         None => Topology::identity(geom.cells()),
     };
 
-    // Universe: lazy sharding for every spec — coupling families
-    // enumerate through the O(1)-memory pair arithmetic, so no job
-    // materializes its universe up front (the topology applies per
-    // decoded index, keeping the O(1) contract under scrambling).
-    let lazy = LazyUniverse::new_with(geom, job.spec, topology.clone());
-    let total = lazy.len();
+    // Universe: lazy for every spec — coupling families enumerate through
+    // the O(1)-memory pair arithmetic, so no job materializes its universe
+    // (the topology applies per decoded index, keeping the O(1) contract
+    // under scrambling).
+    let lazy = LazyUniverse::new_with(geom, job.spec, topology);
+    let total = lazy.len() as u64;
 
-    // Programs from the shared cache — every shard (and every concurrent
-    // job with this configuration) drives the same compiled artifacts.
+    // Programs from the shared cache — every concurrent job with this
+    // configuration drives the same compiled artifacts.
     let programs: Vec<(u64, Arc<prt_ram::TestProgram>)> =
         job.backgrounds.iter().map(|&bg| (bg, shared.programs.get(test, geom, bg))).collect();
     let ports = programs.iter().map(|(_, p)| p.ports()).max().unwrap_or(1);
     let bank = ProgramBank::new(programs);
 
-    if send_event(&stream, &Event::Accepted { total: total as u64 }).is_err() {
+    if send_event(&stream, &Event::Accepted { total }).is_err() {
         return;
     }
 
@@ -366,7 +362,7 @@ fn run_job(stream: TcpStream, reader: TcpStream, shared: &Shared, job: JobSpec) 
     let _guard = JobGuard(&shared.active_jobs);
 
     // Watchdog: any in-band byte is a cancel request, EOF/reset is a
-    // disconnect — either way the token fires and the shard workers are
+    // disconnect — either way the token fires and the job's workers are
     // freed at the next chunk boundary.
     let token = CancelToken::new();
     let watchdog = {
@@ -378,103 +374,50 @@ fn run_job(stream: TcpStream, reader: TcpStream, shared: &Shared, job: JobSpec) 
         })
     };
 
+    // `shard` caps the segment, so a job decodes at most that many faults
+    // at a time, whatever segment it asks for.
     let segment = if job.segment == 0 { shared.config.segment } else { job.segment as usize };
-    let segment = segment.max(1);
-    let shard_len = shared.config.shard.max(1);
+    let segment = segment.clamp(1, shared.config.shard.max(1));
     let parallelism = match shared.config.workers_per_job {
         0 => Parallelism::Auto,
         n => Parallelism::Threads(n),
     };
-    let deadline = (job.deadline_ms > 0).then(|| Duration::from_millis(job.deadline_ms));
-    let started = Instant::now();
     let seq = AtomicU64::new(0);
-    let write_failed = AtomicBool::new(false);
-
-    let mut evaluated = 0usize;
-    let mut degraded = 0usize;
-    let mut cause = StopKind::Complete;
-    let mut lo = 0usize;
-    while lo < total {
-        let hi = (lo + shard_len).min(total);
-        let shard_faults: Vec<FaultKind> = lazy.slice(lo, hi);
-        let sf = &shard_faults;
-        let stream_ref = &stream;
-        let seq_ref = &seq;
-        let failed_ref = &write_failed;
-        let sink_token = token.clone();
-        let mut campaign = Campaign::over(geom, sf, &bank)
-            .with_topology(topology.clone())
-            .with_backgrounds(&job.backgrounds)
-            .with_ports(ports)
-            .with_parallelism(parallelism)
-            .with_name(format!("svc:{}", job.family))
-            .with_cancel(&token)
-            .with_progress(segment, move |seg: SegmentProgress<'_>| {
-                let delta = CoverageDelta {
-                    seq: seq_ref.fetch_add(1, Ordering::Relaxed),
-                    start: (lo + seg.start) as u64,
-                    end: (lo + seg.end) as u64,
-                    rows: delta_rows(sf, &seg),
-                };
-                if send_event(stream_ref, &Event::Delta(delta)).is_err() {
-                    // The client is gone: stop paying for its sweep.
-                    failed_ref.store(true, Ordering::Relaxed);
-                    sink_token.cancel();
-                }
-            });
-        if let Some(budget) = deadline {
-            match budget.checked_sub(started.elapsed()) {
-                Some(remaining) => campaign = campaign.with_deadline(remaining),
-                None => {
-                    cause = StopKind::Deadline;
-                    break;
-                }
+    let mut campaign = Campaign::lazy(&lazy, &bank)
+        .with_backgrounds(&job.backgrounds)
+        .with_ports(ports)
+        .with_parallelism(parallelism)
+        .with_name(format!("svc:{}", job.family))
+        .with_cancel(&token)
+        .with_progress(segment, |seg: SegmentProgress<'_>| {
+            let delta = CoverageDelta {
+                seq: seq.fetch_add(1, Ordering::Relaxed),
+                start: seg.start as u64,
+                end: seg.end as u64,
+                rows: delta_rows(&seg),
+            };
+            if send_event(&stream, &Event::Delta(delta)).is_err() {
+                // The client is gone: stop paying for its sweep.
+                token.cancel();
             }
-        }
-        let report = match campaign.try_run() {
-            Ok(report) => report,
-            Err(e) => {
-                return finish_job(&stream, watchdog, |s| {
-                    let _ = send_event(s, &Event::Error { code: 2, message: e.to_string() });
-                });
-            }
-        };
-        degraded += report.degraded_batches();
-        match report.partial() {
-            None => {
-                evaluated = hi;
-                lo = hi;
-            }
-            Some(partial) => {
-                evaluated = lo + partial.evaluated;
-                cause = match partial.cause {
-                    StopCause::DeadlineExceeded => StopKind::Deadline,
-                    StopCause::Cancelled => StopKind::Cancelled,
-                };
-                break;
-            }
-        }
+        });
+    if job.deadline_ms > 0 {
+        campaign = campaign.with_deadline(Duration::from_millis(job.deadline_ms));
     }
-
-    finish_job(&stream, watchdog, |s| {
-        let done = JobDone {
-            evaluated: evaluated as u64,
-            total: total as u64,
-            cause,
-            degraded: degraded as u64,
-        };
-        let _ = send_event(s, &Event::Done(done));
-    });
-}
-
-/// Writes the terminal event, closes the socket (which also wakes the
-/// watchdog out of its blocking read) and joins the watchdog.
-fn finish_job(
-    stream: &TcpStream,
-    watchdog: thread::JoinHandle<()>,
-    terminal: impl FnOnce(&TcpStream),
-) {
-    terminal(stream);
+    let terminal = match campaign.try_run() {
+        Ok(report) => {
+            let (evaluated, cause) = match report.partial().map(|p| (p.evaluated, p.cause)) {
+                None => (total, StopKind::Complete),
+                Some((at, StopCause::DeadlineExceeded)) => (at as u64, StopKind::Deadline),
+                Some((at, StopCause::Cancelled)) => (at as u64, StopKind::Cancelled),
+            };
+            let degraded = report.degraded_batches() as u64;
+            Event::Done(JobDone { evaluated, total, cause, degraded })
+        }
+        Err(e) => Event::Error { code: 2, message: e.to_string() },
+    };
+    // Closing the socket also wakes the watchdog out of its blocking read.
+    let _ = send_event(&stream, &terminal);
     let _ = stream.shutdown(Shutdown::Both);
     let _ = watchdog.join();
 }
@@ -581,5 +524,44 @@ mod tests {
         assert_eq!(done.cause, StopKind::Complete);
         assert_eq!(done.evaluated, done.total);
         assert_eq!(deltas.last().map(|d| d.end), Some(done.total));
+    }
+
+    /// Runs `spec` on a fresh server with `config` and checks that its
+    /// deltas tile `[0, evaluated)` in order, none longer than
+    /// `longest` trials.
+    fn drain_tiled(config: ServerConfig, spec: &JobSpec, longest: u64) -> JobDone {
+        let server = Server::spawn(config).expect("bind");
+        let client = Client::connect(server.addr()).expect("connect");
+        let stream = client.submit(spec).expect("job accepted");
+        let (deltas, done) = stream.drain().expect("the stream ends with Done");
+        let mut cursor = 0;
+        for delta in &deltas {
+            assert_eq!(delta.start, cursor, "each delta starts where the last ended");
+            assert!(delta.end > delta.start && delta.end - delta.start <= longest, "{delta:?}");
+            cursor = delta.end;
+        }
+        assert_eq!(cursor, done.evaluated, "deltas tile the evaluated prefix");
+        done
+    }
+
+    #[test]
+    fn job_deadline_stops_it_mid_universe() {
+        // The 654,592 faults of BOM-256 `paper_claim`, streamed 64 at a
+        // time, take about 0.3 s in a release build: a 20 ms deadline
+        // stops the job part way, with the full pass and no index build.
+        let spec = JobSpec { deadline_ms: 20, ..job(256, UniverseSpec::paper_claim(), 64) };
+        let done = drain_tiled(ServerConfig::default(), &spec, 64);
+        assert_eq!(done.cause, StopKind::Deadline);
+        assert!(done.evaluated < done.total, "{done:?}");
+    }
+
+    #[test]
+    fn oversized_segment_streams_shard_sized_deltas() {
+        // The job asks for 1,000-trial segments; the server decodes at
+        // most 100 faults at a time, so no delta is longer.
+        let config = ServerConfig { shard: 100, ..ServerConfig::default() };
+        let done = drain_tiled(config, &job(16, UniverseSpec::paper_claim(), 1000), 100);
+        assert_eq!(done.cause, StopKind::Complete);
+        assert_eq!(done.evaluated, done.total);
     }
 }

@@ -11,7 +11,11 @@
 # pair to pair. It prints, per workload, each pair's end-to-end metrics
 # (the `end_to_end` list of BENCHMARK.json) with the change ÷ parent
 # ratio, each side's median and quartiles, the median ratio and the
-# number of pairs the change wins per metric, plus `peak_rss_mb`.
+# number of pairs the change wins per metric, plus `peak_rss_mb` and the
+# workload's report-line latencies (`first_delta_ms_p50`,
+# `campaign_ms_p90`, ...: every report metric named `*_ms_p<N>` that is
+# not an end-to-end metric already). A report metric is better lower
+# unless its name ends in `per_s`.
 #
 # Build outputs, runs and checkpoints live in the temporary directory
 # (under $TMPDIR, default /tmp), which is removed on exit, so nothing is
@@ -62,6 +66,7 @@ done
 
 python3 - "$root/BENCHMARK.json" "$tmp/out" "$rev" "$pairs" "$seconds" "${workloads[@]}" <<'EOF'
 import json
+import re
 import statistics
 import sys
 
@@ -71,12 +76,16 @@ pairs = int(pairs)
 metrics = json.load(open(bench))["end_to_end"]
 
 
+def reported(name):
+    return name == "peak_rss_mb" or re.search(r"_ms_p[0-9]+$", name)
+
+
 def run(workload, i, side):
     lines = [json.loads(line) for line in open(f"{out}/{workload}.{i}.{side}")]
     report = next(line["report"] for line in lines if "report" in line)
     result = lines[-1]
     values = {m: v["value"] for m, v in result["metrics"].items()}
-    values["peak_rss_mb"] = report["peak_rss_mb"]["value"]
+    values.update((m, v["value"]) for m, v in report.items() if reported(m))
     return result, values
 
 
@@ -104,7 +113,14 @@ for workload in workloads:
             sides[side] = values
         rows.append((i, seed, first, sides))
     print(f"\n== {workload}")
-    names = [m["name"] for m in metrics] + ["peak_rss_mb"]
+    extra = [
+        {"name": name, "better": "higher" if name.endswith("per_s") else "lower"}
+        for name in rows[0][3]["parent"]
+        if reported(name)
+        and name not in {m["name"] for m in metrics}
+        and all(name in sides[side] for *_, sides in rows for side in sides)
+    ]
+    names = [m["name"] for m in metrics + extra]
     for i, seed, first, sides in rows:
         cells = []
         for name in names:
@@ -112,14 +128,14 @@ for workload in workloads:
             ratio = c / p if p else float("nan")
             cells.append(f"{name} {fmt(p)} -> {fmt(c)} ({ratio:.3f}x)")
         print(f"pair {i:2} seed {seed} {first} first: " + "; ".join(cells))
-    print(f"{'metric':14} {'better':6} {'parent q1/med/q3':>30} {'change q1/med/q3':>30} {'med ratio':>9} wins")
-    for m in metrics + [{"name": "peak_rss_mb", "better": "lower"}]:
+    print(f"{'metric':19} {'better':6} {'parent q1/med/q3':>30} {'change q1/med/q3':>30} {'med ratio':>9} wins")
+    for m in metrics + extra:
         name, better = m["name"], m["better"]
         p = [sides["parent"][name] for _, _, _, sides in rows]
         c = [sides["change"][name] for _, _, _, sides in rows]
         ratios = [b / a if a else float("nan") for a, b in zip(p, c)]
         wins = sum((b > a) if better == "higher" else (b < a) for a, b in zip(p, c))
         ps, cs = "/".join(map(fmt, spread(p))), "/".join(map(fmt, spread(c)))
-        print(f"{name:14} {better:6} {ps:>30} {cs:>30} {statistics.median(ratios):9.3f} {wins}/{pairs}")
+        print(f"{name:19} {better:6} {ps:>30} {cs:>30} {statistics.median(ratios):9.3f} {wins}/{pairs}")
     print("every run correct, failed 0" if not bad else "FAILED RUNS: " + "; ".join(bad))
 EOF

@@ -22,7 +22,7 @@ pub fn test_threads(chosen: usize) -> usize {
 /// radius 2. Single-cell families have tight spans, coupling spans
 /// straddle aggressor/victim windows, and the decoder, stuck-open and
 /// read-logic families have always-active footprints.
-fn mixed_spec(geom: Geometry) -> UniverseSpec {
+pub fn mixed_spec(geom: Geometry) -> UniverseSpec {
     UniverseSpec { coupling_radius: Some(2), intra_word: geom.width() > 1, ..UniverseSpec::full() }
 }
 

@@ -6,12 +6,21 @@
 //! between the batched build and the scalar sweep. The identity
 //! topology must be bit-identical to the pre-topology code paths,
 //! checkpoints included; a checkpoint written under one scramble must
-//! refuse to resume under another.
+//! refuse to resume under another. A campaign over a lazy universe,
+//! scrambled or not, must be bit-identical to one over the materialized
+//! universe.
 
 mod common;
 
-use common::{scalar, scalar_observations, scrambled_universe, temp_ckpt, test_threads};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+use common::{
+    mixed_spec, scalar, scalar_observations, scrambled_universe, temp_ckpt, test_threads,
+};
 use proptest::prelude::*;
+use prt_sim::chaos::ChaosPlan;
+use prt_sim::checkpoint;
 use prt_suite::prelude::*;
 
 proptest! {
@@ -188,4 +197,139 @@ fn scrambled_checkpoint_refuses_other_topologies() {
         .expect("same-topology resume");
     assert_eq!(first.rows(), again.rows());
     let _ = std::fs::remove_file(&path);
+}
+
+/// One streamed segment: start, end, faults and verdicts.
+type Streamed = (usize, usize, Vec<FaultKind>, Vec<bool>);
+
+/// `campaign` with `backgrounds`, `workers` workers and the engine
+/// `slicing` forces (the planned one when `None`).
+fn configured<'c, R: FaultRunner>(
+    campaign: Campaign<'c, R>,
+    backgrounds: &[u64],
+    workers: usize,
+    slicing: Option<bool>,
+) -> Campaign<'c, R> {
+    let campaign = campaign
+        .with_name("lazy")
+        .with_backgrounds(backgrounds)
+        .with_parallelism(Parallelism::Threads(workers));
+    match slicing {
+        Some(enabled) => campaign.with_slicing(enabled),
+        None => campaign,
+    }
+}
+
+/// Runs `campaign` with a progress sink at `cadence` (no sink when
+/// `None`) and returns its report and every segment the sink saw.
+fn run_streamed<R: FaultRunner>(
+    campaign: Campaign<'_, R>,
+    cadence: Option<usize>,
+) -> (CoverageReport, Vec<Streamed>) {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&seen);
+    let campaign = match cadence {
+        Some(every) => campaign.with_progress(every, move |seg: SegmentProgress<'_>| {
+            let segment = (seg.start, seg.end, seg.faults.to_vec(), seg.verdicts.to_vec());
+            sink.lock().expect("sink").push(segment);
+        }),
+        None => campaign,
+    };
+    let report = campaign.try_run().expect("campaign runs");
+    let streamed = std::mem::take(&mut *seen.lock().expect("sink"));
+    (report, streamed)
+}
+
+/// Checks `Campaign::lazy(lazy, runner)` against `Campaign::new` over the
+/// materialized universe: reports, verdict tables and streamed segments
+/// on every engine, worker count and cadence; partial reports under a
+/// zero deadline and a pre-fired cancel token; and a checkpoint written
+/// by either campaign, which the other resumes.
+fn assert_lazy_equals_materialized<R: FaultRunner + Copy>(
+    lazy: &LazyUniverse,
+    runner: R,
+    backgrounds: &[u64],
+) {
+    let listed = lazy.materialize();
+    let case = format!("{:?}, {} faults", lazy.geometry(), lazy.len());
+    for slicing in [None, Some(true), Some(false)] {
+        for workers in [1, test_threads(2)] {
+            let lazy_run =
+                || configured(Campaign::lazy(lazy, runner), backgrounds, workers, slicing);
+            let listed_run =
+                || configured(Campaign::new(&listed, runner), backgrounds, workers, slicing);
+            let case = format!("{case}, slicing {slicing:?}, {workers} workers");
+            assert_eq!(lazy_run().detections(), listed_run().detections(), "{case}");
+            for cadence in [Some(1), Some(7), Some(512), None] {
+                let want = run_streamed(listed_run(), cadence);
+                assert_eq!(run_streamed(lazy_run(), cadence), want, "{case}, cadence {cadence:?}");
+            }
+        }
+    }
+    let fired = CancelToken::new();
+    fired.cancel();
+    let zero = |c: Campaign<'_, R>| run_streamed(c.with_deadline(Duration::ZERO), Some(7));
+    let cancelled = |c: Campaign<'_, R>| run_streamed(c.with_cancel(&fired), Some(7));
+    for stop in [&zero as &dyn Fn(Campaign<'_, R>) -> _, &cancelled] {
+        let want = stop(configured(Campaign::new(&listed, runner), backgrounds, 1, None));
+        assert_eq!(want.0.partial().map(|p| p.evaluated), Some(0), "{case}");
+        assert_eq!(stop(configured(Campaign::lazy(lazy, runner), backgrounds, 1, None)), want);
+    }
+    let whole = configured(Campaign::new(&listed, runner), backgrounds, 1, None);
+    let (uninterrupted, verdicts) = (whole.run(), whole.detections());
+    let mut fingerprints = Vec::new();
+    for lazy_writes in [true, false] {
+        let path = temp_ckpt("lazy");
+        let (writer, reader) = if lazy_writes {
+            (Campaign::lazy(lazy, runner), Campaign::new(&listed, runner))
+        } else {
+            (Campaign::new(&listed, runner), Campaign::lazy(lazy, runner))
+        };
+        // Cut after two 64-fault segments, checkpointed.
+        let token = CancelToken::new();
+        let partial = configured(writer, backgrounds, 1, None)
+            .with_checkpoint(&path, 64)
+            .with_cancel(&token)
+            .with_chaos(Arc::new(ChaosPlan::new().cancel_after(2, &token)))
+            .try_run()
+            .expect("cut run");
+        assert_eq!(partial.partial().map(|p| p.evaluated), Some(128), "{case}");
+        fingerprints.push(checkpoint::peek_fingerprint(&path).expect("checkpoint written"));
+        let resumed = configured(reader, backgrounds, 1, None).with_checkpoint(&path, 64);
+        let (report, streamed) = run_streamed(resumed, Some(64));
+        assert_eq!(report, uninterrupted, "{case}, lazy writes {lazy_writes}");
+        // The restored prefix streams as one leading segment, faults and
+        // all, and the segments tile the universe.
+        assert_eq!((streamed[0].0, streamed[0].1), (0, 128), "{case}");
+        let faults: Vec<FaultKind> = streamed.iter().flat_map(|s| s.2.clone()).collect();
+        let streamed: Vec<bool> = streamed.iter().flat_map(|s| s.3.clone()).collect();
+        assert_eq!((&faults[..], streamed), (listed.faults(), verdicts.clone()), "{case}");
+        let _ = std::fs::remove_file(&path);
+    }
+    assert_eq!(fingerprints[0], fingerprints[1], "{case}: checkpoint fingerprints");
+}
+
+/// LAZY ≡ MATERIALIZED: a campaign over a lazy universe holds one
+/// segment of faults at a time, yet it is bit-identical to a campaign
+/// over the materialized universe — one March program on BOM and a
+/// three-background bank on WOM, under the identity topology and a
+/// generated one.
+#[test]
+fn lazy_campaign_equals_materialized() {
+    let ex = Executor::new().stop_at_first_mismatch();
+    let march = march_library::march_c_minus();
+    let (bom, wom) = (Geometry::bom(8), Geometry::wom(6, 4).expect("geometry"));
+    let program = ex.compile(&march, bom);
+    let backgrounds = prt_march::coverage::standard_backgrounds(4);
+    let bank = prt_march::coverage::compile_bank(&march, wom, &ex, &backgrounds);
+    for seed in [None, Some(5)] {
+        let topology = |geom: Geometry| match seed {
+            Some(seed) => Topology::generate(geom.cells(), seed),
+            None => Topology::identity(geom.cells()),
+        };
+        let lazy = LazyUniverse::new_with(bom, mixed_spec(bom), topology(bom));
+        assert_lazy_equals_materialized(&lazy, &program, &[0]);
+        let lazy = LazyUniverse::new_with(wom, mixed_spec(wom), topology(wom));
+        assert_lazy_equals_materialized(&lazy, &bank, &backgrounds);
+    }
 }
